@@ -4,8 +4,11 @@ Exact flow oracle on a two-state filtering model
 
 Build the canonical filtering model, evolve the flow exactly, and print
 every limiting constant: normalized distributions, log-normalizers, the
-contraction tables of the normalized transport, variance increments and the
-concentration constant b(n).
+variance increments of the transported test function, the contraction
+tables of the normalized transport and the concentration constant b(n).
+analyze returns the flow and the limiting variance; contraction_tables
+builds the tables from the flow; transport rebuilds any single normalized
+transport matrix on demand.
 """
 
 import numpy as np
@@ -26,21 +29,24 @@ flow = fk.analyze(model, spec, f)
 for n, eta in enumerate(flow.etas):
     print(f"eta_{n} = {eta}   log-normalizer = {flow.log_gamma1[n]:+.5f}")
 
-# contraction tables: betas[p, n] is the Dobrushin coefficient of the
-# row-normalized transport from time p to n, ratios[p, n] its mass ratio
-print("\nDobrushin coefficients (rows p, columns n):")
-print(np.where(np.isnan(flow.betas), 0.0, flow.betas))
-print("mass ratios:")
-print(np.where(np.isnan(flow.ratios), 0.0, flow.ratios))
-
 print("\nvariance increments of the transported family:", flow.deltaC)
 print(f"limiting variance sigma^2 = {flow.sigma_sq:.6f}")
-print("concentration constants b(n):", flow.b_const)
 
-# the same quantities double as a self-check: transporting eta_p forward must
-# reproduce eta_n exactly
+# contraction tables: betas[p, n] is the Dobrushin coefficient of the
+# row-normalized transport from time p to n, ratios[p, n] its mass ratio
+tables = fk.contraction_tables(model, flow.etas)
+print("\nDobrushin coefficients (rows p, columns n):")
+print(np.where(np.isnan(tables.betas), 0.0, tables.betas))
+print("mass ratios:")
+print(np.where(np.isnan(tables.ratios), 0.0, tables.ratios))
+b = [fk.concentration_b(tables, n) for n in range(model.horizon + 1)]
+print("concentration constants b(n):", np.array(b))
+
+# a self-check: transporting eta_p forward must reproduce eta_n exactly
 worst = max(
-    float(np.max(np.abs(flow.etas[p] @ flow.qbar[(p, n)] - flow.etas[n])))
+    float(np.max(np.abs(
+        flow.etas[p] @ fk.transport(model, flow.etas, p, n) - flow.etas[n]
+    )))
     for p in range(model.horizon + 1)
     for n in range(p, model.horizon + 1)
 )

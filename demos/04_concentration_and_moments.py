@@ -14,9 +14,9 @@ from fkbench.lab import default_eps_grid
 
 entry = zoo.build("ring_walk")
 model, spec, f = entry.model, entry.spec, entry.f
-flow = fk.analyze(model, spec, f)
+tables = fk.contraction_tables(model, fk.exact_flow(model).etas)
 n = model.horizon
-print(f"model: {entry.name}, b({n}) = {fk.concentration_b(flow, n):.3f}")
+print(f"model: {entry.name}, b({n}) = {fk.concentration_b(tables, n):.3f}")
 
 N = 400
 grid = default_eps_grid(N, f.oscillation(n))

@@ -9,34 +9,37 @@ into reproducible file-based runs.
 
 __version__ = "0.1.0"
 
-from .bounds import a3_constant, burkholder_d, mckean_gamma, mixing_bounds
+from .bounds import McKeanGamma, a3_constant, burkholder_d, mixing_bounds
 from .engine import (
     ParticleCloud,
     RunConfig,
     RunTrace,
     doob_terms,
     increasing_increments,
-    increasing_process_increment,
     init_particles,
-    martingale_increment,
     martingale_increments,
+    sampling_error,
     simulate,
     simulate_replicates,
     step_particles,
 )
 from .flow import (
+    ContractionTables,
+    ExactFlow,
     FlowAnalytics,
     analyze,
     boltzmann_gibbs,
     compatibility_residual,
     concentration_b,
+    conditional_variance,
+    contraction_tables,
     dobrushin_beta,
     exact_flow,
     limiting_increasing_process,
     limiting_variance,
     mckean_kernel,
-    semigroups,
     step_phi,
+    transport,
 )
 from .lab import (
     EcdfSample,

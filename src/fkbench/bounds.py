@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import FlowConsistencyError, HypothesisNotSatisfied
-from .flow import FlowAnalytics, concentration_b
-from .model import FeynmanKacModel, McKeanSpec, validate_model
+from .errors import HypothesisNotSatisfied
+from .flow import ContractionTables, concentration_b
+from .model import FeynmanKacModel, validate_model
 
 
 def burkholder_d(p: int) -> float:
@@ -56,22 +56,13 @@ class McKeanGamma:
         return self.combined + 1.0
 
 
-def mckean_gamma(spec: McKeanSpec) -> McKeanGamma:
-    """Regularity constants for a constant-eps mixing spec."""
-    # only constant (measure-independent) eps is supported, so the constants
-    # do not depend on the actual values
-    return McKeanGamma()
-
-
-def a3_constant(flow: FlowAnalytics, n: int, gamma: float = 1.0) -> float:
+def a3_constant(tables: ContractionTables, n: int, gamma: float = 1.0) -> float:
     """Exponential-continuity constant of the increasing-process increments.
 
     a3(n) = 4*sqrt(2)*(1+gamma) * max over q in {n, n-1} of
     sum_{p<=q} ratios[p,q]*betas[p,q]; the inner sums are b(q)/2.
     """
-    if flow.betas is None:
-        raise FlowConsistencyError("run semigroups before a3_constant")
-    sums = [concentration_b(flow, q) / 2.0 for q in range(max(n - 1, 0), n + 1)]
+    sums = [concentration_b(tables, q) / 2.0 for q in range(max(n - 1, 0), n + 1)]
     return 4.0 * math.sqrt(2.0) * (1.0 + gamma) * max(sums)
 
 
@@ -123,7 +114,7 @@ def mixing_bounds(
     rho: float,
     n: int,
     model: FeynmanKacModel | None = None,
-    flow: FlowAnalytics | None = None,
+    flow: ContractionTables | None = None,
     gamma: float = 1.0,
 ) -> MixingBounds:
     """Closed-form uniform bounds, optionally verified against a model.
@@ -135,8 +126,10 @@ def mixing_bounds(
 
     When a model is given, the minorization hypothesis is checked by
     enumeration (raising HypothesisNotSatisfied on failure, also when the
-    supplied r does not dominate the model's potential ratios), and the
-    computed window ratios, b(n) and a3(n) are compared against the bounds.
+    supplied r does not dominate the model's potential ratios).  When the
+    model's contraction tables are given as well (flow: anything with betas
+    and ratios, as from contraction_tables), the window ratios, b(n) and
+    a3(n) are compared against the bounds.
     """
     if m < 1 or r < 1.0 or not 0.0 < rho <= 1.0:
         raise ValueError(f"need m >= 1, r >= 1, rho in (0, 1]; got {(m, r, rho)}")
@@ -160,7 +153,7 @@ def mixing_bounds(
                 f"{pot_ratios.max()}"
             )
         check_minorization(model, m, rho)
-        if flow is not None and flow.ratios is not None:
+        if flow is not None:
             H = model.horizon
             slack = 1.0 + tol.PRODUCT
             r_check = all(

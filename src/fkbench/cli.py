@@ -17,16 +17,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import burkholder_d, mckean_gamma
-from .engine import (
-    RunConfig,
-    doob_terms,
-    increasing_increments,
-    simulate,
-    simulate_replicates,
-)
+from .bounds import McKeanGamma, burkholder_d
+from .engine import RunConfig, simulate_replicates
 from .errors import ConfigError, FkbenchError
-from .flow import analyze, concentration_b
+from .flow import analyze, concentration_b, contraction_tables
 from .lab import (
     clt_rate_experiment,
     concentration_experiment,
@@ -100,16 +94,17 @@ def _table(matrix) -> list:
 def cmd_oracle(args) -> int:
     model, spec, f, horizon = _resolve_inputs(args)
     flow = analyze(model, spec, f, terminal=horizon)
-    gamma = mckean_gamma(spec)
+    tables = contraction_tables(model, flow.etas)
+    gamma = McKeanGamma()
     payload = {
         "horizon": horizon,
         "etas": [e.tolist() for e in flow.etas],
         "log_gamma1": flow.log_gamma1.tolist(),
-        "betas": _table(flow.betas),
-        "ratios": _table(flow.ratios),
+        "betas": _table(tables.betas),
+        "ratios": _table(tables.ratios),
         "delta_c": flow.deltaC.tolist(),
         "sigma_sq": flow.sigma_sq,
-        "b": [concentration_b(flow, q) for q in range(horizon + 1)],
+        "b": [concentration_b(tables, q) for q in range(horizon + 1)],
         "gamma": {
             "gamma": gamma.gamma,
             "gamma_prime": gamma.gamma_prime,
@@ -124,14 +119,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_simulate(args) -> int:
     model, spec, f, horizon = _resolve_inputs(args)
-    config = RunConfig(
-        n_particles=args.N, seed=args.seed, horizon=horizon,
-        record_fields=("w", "c") if args.record_steps else (),
-    )
-    flow = analyze(model, spec, f, terminal=horizon)
-    stats = simulate_replicates(
-        config, model, spec, f, args.reps, flow=flow, threads=_threads()
-    )
+    config = RunConfig(n_particles=args.N, seed=args.seed, horizon=horizon)
+    stats = simulate_replicates(config, model, spec, f, args.reps, threads=_threads())
     lines = [
         f"# tool = fkbench {__version__}",
         f"# seed = {args.seed}",
@@ -150,11 +139,8 @@ def cmd_simulate(args) -> int:
         if args.check_doob:
             row.append(repr(max(s.residual_mean, s.residual_field)))
         if args.record_steps:
-            trace = simulate(config, model, spec, replicate=s.replicate)
-            series = doob_terms(trace, flow, model, f, horizon)
-            running = np.cumsum(increasing_increments(trace, model, spec, f))
-            row += [repr(float(v)) for v in series.w]
-            row += [repr(float(v)) for v in running]
+            row += [repr(v) for v in s.w_steps]
+            row += [repr(float(v)) for v in np.cumsum(s.delta_c_steps)]
         rows.append(row)
     out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8", newline="")
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFunction, FlowConsistencyError
-from .flow import FlowAnalytics, analyze, mckean_kernel, step_phi
+from .flow import FlowAnalytics, analyze, conditional_variance, mckean_kernel, step_phi
 from .model import FeynmanKacModel, McKeanSpec, TestFunction
 from .rng import categorical, categorical_rows, stream
 
@@ -28,13 +28,11 @@ class RunConfig:
         n_particles: population size N >= 1.
         seed: master seed; replicate streams are derived from it.
         horizon: final time index (must not exceed the model horizon).
-        record_fields: names of optional per-step series for tabular output.
     """
 
     n_particles: int
     seed: int
     horizon: int
-    record_fields: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -113,77 +111,47 @@ def simulate(
     return RunTrace(n_particles=config.n_particles, counts=counts)
 
 
-def martingale_increment(
-    model: FeynmanKacModel,
-    spec: McKeanSpec,
-    f: TestFunction,
-    cloud_prev: ParticleCloud | None,
-    cloud: ParticleCloud,
+def sampling_error(
+    model: FeynmanKacModel, mu, emp: np.ndarray, n: int, v: np.ndarray
 ) -> float:
-    """Sampling error of the step into cloud: realized minus predicted mean.
+    """Sampling error of the step into time n: realized minus predicted mean of v.
 
-    At time 0 the prediction is the exact initial law.
+    emp is the time-n empirical measure and mu the measure the step starts
+    from; at n = 0, mu is the initial law and is itself the prediction.
     """
-    n = cloud.time
-    emp = cloud.empirical()
-    if n == 0:
-        return float((emp - model.eta0) @ f.values[0])
-    predicted = step_phi(model, cloud_prev.empirical(), n - 1)
-    return float((emp - predicted) @ f.values[n])
+    predicted = mu if n == 0 else step_phi(model, mu, n - 1)
+    return float((emp - predicted) @ v)
 
 
-def increasing_process_increment(
-    model: FeynmanKacModel,
-    spec: McKeanSpec,
-    f: TestFunction,
-    cloud_prev: ParticleCloud | None,
-    time: int,
-) -> float:
-    """Exact conditional variance of the time-`time` sampling error.
-
-    Deterministic given the previous cloud (a closed-form sum over states);
-    the time-0 increment is the variance of f_0 under the initial law.
-    """
-    if time == 0:
-        v = f.values[0]
-        mean = float(model.eta0 @ v)
-        return float(model.eta0 @ (v * v)) - mean * mean
-    mu = cloud_prev.empirical()
-    K = mckean_kernel(model, spec, mu, time - 1)
-    v = f.values[time]
-    kf = K @ v
-    return float(mu @ (K @ (v * v) - kf * kf))
+def _starting_measures(trace: RunTrace, model: FeynmanKacModel):
+    """(n, measure the step into n starts from) along a trace, from eta0."""
+    yield 0, model.eta0
+    for n in range(1, len(trace.counts)):
+        yield n, trace.empirical(n - 1)
 
 
 def martingale_increments(
     trace: RunTrace, model: FeynmanKacModel, spec: McKeanSpec, f: TestFunction
 ) -> np.ndarray:
     """Realized sampling-error increments along a trace."""
-    n_steps = len(trace.counts)
-    out = np.empty(n_steps)
-    out[0] = float((trace.empirical(0) - model.eta0) @ f.values[0])
-    for n in range(1, n_steps):
-        predicted = step_phi(model, trace.empirical(n - 1), n - 1)
-        out[n] = float((trace.empirical(n) - predicted) @ f.values[n])
-    return out
+    return np.array(
+        [
+            sampling_error(model, mu, trace.empirical(n), n, f.values[n])
+            for n, mu in _starting_measures(trace, model)
+        ]
+    )
 
 
 def increasing_increments(
     trace: RunTrace, model: FeynmanKacModel, spec: McKeanSpec, f: TestFunction
 ) -> np.ndarray:
     """Increments of the realized increasing process along a trace."""
-    n_steps = len(trace.counts)
-    out = np.empty(n_steps)
-    v0 = f.values[0]
-    mean0 = float(model.eta0 @ v0)
-    out[0] = float(model.eta0 @ (v0 * v0)) - mean0 * mean0
-    for n in range(1, n_steps):
-        mu = trace.empirical(n - 1)
-        K = mckean_kernel(model, spec, mu, n - 1)
-        v = f.values[n]
-        kf = K @ v
-        out[n] = float(mu @ (K @ (v * v) - kf * kf))
-    return out
+    return np.array(
+        [
+            conditional_variance(model, spec, mu, n, f.values[n])
+            for n, mu in _starting_measures(trace, model)
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -215,11 +183,10 @@ def doob_terms(
 ) -> DoobSeries:
     """Evaluate the predictable/martingale decompositions on a realized run.
 
-    Requires flow analytics with the transported family built for terminal
-    index n.  All series are exact functions of the recorded empirical
-    measures; no sampling is involved.
+    Requires flow analytics built for terminal index n.  All series are exact
+    functions of the recorded empirical measures; no sampling is involved.
     """
-    if flow.fpn is None or flow.terminal != n:
+    if flow.terminal != n:
         raise FlowConsistencyError(
             f"flow analytics must hold the transported family for terminal {n}"
         )
@@ -261,17 +228,25 @@ def doob_terms(
 
 @dataclass(frozen=True)
 class ReplicateStats:
-    """Terminal statistics of one replicate."""
+    """Terminal statistics of one replicate and its per-step series.
+
+    w_steps is the fluctuation field w_p and delta_c_steps the realized
+    increasing-process increments, for p = 0..horizon.
+    """
 
     replicate: int
     w: float
     l_terminal: float
     b_terminal: float
     c_total: float
-    delta_c_terminal: float
-    max_dev: float
+    w_steps: tuple[float, ...]
+    delta_c_steps: tuple[float, ...]
     residual_mean: float
     residual_field: float
+
+    @property
+    def delta_c_terminal(self) -> float:
+        return self.delta_c_steps[-1]
 
 
 def simulate_replicates(
@@ -300,7 +275,7 @@ def simulate_replicates(
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     n = config.horizon
-    if flow is None or flow.terminal != n or flow.sigma_sq is None:
+    if flow is None or flow.terminal != n:
         flow = analyze(model, spec, f, terminal=n)
     scale = 1.0
     if normalize:
@@ -314,15 +289,15 @@ def simulate_replicates(
         trace = simulate(config, model, spec, replicate)
         dc = increasing_increments(trace, model, spec, f)
         doob = doob_terms(trace, flow, model, f, n)
-        emp_n = trace.empirical(n)
+        w_steps = tuple((scale * doob.w).tolist())
         return ReplicateStats(
             replicate=replicate,
-            w=float(scale * doob.w[n]),
+            w=w_steps[n],
             l_terminal=float(scale * doob.l[n]),
             b_terminal=float(scale * doob.b[n]),
             c_total=float(dc.sum()),
-            delta_c_terminal=float(dc[n]),
-            max_dev=float(np.max(np.abs(emp_n - flow.etas[n]))),
+            w_steps=w_steps,
+            delta_c_steps=tuple(dc.tolist()),
             residual_mean=doob.residual_mean,
             residual_field=doob.residual_field,
         )

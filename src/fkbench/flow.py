@@ -1,43 +1,60 @@
 """Exact evolution of the weighted flow and its limiting constants.
 
-Everything here is deterministic linear algebra on the finite model: the
-normalized distribution flow eta_n, log-normalizers, the two-parameter
-transport semigroup and its normalized form, contraction coefficients,
-limiting variances and the concentration constant b(n).
+Everything here is deterministic linear algebra on the finite model, and
+each function returns one fully filled result: exact_flow the normalized
+flow and log-normalizers; analyze, for one terminal function, also the
+transported family (one O(H d^2) backward sweep) and its limiting variance;
+contraction_tables the Dobrushin coefficients and mass ratios of every
+normalized transport; transport one such matrix on demand.
+conditional_variance is the one-step variance formula that the limiting
+variances here and the engine's realized increasing process share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from . import tolerances as tol
 from .errors import EpsilonOutOfRange, FlowConsistencyError, ZeroMass
 from .model import FeynmanKacModel, McKeanSpec, TestFunction, validate_model
 
 
-@dataclass
-class FlowAnalytics:
-    """Exact flow quantities, filled in stages.
+@dataclass(frozen=True)
+class ExactFlow:
+    """Normalized flow eta_0..eta_H and log-normalizers log gamma_n(1)."""
 
-    exact_flow fills etas and log_gamma1.  semigroups adds the normalized
-    transport matrices qbar[(p, n)], the transported centered functions
-    fpn[p] for a terminal index, and the full upper-triangular tables of
-    Dobrushin coefficients (betas) and mass ratios (ratios).
-    limiting_variance adds the variance increments and their sum.
+    etas: list[np.ndarray]
+    log_gamma1: np.ndarray
+
+
+@dataclass(frozen=True)
+class FlowAnalytics(ExactFlow):
+    """Exact flow plus the limiting variance of one terminal test function.
+
+    fpn[p] is the normalized transport from p to `terminal` applied to the
+    terminal function centered under eta_terminal; deltaC[p] is the
+    conditional-variance increment of fpn[p] and sigma_sq their sum.
     """
 
-    etas: list[np.ndarray] = field(default_factory=list)
-    log_gamma1: np.ndarray | None = None
-    qbar: dict[tuple[int, int], np.ndarray] | None = None
-    terminal: int | None = None
-    fpn: list[np.ndarray] | None = None
-    betas: np.ndarray | None = None
-    ratios: np.ndarray | None = None
-    deltaC: np.ndarray | None = None
-    sigma_sq: float | None = None
-    b_const: np.ndarray | None = None
+    terminal: int
+    fpn: list[np.ndarray]
+    deltaC: np.ndarray
+    sigma_sq: float
+
+
+@dataclass(frozen=True)
+class ContractionTables:
+    """Upper-triangular tables indexed [p, n], NaN below the diagonal.
+
+    betas[p, n] is the Dobrushin coefficient of the row-normalized transport
+    from p to n and ratios[p, n] the max/min ratio of its row masses.
+    """
+
+    betas: np.ndarray
+    ratios: np.ndarray
 
 
 def boltzmann_gibbs(model: FeynmanKacModel, mu, n: int) -> np.ndarray:
@@ -55,7 +72,7 @@ def step_phi(model: FeynmanKacModel, mu, n: int) -> np.ndarray:
     return boltzmann_gibbs(model, mu, n) @ model.kernels[n]
 
 
-def exact_flow(model: FeynmanKacModel) -> FlowAnalytics:
+def exact_flow(model: FeynmanKacModel) -> ExactFlow:
     """Run the flow recursion exactly over the whole horizon.
 
     log-normalizers are accumulated in the log domain:
@@ -68,7 +85,7 @@ def exact_flow(model: FeynmanKacModel) -> FlowAnalytics:
     for n in range(H):
         log_g[n + 1] = log_g[n] + np.log(float(etas[n] @ model.potentials[n]))
         etas.append(step_phi(model, etas[n], n))
-    return FlowAnalytics(etas=etas, log_gamma1=log_g)
+    return ExactFlow(etas=etas, log_gamma1=log_g)
 
 
 def mckean_kernel(model: FeynmanKacModel, spec: McKeanSpec, mu, n: int) -> np.ndarray:
@@ -101,116 +118,100 @@ def compatibility_residual(model: FeynmanKacModel, spec: McKeanSpec, mu, n: int)
 
 def dobrushin_beta(P: np.ndarray) -> float:
     """Largest total-variation distance between two rows of a Markov matrix."""
-    best = 0.0
-    for x in range(P.shape[0] - 1):
-        gap = 0.5 * np.abs(P[x + 1 :] - P[x]).sum(axis=1).max()
-        best = max(best, float(gap))
-    return best
+    if P.shape[0] < 2:
+        return 0.0
+    return float(0.5 * pdist(P, "cityblock").max())
 
 
-def semigroups(
-    model: FeynmanKacModel,
-    flow: FlowAnalytics,
-    f: TestFunction,
-    terminal: int | None = None,
-) -> FlowAnalytics:
-    """Fill the normalized transport matrices and their contraction tables.
+def _transport_step(model: FeynmanKacModel, etas: list[np.ndarray], q: int) -> np.ndarray:
+    """One factor diag(G_q) M_q / eta_q(G_q) of the normalized transport.
 
-    The normalized semigroup from p to n is the product over q = p..n-1 of
-    diag(G_q) M_{q+1} / eta_q(G_q); each factor is rescaled by the one-step
-    normalizer so the accumulated product stays O(1).  Row-normalizing any of
-    these matrices gives the Markov transport P_{p,n} whose Dobrushin
-    coefficient is tabulated in betas[p, n]; ratios[p, n] is the max/min
-    ratio of the row masses.
-
-    fpn[p] is the transported, terminally centered test function: the
-    (p, terminal) matrix applied to f_terminal minus its flow mean.
+    Rescaling by the one-step normalizer keeps every product O(1).
     """
-    if not flow.etas:
-        raise FlowConsistencyError("run exact_flow before semigroups")
+    g = model.potentials[q]
+    return g[:, None] * model.kernels[q] / float(etas[q] @ g)
+
+
+def transport(
+    model: FeynmanKacModel, etas: list[np.ndarray], p: int, n: int
+) -> np.ndarray:
+    """Normalized transport matrix from time p to n (the identity at p = n).
+
+    It maps eta_p to eta_n; row-normalizing it gives the Markov transport
+    whose contraction constants contraction_tables lists.
+    """
+    acc = np.eye(model.dims[p])
+    for q in range(p, n):
+        acc = acc @ _transport_step(model, etas, q)
+    return acc
+
+
+def contraction_tables(
+    model: FeynmanKacModel, etas: list[np.ndarray]
+) -> ContractionTables:
+    """Dobrushin coefficients and mass ratios of every transport p -> n.
+
+    For each p the products p -> n are accumulated forward in n and each one
+    is dropped once its two entries are read, so memory stays O(H^2 + H d^2).
+    """
     H = model.horizon
-    n_star = H if terminal is None else terminal
-
-    steps = [
-        model.potentials[q][:, None]
-        * model.kernels[q]
-        / float(flow.etas[q] @ model.potentials[q])
-        for q in range(H)
-    ]
-    qbar: dict[tuple[int, int], np.ndarray] = {}
-    for p in range(H + 1):
-        acc = np.eye(model.dims[p])
-        qbar[(p, p)] = acc
-        for q in range(p, H):
-            acc = acc @ steps[q]
-            qbar[(p, q + 1)] = acc
-
+    steps = [_transport_step(model, etas, q) for q in range(H)]
     betas = np.full((H + 1, H + 1), np.nan)
     ratios = np.full((H + 1, H + 1), np.nan)
     for p in range(H + 1):
+        acc = np.eye(model.dims[p])
         for n in range(p, H + 1):
-            mass = qbar[(p, n)].sum(axis=1)
+            mass = acc.sum(axis=1)
             ratios[p, n] = float(mass.max() / mass.min())
-            betas[p, n] = dobrushin_beta(qbar[(p, n)] / mass[:, None])
-
-    centered = f.values[n_star] - float(flow.etas[n_star] @ f.values[n_star])
-    fpn = [qbar[(p, n_star)] @ centered for p in range(n_star + 1)]
-
-    flow.qbar = qbar
-    flow.terminal = n_star
-    flow.fpn = fpn
-    flow.betas = betas
-    flow.ratios = ratios
-    flow.b_const = np.array([concentration_b(flow, n) for n in range(H + 1)])
-    return flow
+            betas[p, n] = dobrushin_beta(acc / mass[:, None])
+            if n < H:
+                acc = acc @ steps[n]
+    return ContractionTables(betas=betas, ratios=ratios)
 
 
-def _variance_increments(
-    model: FeynmanKacModel,
-    spec: McKeanSpec,
-    etas: list[np.ndarray],
-    family: list[np.ndarray],
-) -> np.ndarray:
-    """Conditional-variance increments of a per-time function family.
+def conditional_variance(
+    model: FeynmanKacModel, spec: McKeanSpec, mu, n: int, v: np.ndarray
+) -> float:
+    """Conditional variance of the time-n sampling error of v.
 
-    Term p is the flow-weighted conditional variance of family[p] under the
-    step-(p-1) kernel; the p = 0 term is the plain variance under the initial
-    law.  Each term is evaluated in two algebraically equal forms and the
-    pair must agree to the algebra tolerance.
+    mu is the measure the step into time n starts from; the variance is
+    mu-weighted over the rows of the step-(n-1) kernel built at mu.  At
+    n = 0, mu is the initial law and the result is the variance of v under
+    it.
     """
-    out = np.empty(len(family))
-    for p, v in enumerate(family):
-        if p == 0:
-            mean = float(etas[0] @ v)
-            out[0] = float(etas[0] @ (v * v)) - mean * mean
-            continue
-        K = mckean_kernel(model, spec, etas[p - 1], p - 1)
-        kf = K @ v
-        form1 = float(etas[p - 1] @ (K @ (v * v) - kf * kf))
-        form2 = float(
-            step_phi(model, etas[p - 1], p - 1) @ (v * v) - etas[p - 1] @ (kf * kf)
-        )
-        if abs(form1 - form2) > tol.ALGEBRA:
-            raise FlowConsistencyError(
-                f"variance increment forms disagree at p={p}: {form1} vs {form2}"
-            )
-        out[p] = form1
-    return out
+    if n == 0:
+        mean = float(mu @ v)
+        return float(mu @ (v * v)) - mean * mean
+    K = mckean_kernel(model, spec, mu, n - 1)
+    kf = K @ v
+    return float(mu @ (K @ (v * v) - kf * kf))
 
 
 def limiting_variance(
     model: FeynmanKacModel,
     spec: McKeanSpec,
-    flow: FlowAnalytics,
-    f: TestFunction,
-) -> tuple[np.ndarray, float]:
-    """Variance increments of the transported family fpn and their sum."""
-    if flow.fpn is None:
-        semigroups(model, flow, f)
-    delta = _variance_increments(model, spec, flow.etas, flow.fpn)
-    flow.deltaC = delta
-    flow.sigma_sq = float(delta.sum())
-    return delta, flow.sigma_sq
+    etas: list[np.ndarray],
+    family: list[np.ndarray],
+) -> np.ndarray:
+    """Conditional-variance increments of a per-time family under the flow.
+
+    Term p is conditional_variance of family[p] at eta_{p-1} (eta_0 at
+    p = 0).  Each term p >= 1 is checked against a second, algebraically
+    equal form, and the pair must agree to the algebra tolerance.
+    """
+    out = np.empty(len(family))
+    for p, v in enumerate(family):
+        mu = etas[max(p - 1, 0)]
+        out[p] = conditional_variance(model, spec, mu, p, v)
+        if p == 0:
+            continue
+        kf = mckean_kernel(model, spec, mu, p - 1) @ v
+        form2 = float(step_phi(model, mu, p - 1) @ (v * v) - mu @ (kf * kf))
+        if abs(out[p] - form2) > tol.ALGEBRA:
+            raise FlowConsistencyError(
+                f"variance increment forms disagree at p={p}: {out[p]} vs {form2}"
+            )
+    return out
 
 
 def limiting_increasing_process(
@@ -225,15 +226,17 @@ def limiting_increasing_process(
     Uses the raw per-time values f_p (not the transported family); the sum up
     to n is the large-population limit of the particle increasing process.
     """
-    return _variance_increments(model, spec, etas, [f.values[p] for p in range(n + 1)])
+    return limiting_variance(model, spec, etas, [f.values[p] for p in range(n + 1)])
 
 
-def concentration_b(flow: FlowAnalytics, n: int) -> float:
-    """Concentration constant b(n) = 2 * sum_{q<=n} ratios[q,n] * betas[q,n]."""
-    if flow.betas is None or flow.ratios is None:
-        raise FlowConsistencyError("run semigroups before concentration_b")
+def concentration_b(tables: ContractionTables, n: int) -> float:
+    """Concentration constant b(n) = 2 * sum_{q<=n} ratios[q,n] * betas[q,n].
+
+    tables is anything with betas and ratios arrays laid out as in
+    ContractionTables.
+    """
     q = np.arange(n + 1)
-    return float(2.0 * np.sum(flow.ratios[q, n] * flow.betas[q, n]))
+    return float(2.0 * np.sum(tables.ratios[q, n] * tables.betas[q, n]))
 
 
 def analyze(
@@ -242,8 +245,25 @@ def analyze(
     f: TestFunction,
     terminal: int | None = None,
 ) -> FlowAnalytics:
-    """exact_flow + semigroups + limiting_variance in one call."""
+    """Exact flow, transported family and limiting variance for f.
+
+    The family is built backward from the centered terminal function,
+    fpn[p] = step_p @ fpn[p+1], which is O(H d^2).  terminal defaults to the
+    model horizon.
+    """
     flow = exact_flow(model)
-    semigroups(model, flow, f, terminal=terminal)
-    limiting_variance(model, spec, flow, f)
-    return flow
+    n_star = model.horizon if terminal is None else terminal
+    centered = f.values[n_star] - float(flow.etas[n_star] @ f.values[n_star])
+    fpn = [centered]
+    for p in range(n_star - 1, -1, -1):
+        fpn.append(_transport_step(model, flow.etas, p) @ fpn[-1])
+    fpn.reverse()
+    delta = limiting_variance(model, spec, flow.etas, fpn)
+    return FlowAnalytics(
+        etas=flow.etas,
+        log_gamma1=flow.log_gamma1,
+        terminal=n_star,
+        fpn=fpn,
+        deltaC=delta,
+        sigma_sq=float(delta.sum()),
+    )

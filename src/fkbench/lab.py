@@ -25,7 +25,12 @@ from .errors import (
     OscillationTooLarge,
     QuadratureFailure,
 )
-from .flow import analyze, concentration_b, limiting_increasing_process
+from .flow import (
+    analyze,
+    concentration_b,
+    contraction_tables,
+    limiting_increasing_process,
+)
 from .model import FeynmanKacModel, McKeanSpec, TestFunction
 from .rng import derive_seed, stream
 
@@ -257,6 +262,7 @@ def concentration_experiment(
             f"oscillation {osc} at time {n} exceeds 1; rescale the function"
         )
     flow = analyze(model, spec, f, terminal=n)
+    tables = contraction_tables(model, flow.etas)
     config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)
     stats = simulate_replicates(
         config, model, spec, f, n_reps, flow=flow, threads=threads
@@ -265,7 +271,7 @@ def concentration_experiment(
 
     if statistic == "eta":
         values = np.array([abs(s.w) for s in stats])  # already sqrt(N)-scaled
-        const = concentration_b(flow, n)
+        const = concentration_b(tables, n)
         def log_bound(eps):
             return math.log1p(eps * const / math.sqrt(2.0)) + (eps * const) ** 2 / 2.0
         stat_scale = osc
@@ -274,7 +280,7 @@ def concentration_experiment(
         values = np.array(
             [root_n * abs(s.delta_c_terminal - limit_inc[n]) for s in stats]
         )
-        const = a3_constant(flow, n, gamma)
+        const = a3_constant(tables, n, gamma)
         def log_bound(eps):
             return math.log1p(eps * const) + (eps * const) ** 2
         stat_scale = osc**2 / 2.0
@@ -413,7 +419,7 @@ def lp_moment_experiment(
             f"oscillation {f.oscillation(n)} at time {n} exceeds 1"
         )
     flow = analyze(model, spec, f, terminal=n)
-    b_n = concentration_b(flow, n)
+    b_n = concentration_b(contraction_tables(model, flow.etas), n)
     config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)
     stats = simulate_replicates(
         config, model, spec, f, n_reps, flow=flow, threads=threads

@@ -104,10 +104,13 @@ def ring_walk(
     """Random walk on a d-ring with a distinguished heavy site.
 
     The walk holds with probability `holding`, otherwise moves to a uniform
-    neighbor.  Potentials are constant in time with max/min ratio `ratio`,
-    so the two-step composition is strictly positive: the model satisfies an
-    explicit (m=2, r=ratio, rho) minorization, which is what this entry is
-    for.  eps_n = eps_scale / ratio keeps the kernel weights in [0, 1].
+    neighbor.  Potentials are constant in time with max/min ratio `ratio`.
+    With 0 < holding < 1, m steps reach every site exactly when m >= d // 2
+    (d >= 2), so the (d // 2)-step composition is strictly positive and the
+    model satisfies an explicit (m = d // 2, r=ratio, rho) minorization,
+    which is what this entry is for: m = 2 only for d <= 5, and d = 16 with
+    holding 0.5 needs m = 8, where rho = 1/6435.  eps_n = eps_scale / ratio
+    keeps the kernel weights in [0, 1].
     """
     M = np.zeros((d, d))
     for x in range(d):

@@ -15,7 +15,7 @@ from scipy.stats import binom
 
 import fkbench.zoo as zoo
 from fkbench import tolerances as tol
-from fkbench.bounds import burkholder_d, mckean_gamma
+from fkbench.bounds import McKeanGamma, burkholder_d
 from fkbench.engine import RunConfig, simulate, simulate_replicates, doob_terms
 from fkbench.flow import (
     analyze,
@@ -24,6 +24,7 @@ from fkbench.flow import (
     limiting_increasing_process,
     mckean_kernel,
     step_phi,
+    transport,
 )
 from fkbench.lab import (
     clt_rate_experiment,
@@ -74,7 +75,10 @@ def test_exact_algebra_suite():
         for p in range(H + 1):
             for n in range(p, H + 1):
                 gap = np.max(
-                    np.abs(flow.etas[p] @ flow.qbar[(p, n)] - flow.etas[n])
+                    np.abs(
+                        flow.etas[p] @ transport(model, flow.etas, p, n)
+                        - flow.etas[n]
+                    )
                 )
                 worst_semi = max(worst_semi, float(gap))
 
@@ -93,7 +97,7 @@ def test_exact_algebra_suite():
 
         # one-step mass transport identity
         for q in range(1, H + 1):
-            lhs = flow.qbar[(q - 1, q)].sum(axis=1)
+            lhs = transport(model, flow.etas, q - 1, q).sum(axis=1)
             rhs = model.potentials[q - 1] / float(
                 flow.etas[q - 1] @ model.potentials[q - 1]
             )
@@ -244,7 +248,7 @@ def test_concentration_bound():
 
 def test_increasing_process_exponential_continuity():
     entry = zoo.build("binary_hmm")
-    gamma = mckean_gamma(entry.spec).combined
+    gamma = McKeanGamma().combined
     N = 1000
     scale = entry.f.oscillation(5) ** 2 / 2.0
     grid = default_eps_grid(N, scale)

@@ -6,14 +6,20 @@ from numpy.testing import assert_allclose
 
 from fkbench import tolerances as tol
 from fkbench.bounds import (
+    McKeanGamma,
     a3_constant,
     burkholder_d,
     check_minorization,
-    mckean_gamma,
     mixing_bounds,
 )
 from fkbench.errors import HypothesisNotSatisfied
-from fkbench.flow import concentration_b, exact_flow, mckean_kernel, semigroups, step_phi
+from fkbench.flow import (
+    concentration_b,
+    contraction_tables,
+    exact_flow,
+    mckean_kernel,
+    step_phi,
+)
 from fkbench.model import McKeanSpec, make_model
 from fkbench.zoo import build
 
@@ -34,7 +40,7 @@ class TestBurkholderD:
 
 class TestMcKeanGamma:
     def test_constant_eps_masses(self):
-        g = mckean_gamma(McKeanSpec(epsilons=(0.1, 0.2)))
+        g = McKeanGamma()
         assert g.gamma == 0.0
         assert g.gamma_prime == 1.0
         assert g.combined == 1.0
@@ -42,22 +48,22 @@ class TestMcKeanGamma:
 
     def test_a3_doubles_with_gamma(self, two_state):
         model, spec, f = two_state
-        flow = semigroups(model, exact_flow(model), f)
+        tables = contraction_tables(model, exact_flow(model).etas)
         assert_allclose(
-            a3_constant(flow, 2, gamma=1.0), 2.0 * a3_constant(flow, 2, gamma=0.0)
+            a3_constant(tables, 2, gamma=1.0), 2.0 * a3_constant(tables, 2, gamma=0.0)
         )
 
     def test_a3_matches_formula(self, two_state):
         model, spec, f = two_state
-        flow = semigroups(model, exact_flow(model), f)
+        tables = contraction_tables(model, exact_flow(model).etas)
         expected = (
             4.0
             * math.sqrt(2.0)
             * 2.0
-            * max(concentration_b(flow, 1), concentration_b(flow, 2))
+            * max(concentration_b(tables, 1), concentration_b(tables, 2))
             / 2.0
         )
-        assert_allclose(a3_constant(flow, 2), expected, atol=tol.ALGEBRA)
+        assert_allclose(a3_constant(tables, 2), expected, atol=tol.ALGEBRA)
 
 
 class TestKernelRegularity:
@@ -108,9 +114,9 @@ class TestMixingBounds:
 
     def test_ring_walk_two_step_window(self):
         entry = build("ring_walk")
-        flow = semigroups(entry.model, exact_flow(entry.model), entry.f)
+        tables = contraction_tables(entry.model, exact_flow(entry.model).etas)
         mb = mixing_bounds(
-            m=2, r=2.0, rho=1.0 / 3.0, n=5, model=entry.model, flow=flow
+            m=2, r=2.0, rho=1.0 / 3.0, n=5, model=entry.model, flow=tables
         )
         assert mb.r_check and mb.b_check and mb.a3_check
 

@@ -7,17 +7,17 @@ from fkbench.engine import (
     RunConfig,
     doob_terms,
     increasing_increments,
-    increasing_process_increment,
     init_particles,
-    martingale_increment,
     martingale_increments,
+    sampling_error,
     simulate,
     simulate_replicates,
     step_particles,
 )
-from fkbench.errors import DegenerateFunction
+from fkbench.errors import DegenerateFunction, FlowConsistencyError
 from fkbench.flow import (
     analyze,
+    conditional_variance,
     exact_flow,
     limiting_increasing_process,
     mckean_kernel,
@@ -89,8 +89,11 @@ class TestMartingaleIncrement:
         config = RunConfig(100, 21, 2)
         prev = init_particles(config, model)
         nxt = step_particles(prev, model, spec, config)
-        assert martingale_increment(model, spec, f, None, prev) == 0.0
-        assert martingale_increment(model, spec, f, prev, nxt) == 0.0
+        assert sampling_error(model, model.eta0, prev.empirical(), 0, f.values[0]) == 0.0
+        assert (
+            sampling_error(model, prev.empirical(), nxt.empirical(), 1, f.values[1])
+            == 0.0
+        )
 
     def test_single_particle_reduction(self, two_state):
         model, spec, f = two_state
@@ -100,7 +103,8 @@ class TestMartingaleIncrement:
         K = mckean_kernel(model, spec, prev.empirical(), 0)
         expected = f.values[1][nxt.states[0]] - (K @ f.values[1])[prev.states[0]]
         assert_allclose(
-            martingale_increment(model, spec, f, prev, nxt), expected,
+            sampling_error(model, prev.empirical(), nxt.empirical(), 1, f.values[1]),
+            expected,
             atol=tol.ALGEBRA,
         )
 
@@ -114,11 +118,15 @@ class TestMartingaleIncrement:
         incs = np.empty(10_000)
         for rep in range(10_000):
             nxt = step_particles(frozen, model, spec, config, replicate=rep)
-            incs[rep] = martingale_increment(model, spec, f, frozen, nxt)
+            incs[rep] = sampling_error(
+                model, frozen.empirical(), nxt.empirical(), 1, f.values[1]
+            )
         se = incs.std(ddof=1) / np.sqrt(len(incs))
         assert abs(incs.mean()) <= 5 * se
 
-        exact_var = increasing_process_increment(model, spec, f, frozen, 1) / 100
+        exact_var = (
+            conditional_variance(model, spec, frozen.empirical(), 1, f.values[1]) / 100
+        )
         sq = (incs - incs.mean()) ** 2
         se_var = sq.std(ddof=1) / np.sqrt(len(sq))
         assert abs(incs.var(ddof=1) - exact_var) <= 5 * se_var
@@ -128,13 +136,13 @@ class TestIncreasingProcess:
     def test_constant_function_gives_zero(self, two_state):
         model, spec, _ = two_state
         f = make_function([np.ones(2)] * 3)
-        assert increasing_process_increment(model, spec, f, None, 0) == 0.0
+        assert conditional_variance(model, spec, model.eta0, 0, f.values[0]) == 0.0
 
     def test_initial_increment_is_initial_variance(self, two_state):
         model, spec, f = two_state
         expected = 0.25  # variance of the indicator under (0.5, 0.5)
         assert_allclose(
-            increasing_process_increment(model, spec, f, None, 0), expected
+            conditional_variance(model, spec, model.eta0, 0, f.values[0]), expected
         )
 
     def test_full_weight_reduces_to_chain_variance(self):
@@ -148,7 +156,7 @@ class TestIncreasingProcess:
         v = f.values[1]
         expected = float(mu @ (M @ (v * v) - (M @ v) ** 2))
         assert_allclose(
-            increasing_process_increment(model, spec, f, prev, 1),
+            conditional_variance(model, spec, prev.empirical(), 1, f.values[1]),
             expected,
             atol=tol.ALGEBRA,
         )
@@ -202,6 +210,14 @@ class TestDoob:
             (trace.empirical(2) - flow.etas[2]) @ f.values[2]
         )
         assert_allclose(series.w[2], expected, atol=tol.PRODUCT)
+
+
+    def test_rejects_analytics_for_another_terminal(self, two_state):
+        model, spec, f = two_state
+        flow = analyze(model, spec, f, terminal=1)
+        trace = simulate(RunConfig(50, 3, 2), model, spec)
+        with pytest.raises(FlowConsistencyError):
+            doob_terms(trace, flow, model, f, 2)
 
 
 class TestReplicates:

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,14 +12,16 @@ from fkbench.flow import (
     boltzmann_gibbs,
     compatibility_residual,
     concentration_b,
+    contraction_tables,
     dobrushin_beta,
     exact_flow,
     limiting_increasing_process,
     mckean_kernel,
-    semigroups,
     step_phi,
+    transport,
 )
 from fkbench.model import McKeanSpec, make_function, make_model
+from fkbench.zoo import build
 
 from .oracles import variance_by_enumeration
 
@@ -131,56 +136,114 @@ class TestCompatibility:
 class TestSemigroups:
     def test_terminal_block_is_identity(self, two_state):
         model, spec, f = two_state
-        flow = semigroups(model, exact_flow(model), f)
-        assert_allclose(flow.qbar[(2, 2)], np.eye(2))
+        flow = analyze(model, spec, f)
+        tables = contraction_tables(model, flow.etas)
+        assert_allclose(transport(model, flow.etas, 2, 2), np.eye(2))
         centered = f.values[2] - flow.etas[2] @ f.values[2]
         assert_allclose(flow.fpn[2], centered)
-        assert flow.betas[2, 2] == 1.0
-        assert flow.ratios[2, 2] == 1.0
+        assert tables.betas[2, 2] == 1.0
+        assert tables.ratios[2, 2] == 1.0
 
     def test_flat_chain_contraction(self, flat_two_state):
         model, spec, f = flat_two_state
-        flow = semigroups(model, exact_flow(model), f)
-        assert_allclose(flow.betas[0, 1], 0.5, atol=tol.ALGEBRA)
-        assert_allclose(flow.ratios[0, 1], 1.0, atol=tol.ALGEBRA)
+        tables = contraction_tables(model, exact_flow(model).etas)
+        assert_allclose(tables.betas[0, 1], 0.5, atol=tol.ALGEBRA)
+        assert_allclose(tables.ratios[0, 1], 1.0, atol=tol.ALGEBRA)
 
     def test_singleton_state_space_beta_zero(self):
         model = make_model([1.0], [np.ones((1, 1))], [np.ones(1)] * 2)
-        f = make_function([[0.0], [0.0]])
-        flow = semigroups(model, exact_flow(model), f)
-        assert flow.betas[0, 0] == 0.0
+        tables = contraction_tables(model, exact_flow(model).etas)
+        assert tables.betas[0, 0] == 0.0
 
     def test_consistency_and_centering(self, two_state):
         model, spec, f = two_state
-        flow = semigroups(model, exact_flow(model), f)
+        flow = analyze(model, spec, f)
         H = model.horizon
         for p in range(H + 1):
             for n in range(p, H + 1):
                 assert_allclose(
-                    flow.etas[p] @ flow.qbar[(p, n)], flow.etas[n], atol=tol.PRODUCT
+                    flow.etas[p] @ transport(model, flow.etas, p, n),
+                    flow.etas[n],
+                    atol=tol.PRODUCT,
                 )
         for p in range(H + 1):
             assert abs(flow.etas[p] @ flow.fpn[p]) <= tol.PRODUCT
 
     def test_one_step_mass_identity(self, two_state):
         model, spec, f = two_state
-        flow = semigroups(model, exact_flow(model), f)
+        flow = exact_flow(model)
         for q in range(1, model.horizon + 1):
-            lhs = flow.qbar[(q - 1, q)].sum(axis=1)
+            lhs = transport(model, flow.etas, q - 1, q).sum(axis=1)
             rhs = model.potentials[q - 1] / (flow.etas[q - 1] @ model.potentials[q - 1])
             assert_allclose(lhs, rhs, atol=tol.ALGEBRA)
 
     def test_beta_submultiplicative(self, two_state):
         model, spec, f = two_state
-        flow = semigroups(model, exact_flow(model), f)
+        tables = contraction_tables(model, exact_flow(model).etas)
         H = model.horizon
         for p in range(H + 1):
             for q in range(p, H + 1):
                 for n in range(q, H + 1):
                     assert (
-                        flow.betas[p, n]
-                        <= flow.betas[p, q] * flow.betas[q, n] + tol.PRODUCT
+                        tables.betas[p, n]
+                        <= tables.betas[p, q] * tables.betas[q, n] + tol.PRODUCT
                     )
+
+
+def _tables_by_transport(model, etas):
+    """Reference tables: every transport rebuilt on its own, pairwise row loop."""
+    H = model.horizon
+    betas = np.full((H + 1, H + 1), np.nan)
+    ratios = np.full((H + 1, H + 1), np.nan)
+    for p in range(H + 1):
+        for n in range(p, H + 1):
+            Q = transport(model, etas, p, n)
+            mass = Q.sum(axis=1)
+            rows = Q / mass[:, None]
+            ratios[p, n] = mass.max() / mass.min()
+            betas[p, n] = max(
+                (0.5 * np.abs(rows[x] - rows[y]).sum()
+                 for x, y in itertools.combinations(range(len(rows)), 2)),
+                default=0.0,
+            )
+    return betas, ratios
+
+
+class TestStreamedOracle:
+    def test_tables_match_per_pair_transport(self, two_state):
+        path = build("path_genealogy", horizon=4)
+        for model in (two_state[0], path.model):
+            etas = exact_flow(model).etas
+            tables = contraction_tables(model, etas)
+            betas, ratios = _tables_by_transport(model, etas)
+            assert_allclose(tables.betas, betas, rtol=tol.PRODUCT, atol=tol.PRODUCT)
+            assert_allclose(tables.ratios, ratios, rtol=tol.PRODUCT, atol=tol.PRODUCT)
+
+    @pytest.mark.parametrize("terminal", [None, 2])
+    def test_backward_sweep_matches_transport(self, terminal):
+        entry = build("path_genealogy", horizon=4)
+        model, f = entry.model, entry.f
+        flow = analyze(model, entry.spec, f, terminal=terminal)
+        n = flow.terminal
+        centered = f.values[n] - flow.etas[n] @ f.values[n]
+        for p in range(n + 1):
+            assert_allclose(
+                flow.fpn[p],
+                transport(model, flow.etas, p, n) @ centered,
+                atol=tol.PRODUCT,
+            )
+
+    def test_analyze_memory_is_linear_in_horizon(self):
+        # the stored (p, n) transport table would hold (H+1)(H+2)/2 dense
+        # d x d matrices here, about 16 GB
+        entry = build("ring_walk", d=64, horizon=1000)
+        tracemalloc.start()
+        try:
+            analyze(entry.model, entry.spec, entry.f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestDobrushinBeta:
@@ -245,21 +308,20 @@ class TestLimitingVariance:
 class TestConcentrationB:
     def test_flat_chain_value(self, flat_two_state):
         model, spec, f = flat_two_state
-        flow = semigroups(model, exact_flow(model), f)
-        assert_allclose(concentration_b(flow, 1), 3.0, atol=tol.ALGEBRA)
+        tables = contraction_tables(model, exact_flow(model).etas)
+        assert_allclose(concentration_b(tables, 1), 3.0, atol=tol.ALGEBRA)
 
     def test_singleton_is_zero(self):
         model = make_model([1.0], [], [np.ones(1)])
-        f = make_function([[0.0]])
-        flow = semigroups(model, exact_flow(model), f)
-        assert concentration_b(flow, 0) == 0.0
+        tables = contraction_tables(model, exact_flow(model).etas)
+        assert concentration_b(tables, 0) == 0.0
 
     def test_nonnegative_and_monotone_terms(self, two_state):
         model, spec, f = two_state
-        flow = semigroups(model, exact_flow(model), f)
-        values = [concentration_b(flow, n) for n in range(3)]
+        tables = contraction_tables(model, exact_flow(model).etas)
+        values = [concentration_b(tables, n) for n in range(3)]
         assert all(v >= 0.0 for v in values)
         # each term of the defining sum is nonnegative
         for n in range(3):
             q = np.arange(n + 1)
-            assert np.all(flow.ratios[q, n] * flow.betas[q, n] >= 0.0)
+            assert np.all(tables.ratios[q, n] * tables.betas[q, n] >= 0.0)

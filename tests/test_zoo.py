@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from fkbench import tolerances as tol
 from fkbench.bounds import mixing_bounds
 from fkbench.errors import HorizonTooLargeForPathSpace, UnknownEntry
-from fkbench.flow import analyze, exact_flow, semigroups
+from fkbench.flow import analyze, contraction_tables, exact_flow
 from fkbench.model import model_from_dict, model_to_dict, validate_model, validate_spec
 from fkbench.zoo import (
     build,
@@ -91,10 +91,10 @@ def test_path_horizon_cap():
 
 def test_ring_walk_mixing_certificate():
     entry = build("ring_walk", d=4, holding=0.5)
-    flow = semigroups(entry.model, exact_flow(entry.model), entry.f)
+    tables = contraction_tables(entry.model, exact_flow(entry.model).etas)
     mb = mixing_bounds(
         m=2, r=2.0, rho=1.0 / 3.0, n=entry.model.horizon,
-        model=entry.model, flow=flow,
+        model=entry.model, flow=tables,
     )
     assert mb.r_check and mb.b_check and mb.a3_check
 
