@@ -11,17 +11,15 @@ __version__ = "0.1.0"
 
 from .bounds import McKeanGamma, a3_constant, burkholder_d, mixing_bounds
 from .engine import (
-    ParticleCloud,
     RunConfig,
     RunTrace,
     doob_terms,
     increasing_increments,
-    init_particles,
     martingale_increments,
     sampling_error,
     simulate,
     simulate_replicates,
-    step_particles,
+    step_counts,
 )
 from .flow import (
     ContractionTables,
@@ -60,6 +58,7 @@ from .model import (
     load_model,
     make_function,
     make_model,
+    mixing_weights,
     save_function,
     save_model,
     validate_model,

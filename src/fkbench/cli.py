@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -35,16 +34,6 @@ from .model import (
     truncate,
 )
 from . import zoo
-
-
-def _threads() -> int | None:
-    raw = os.environ.get("FKBENCH_THREADS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"FKBENCH_THREADS={raw!r} is not an integer") from None
 
 
 def _resolve_inputs(args):
@@ -120,7 +109,7 @@ def cmd_oracle(args) -> int:
 def cmd_simulate(args) -> int:
     model, spec, f, horizon = _resolve_inputs(args)
     config = RunConfig(n_particles=args.N, seed=args.seed, horizon=horizon)
-    stats = simulate_replicates(config, model, spec, f, args.reps, threads=_threads())
+    stats = simulate_replicates(config, model, spec, f, args.reps)
     lines = [
         f"# tool = fkbench {__version__}",
         f"# seed = {args.seed}",
@@ -164,11 +153,10 @@ def _parse_grid(raw: str, cast) -> list:
 
 def cmd_verify(args) -> int:
     model, spec, f, horizon = _resolve_inputs(args)
-    threads = _threads()
     if args.which == "clt":
         n_grid = _parse_grid(args.N_grid, int) if args.N_grid else [100, 400, 1600, 6400]
         report = clt_rate_experiment(
-            model, spec, f, horizon, n_grid, args.reps, args.seed, threads=threads
+            model, spec, f, horizon, n_grid, args.reps, args.seed
         )
         payload = report.to_dict()
     elif args.which == "concentration":
@@ -180,21 +168,19 @@ def cmd_verify(args) -> int:
             eps_grid = default_eps_grid(args.N, max(f.oscillation(horizon), 1e-9))
         report = concentration_experiment(
             model, spec, f, horizon, args.N, eps_grid, args.reps, args.seed,
-            statistic=args.statistic, threads=threads,
+            statistic=args.statistic,
         )
         payload = report.to_dict()
     elif args.which == "moments":
         report = lp_moment_experiment(
-            model, spec, f, horizon, args.N, args.p_max, args.reps, args.seed,
-            threads=threads,
+            model, spec, f, horizon, args.N, args.p_max, args.reps, args.seed
         )
         payload = report.to_dict()
     elif args.which == "stein":
         flow = analyze(model, spec, f, terminal=horizon)
         config = RunConfig(n_particles=args.N, seed=args.seed, horizon=horizon)
         stats = simulate_replicates(
-            config, model, spec, f, args.reps, flow=flow, normalize=True,
-            threads=threads,
+            config, model, spec, f, args.reps, flow=flow, normalize=True
         )
         report = stein_check(
             [s.l_terminal for s in stats], [s.b_terminal for s in stats]

@@ -2,22 +2,23 @@
 
 A run is addressed by (master seed, replicate index); each time step consumes
 its own counter-based stream, so traces are reproducible byte for byte and
-replicates stay independent under any execution order.  Empirical measures
-are kept as integer count vectors and every martingale bookkeeping quantity
-is evaluated from them by exact finite-space sums.
+replicates stay independent under any execution order.  A run is its integer
+count vectors: on a finite space the counts are a sufficient statistic, so
+step_counts draws the next counts directly (binomial, then multinomial) at a
+cost that does not depend on the population size.  Every martingale
+bookkeeping quantity is evaluated from the counts by exact finite-space sums.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateFunction, FlowConsistencyError
-from .flow import FlowAnalytics, analyze, conditional_variance, mckean_kernel, step_phi
-from .model import FeynmanKacModel, McKeanSpec, TestFunction
-from .rng import categorical, categorical_rows, stream
+from .flow import FlowAnalytics, analyze, conditional_variance, step_phi
+from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights
+from .rng import stream
 
 
 @dataclass(frozen=True)
@@ -36,21 +37,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class ParticleCloud:
-    """Particle positions at one time index."""
-
-    states: np.ndarray
-    time: int
-    dim: int
-
-    def counts(self) -> np.ndarray:
-        return np.bincount(self.states, minlength=self.dim)
-
-    def empirical(self) -> np.ndarray:
-        return self.counts() / len(self.states)
-
-
-@dataclass(frozen=True)
 class RunTrace:
     """Counts per time step of one realized run; everything else derives."""
 
@@ -61,35 +47,28 @@ class RunTrace:
         return self.counts[n] / self.n_particles
 
 
-def init_particles(
-    config: RunConfig, model: FeynmanKacModel, replicate: int = 0
-) -> ParticleCloud:
-    """Draw N independent initial states from the initial law."""
-    if config.n_particles < 1:
-        raise ValueError(f"n_particles must be >= 1, got {config.n_particles}")
-    rng = stream(config.seed, replicate, 0)
-    states = categorical(rng, model.eta0, config.n_particles)
-    return ParticleCloud(states=states, time=0, dim=model.dims[0])
-
-
-def step_particles(
-    cloud: ParticleCloud,
+def step_counts(
     model: FeynmanKacModel,
     spec: McKeanSpec,
-    config: RunConfig,
-    replicate: int = 0,
-) -> ParticleCloud:
-    """Advance every particle one step through the empirical-measure kernel.
+    counts: np.ndarray,
+    n: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw the time-(n+1) counts from the time-n counts.
 
-    Particle i moves from row states[i] of the kernel built at the current
-    empirical measure; uniforms are consumed in particle order from the
-    stream addressed by (seed, replicate, time+1).
+    Each of the counts[x] particles at x moves through its own kernel row
+    with probability eps_n*G_n(x) and otherwise draws from the updated law of
+    the empirical measure.  The draws are, in order: the own-row numbers per
+    state, the resampled particles, and the own-row moves of the occupied
+    rows.  The cost does not depend on the population size.
     """
-    n = cloud.time
-    kernel = mckean_kernel(model, spec, cloud.empirical(), n)
-    rng = stream(config.seed, replicate, n + 1)
-    states = categorical_rows(rng, kernel, cloud.states)
-    return ParticleCloud(states=states, time=n + 1, dim=model.dims[n + 1])
+    own = rng.binomial(counts, mixing_weights(model, spec, n))
+    N = int(counts.sum())
+    nxt = rng.multinomial(N - own.sum(), step_phi(model, counts / N, n))
+    occ = own > 0
+    if occ.any():  # skipping an empty multinomial leaves the stream unchanged
+        nxt += rng.multinomial(own[occ], model.kernels[n][occ]).sum(axis=0)
+    return nxt
 
 
 def simulate(
@@ -98,17 +77,23 @@ def simulate(
     spec: McKeanSpec,
     replicate: int = 0,
 ) -> RunTrace:
-    """Run one replicate to the configured horizon and record count vectors."""
+    """Run one replicate to the configured horizon and record count vectors.
+
+    The time-0 counts are multinomial from the initial law; step n -> n+1
+    draws from the stream addressed (seed, replicate, n+1).
+    """
+    if config.n_particles < 1:
+        raise ValueError(f"n_particles must be >= 1, got {config.n_particles}")
     if config.horizon > model.horizon:
         raise ValueError(
             f"config horizon {config.horizon} exceeds model horizon {model.horizon}"
         )
-    cloud = init_particles(config, model, replicate)
-    counts = [cloud.counts()]
-    for _ in range(config.horizon):
-        cloud = step_particles(cloud, model, spec, config, replicate)
-        counts.append(cloud.counts())
-    return RunTrace(n_particles=config.n_particles, counts=counts)
+    N = config.n_particles
+    counts = [stream(config.seed, replicate, 0).multinomial(N, model.eta0)]
+    for n in range(config.horizon):
+        rng = stream(config.seed, replicate, n + 1)
+        counts.append(step_counts(model, spec, counts[n], n, rng))
+    return RunTrace(n_particles=N, counts=counts)
 
 
 def sampling_error(
@@ -203,10 +188,9 @@ def doob_terms(
         g = model.potentials[q - 1]
         mass_ratio = float(emp[q - 1] @ g) / float(flow.etas[q - 1] @ g)
         phi_emp = step_phi(model, emp[q - 1], q - 1)
-        phi_exact = step_phi(model, flow.etas[q - 1], q - 1)
         a_inc[q] = (1.0 - mass_ratio) * float(phi_emp @ fpn[q])
         m_inc[q] = float((emp[q] - phi_emp) @ fpn[q])
-        b_inc[q] = root_n * (1.0 - mass_ratio) * float((phi_emp - phi_exact) @ fpn[q])
+        b_inc[q] = root_n * (1.0 - mass_ratio) * float((phi_emp - flow.etas[q]) @ fpn[q])
 
     a = np.cumsum(a_inc)
     m = np.cumsum(m_inc)
@@ -257,20 +241,18 @@ def simulate_replicates(
     n_reps: int,
     flow: FlowAnalytics | None = None,
     normalize: bool = False,
-    threads: int | None = None,
 ) -> list[ReplicateStats]:
-    """Run independent replicates and collect their terminal statistics.
+    """Run independent replicates, in order, and collect their statistics.
 
     Deterministic for a fixed master seed: replicate r always uses the
-    streams addressed (seed, r, step), so the output list does not depend on
-    the execution order or thread count.
+    streams addressed (seed, r, step), so any replicate can be rerun alone
+    with the same result.
 
     Args:
         flow: analytics for f with terminal index config.horizon; computed
             here when omitted.
         normalize: divide w and the decomposition terms by the limiting
             standard deviation (raises DegenerateFunction when it vanishes).
-        threads: worker threads for replicate execution (default serial).
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
@@ -302,7 +284,4 @@ def simulate_replicates(
             residual_field=doob.residual_field,
         )
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(n_reps)))
     return [one(r) for r in range(n_reps)]

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from . import tolerances as tol
-from .errors import EpsilonOutOfRange, FlowConsistencyError, ZeroMass
-from .model import FeynmanKacModel, McKeanSpec, TestFunction, validate_model
+from .errors import FlowConsistencyError, ZeroMass
+from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights, validate_model
 
 
 @dataclass(frozen=True)
@@ -92,13 +92,9 @@ def mckean_kernel(model: FeynmanKacModel, spec: McKeanSpec, mu, n: int) -> np.nd
     """Row-stochastic selection/mutation kernel for step n -> n+1 at measure mu.
 
     Row x mixes kernel row x (weight eps_n*G_n(x)) with the updated law of mu
-    (complementary weight).  eps_n*G_n must lie in [0, 1].
+    (complementary weight); mixing_weights checks eps_n*G_n lies in [0, 1].
     """
-    mu = np.asarray(mu, dtype=float)
-    eps = spec.epsilons[n]
-    w = eps * model.potentials[n]
-    if eps < 0 or np.any(w > 1.0 + tol.ALGEBRA):
-        raise EpsilonOutOfRange(f"eps[{n}]={eps} puts eps*G outside [0,1]")
+    w = mixing_weights(model, spec, n)
     target = step_phi(model, mu, n)
     return w[:, None] * model.kernels[n] + (1.0 - w)[:, None] * target
 

@@ -113,7 +113,6 @@ def clt_rate_experiment(
     master_seed: int,
     slope_window: tuple[float, float] = (-0.65, -0.35),
     n_boot: int = 1000,
-    threads: int | None = None,
 ) -> RateReport:
     """Fit the decay rate of the normalized fluctuation's Gaussian distance.
 
@@ -141,9 +140,7 @@ def clt_rate_experiment(
     distances = []
     for k, N in enumerate(n_grid):
         config = RunConfig(n_particles=N, seed=derive_seed(master_seed, k), horizon=n)
-        stats = simulate_replicates(
-            config, model, spec, f, n_reps, flow=flow, threads=threads
-        )
+        stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
         sample = EcdfSample.from_values([s.w / sigma for s in stats])
         distances.append(kolmogorov_distance(sample, 1.0))
         phis.append(ndtr(sample.values))
@@ -243,7 +240,6 @@ def concentration_experiment(
     master_seed: int,
     statistic: str = "eta",
     gamma: float = 1.0,
-    threads: int | None = None,
 ) -> ConcentrationReport:
     """Compare an empirical MGF with its analytic concentration bound.
 
@@ -264,9 +260,7 @@ def concentration_experiment(
     flow = analyze(model, spec, f, terminal=n)
     tables = contraction_tables(model, flow.etas)
     config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)
-    stats = simulate_replicates(
-        config, model, spec, f, n_reps, flow=flow, threads=threads
-    )
+    stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
     root_n = math.sqrt(n_particles)
 
     if statistic == "eta":
@@ -404,7 +398,6 @@ def lp_moment_experiment(
     n_reps: int,
     master_seed: int,
     n_boot: int = 500,
-    threads: int | None = None,
 ) -> MomentReport:
     """Scaled moments of the terminal empirical-mean error vs d(p) bounds.
 
@@ -421,9 +414,7 @@ def lp_moment_experiment(
     flow = analyze(model, spec, f, terminal=n)
     b_n = concentration_b(contraction_tables(model, flow.etas), n)
     config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)
-    stats = simulate_replicates(
-        config, model, spec, f, n_reps, flow=flow, threads=threads
-    )
+    stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
     values = np.abs([s.w for s in stats])
     return _moment_table(
         values,
@@ -445,9 +436,10 @@ def iid_moment_check(
     master_seed: int,
     n_boot: int = 500,
 ) -> MomentReport:
-    """Moment bounds for plain independent categorical sampling.
+    """Moment bounds for plain independent sampling from mu.
 
-    Draws N independent variables from mu, centers h under mu, and checks
+    Draws the counts of N independent variables from mu (one multinomial per
+    replicate), centers h under mu, and checks
     sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
     """
     mu = np.asarray(mu, dtype=float)
@@ -457,9 +449,8 @@ def iid_moment_check(
     root_n = math.sqrt(n_particles)
     values = np.empty(n_reps)
     for r in range(n_reps):
-        rng = stream(master_seed, r)
-        draws = rng.choice(len(mu), size=n_particles, p=mu)
-        values[r] = root_n * abs(float(h[draws].mean()))
+        counts = stream(master_seed, r).multinomial(n_particles, mu)
+        values[r] = root_n * abs(float(counts @ h) / n_particles)
     return _moment_table(
         values,
         lambda p: burkholder_d(p) ** (1.0 / p) * osc,

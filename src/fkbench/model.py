@@ -142,18 +142,31 @@ def validate_model(model: FeynmanKacModel) -> np.ndarray:
     return ratios
 
 
+def mixing_weights(model: FeynmanKacModel, spec: McKeanSpec, n: int) -> np.ndarray:
+    """Own-row weights eps_n * G_n(x) of step n, clipped to [0, 1].
+
+    Values up to 1 + ALGEBRA are rounding and are clipped to 1.
+
+    Raises:
+        EpsilonOutOfRange: eps_n < 0 or some eps_n * G_n(x) > 1 + ALGEBRA.
+    """
+    eps = spec.epsilons[n]
+    w = eps * model.potentials[n]
+    if eps < 0 or np.any(w > 1.0 + tol.ALGEBRA):
+        raise EpsilonOutOfRange(
+            f"eps[{n}]={eps} puts eps*G outside [0,1] (max={w.max()})"
+        )
+    return np.minimum(w, 1.0)
+
+
 def validate_spec(spec: McKeanSpec, model: FeynmanKacModel) -> None:
     """Check eps_n * G_n(x) in [0, 1] for every step and state."""
     if len(spec.epsilons) != model.horizon:
         raise EpsilonOutOfRange(
             f"expected {model.horizon} epsilons, got {len(spec.epsilons)}"
         )
-    for n, eps in enumerate(spec.epsilons):
-        w = eps * model.potentials[n]
-        if eps < 0 or np.any(w > 1.0 + tol.ALGEBRA):
-            raise EpsilonOutOfRange(
-                f"eps[{n}]={eps} puts eps*G outside [0,1] (max={w.max()})"
-            )
+    for n in range(model.horizon):
+        mixing_weights(model, spec, n)
 
 
 def truncate(model: FeynmanKacModel, spec: McKeanSpec, horizon: int):

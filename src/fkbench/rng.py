@@ -23,22 +23,3 @@ def derive_seed(master_seed: int, *path: int) -> int:
     ss = np.random.SeedSequence(int(master_seed) & _SEED_MASK, spawn_key=tuple(path))
     return int(ss.generate_state(1, np.uint64)[0])
 
-
-def categorical(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
-    """size independent draws from one probability vector, by inverse CDF."""
-    cum = np.cumsum(probs)
-    u = rng.random(size)
-    return np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1)
-
-
-def categorical_rows(
-    rng: np.random.Generator, kernel: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """One draw per entry of rows, entry i from kernel row rows[i].
-
-    Uniforms are consumed in entry order from the supplied stream.
-    """
-    cum = np.cumsum(kernel, axis=1)[rows]
-    u = rng.random(len(rows))
-    idx = (cum <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, kernel.shape[1] - 1)

@@ -139,28 +139,6 @@ def test_simulate_record_steps_columns(tmp_path, capsys):
         assert float(record["C_5"]) == float(record["C_N"])
 
 
-def test_threads_env(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "t.csv"
-    monkeypatch.setenv("FKBENCH_THREADS", "2")
-    code, _, _ = run(
-        capsys, "simulate", "--zoo", "plain_markov", "--N", "50", "--reps", "4",
-        "--seed", "3", "--out", str(out),
-    )
-    assert code == 0
-    blob = out.read_bytes()
-    monkeypatch.setenv("FKBENCH_THREADS", "1")
-    code, _, _ = run(
-        capsys, "simulate", "--zoo", "plain_markov", "--N", "50", "--reps", "4",
-        "--seed", "3", "--out", str(out),
-    )
-    assert code == 0
-    assert out.read_bytes() == blob
-    monkeypatch.setenv("FKBENCH_THREADS", "zebra")
-    code, _, err = run(capsys, "simulate", "--zoo", "plain_markov")
-    assert code == 2
-    assert "FKBENCH_THREADS" in err
-
-
 def test_simulate_single_particle_smoke(capsys):
     code, out, _ = run(
         capsys, "simulate", "--zoo", "plain_markov", "--N", "1", "--reps", "1",

@@ -1,18 +1,21 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import chi2, chisquare
 
 from fkbench import tolerances as tol
 from fkbench.engine import (
     RunConfig,
     doob_terms,
     increasing_increments,
-    init_particles,
     martingale_increments,
     sampling_error,
     simulate,
     simulate_replicates,
-    step_particles,
+    step_counts,
 )
 from fkbench.errors import DegenerateFunction, FlowConsistencyError
 from fkbench.flow import (
@@ -23,33 +26,67 @@ from fkbench.flow import (
     mckean_kernel,
     step_phi,
 )
-from fkbench.model import McKeanSpec, make_function, make_model
+from fkbench.model import (
+    McKeanSpec,
+    make_function,
+    make_model,
+    mixing_weights,
+    validate_model,
+    validate_spec,
+)
+from fkbench.rng import stream
 from fkbench.zoo import build
+
+
+def _redraw(model, spec, counts, n, seed, reps):
+    """reps independent draws of the step n -> n+1 from frozen counts."""
+    return np.array(
+        [
+            step_counts(model, spec, counts, n, stream(seed, rep, n + 1))
+            for rep in range(reps)
+        ]
+    )
+
+
+def _count_law(kernel, counts):
+    """Exact law of the next counts: particle by particle over kernel rows."""
+    law = {(0,) * kernel.shape[1]: 1.0}
+    for x, c in enumerate(counts):
+        for _ in range(c):
+            nxt = {}
+            for key, prob in law.items():
+                for y, k in enumerate(kernel[x]):
+                    if k > 0.0:
+                        out = list(key)
+                        out[y] += 1
+                        nxt[tuple(out)] = nxt.get(tuple(out), 0.0) + prob * k
+            law = nxt
+    return law
 
 
 class TestInit:
     def test_point_mass_initial_law(self):
         model = make_model([1.0, 0.0], [np.eye(2)], [np.ones(2)] * 2)
-        cloud = init_particles(RunConfig(50, 3, 1), model)
-        assert np.all(cloud.states == 0)
+        trace = simulate(RunConfig(50, 3, 1), model, McKeanSpec.zero(1))
+        assert all(c.tolist() == [50, 0] for c in trace.counts)
 
     def test_initial_frequency(self):
         model = make_model([0.5, 0.5], [], [np.ones(2)])
-        cloud = init_particles(RunConfig(100_000, 9, 0), model)
-        freq = cloud.empirical()[0]
+        trace = simulate(RunConfig(100_000, 9, 0), model, McKeanSpec.zero(0))
+        freq = trace.empirical(0)[0]
         se = 0.5 / np.sqrt(100_000)
         assert abs(freq - 0.5) <= 5 * se
 
     def test_same_seed_same_cloud(self):
         model = make_model([0.5, 0.5], [], [np.ones(2)])
-        a = init_particles(RunConfig(1000, 11, 0), model)
-        b = init_particles(RunConfig(1000, 11, 0), model)
-        assert np.array_equal(a.states, b.states)
+        a = simulate(RunConfig(1000, 11, 0), model, McKeanSpec.zero(0))
+        b = simulate(RunConfig(1000, 11, 0), model, McKeanSpec.zero(0))
+        assert np.array_equal(a.counts[0], b.counts[0])
 
     def test_bad_population(self):
         model = make_model([1.0], [], [np.ones(1)])
         with pytest.raises(ValueError):
-            init_particles(RunConfig(0, 1, 0), model)
+            simulate(RunConfig(0, 1, 0), model, McKeanSpec.zero(0))
 
 
 class TestStep:
@@ -66,15 +103,78 @@ class TestStep:
         # freeze a cloud, redraw the next step many times: the average
         # empirical mean must match the exact one-step prediction
         model, spec, f = two_state
-        config = RunConfig(200, 13, 2)
-        frozen = init_particles(config, model, replicate=0)
-        predicted = float(step_phi(model, frozen.empirical(), 0) @ f.values[1])
-        draws = np.empty(10_000)
-        for rep in range(10_000):
-            nxt = step_particles(frozen, model, spec, config, replicate=rep)
-            draws[rep] = nxt.empirical() @ f.values[1]
+        frozen = simulate(RunConfig(200, 13, 0), model, spec).counts[0]
+        predicted = float(step_phi(model, frozen / 200, 0) @ f.values[1])
+        draws = _redraw(model, spec, frozen, 0, 13, 10_000) @ f.values[1] / 200
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - predicted) <= 5 * se
+
+    def test_exact_law_of_one_step(self, two_state):
+        # the count step has the law of N independent particle moves, each
+        # through its own row of the selection/mutation kernel
+        ring = build("ring_walk", d=4, eps_scale=1.0)
+        cases = [(ring.model, ring.spec, [2, 0, 1, 1]), (*two_state[:2], [3, 2])]
+        reps = 40_000
+        for model, spec, counts in cases:
+            counts = np.array(counts)
+            kernel = mckean_kernel(model, spec, counts / counts.sum(), 0)
+            law = _count_law(kernel, counts)
+            draws = _redraw(model, spec, counts, 0, 41, reps)
+            seen = Counter(map(tuple, draws.tolist()))
+            assert set(seen) <= set(law)
+            expected = reps * np.array(list(law.values()))
+            assert expected.min() >= 5.0  # the chi-square approximation holds
+            stat = chisquare([seen[c] for c in law], expected).statistic
+            assert stat <= chi2.ppf(0.999, len(law) - 1)
+
+    def test_full_weight_moves_each_particle_through_its_row(self):
+        # eps*G = 1: no particle resamples, so the count leaving each state
+        # is binomial in its own chain row rather than multinomial in the
+        # updated law (variance 18.5 against 24.75 here)
+        entry = build("plain_markov", eps=1.0)
+        model, spec = entry.model, entry.spec
+        assert_allclose(mixing_weights(model, spec, 0), 1.0)
+        frozen = np.array([50, 50])
+        stay = _redraw(model, spec, frozen, 0, 43, 10_000)[:, 0]
+        se = stay.std(ddof=1) / np.sqrt(len(stay))
+        assert abs(stay.mean() - 55.0) <= 5 * se
+        sq = (stay - stay.mean()) ** 2
+        se_var = sq.std(ddof=1) / np.sqrt(len(sq))
+        assert abs(stay.var(ddof=1) - 18.5) <= 5 * se_var
+
+    def test_weight_rounded_above_one_steps(self):
+        model = make_model([0.5, 0.5], [[[0.8, 0.2], [0.3, 0.7]]], [np.ones(2)] * 2)
+        spec = McKeanSpec(epsilons=(1.0 + 0.5e-12,))
+        validate_spec(spec, model)
+        assert np.all(mixing_weights(model, spec, 0) == 1.0)
+        trace = simulate(RunConfig(100, 3, 1), model, spec)
+        assert trace.counts[1].sum() == 100
+
+    def test_rounded_probabilities_conserve_population(self):
+        for delta in (-1e-13, 0.9e-12):
+            model = make_model(
+                [0.3 + delta, 0.2, 0.5],
+                [[[0.4, 0.6 + delta, 0.0], [0.5 + delta, 0.0, 0.5], [0.1, 0.2, 0.7]]] * 2,
+                [np.array([1.0, 2.0, 1.0])] * 3,
+            )
+            spec = McKeanSpec(epsilons=(0.5, 0.5))
+            validate_model(model)
+            validate_spec(spec, model)
+            for rep in range(50):
+                trace = simulate(RunConfig(1000, 2, 2), model, spec, replicate=rep)
+                assert [int(c.sum()) for c in trace.counts] == [1000] * 3
+
+    def test_cost_does_not_grow_with_population(self):
+        entry = build("binary_hmm")
+        config = RunConfig(10**8, 5, entry.model.horizon)
+        tracemalloc.start()
+        try:
+            trace = simulate(config, entry.model, entry.spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(int(c.sum()) == 10**8 for c in trace.counts)
+        assert peak < 1_000_000
 
     def test_horizon_cap(self, two_state):
         model, spec, _ = two_state
@@ -86,24 +186,20 @@ class TestMartingaleIncrement:
     def test_constant_function_gives_zero(self, two_state):
         model, spec, _ = two_state
         f = make_function([np.ones(2)] * 3)
-        config = RunConfig(100, 21, 2)
-        prev = init_particles(config, model)
-        nxt = step_particles(prev, model, spec, config)
-        assert sampling_error(model, model.eta0, prev.empirical(), 0, f.values[0]) == 0.0
-        assert (
-            sampling_error(model, prev.empirical(), nxt.empirical(), 1, f.values[1])
-            == 0.0
-        )
+        trace = simulate(RunConfig(100, 21, 1), model, spec)
+        prev, nxt = trace.empirical(0), trace.empirical(1)
+        assert sampling_error(model, model.eta0, prev, 0, f.values[0]) == 0.0
+        # the predicted law sums to one only up to rounding
+        assert abs(sampling_error(model, prev, nxt, 1, f.values[1])) <= tol.ALGEBRA
 
     def test_single_particle_reduction(self, two_state):
         model, spec, f = two_state
-        config = RunConfig(1, 33, 2)
-        prev = init_particles(config, model)
-        nxt = step_particles(prev, model, spec, config)
-        K = mckean_kernel(model, spec, prev.empirical(), 0)
-        expected = f.values[1][nxt.states[0]] - (K @ f.values[1])[prev.states[0]]
+        trace = simulate(RunConfig(1, 33, 1), model, spec)
+        prev, nxt = (int(np.argmax(c)) for c in trace.counts)
+        K = mckean_kernel(model, spec, trace.empirical(0), 0)
+        expected = f.values[1][nxt] - (K @ f.values[1])[prev]
         assert_allclose(
-            sampling_error(model, prev.empirical(), nxt.empirical(), 1, f.values[1]),
+            sampling_error(model, trace.empirical(0), trace.empirical(1), 1, f.values[1]),
             expected,
             atol=tol.ALGEBRA,
         )
@@ -113,20 +209,16 @@ class TestMartingaleIncrement:
         # conditional mean zero and conditional variance equal to the exact
         # finite-space increment divided by the population size
         model, spec, f = two_state
-        config = RunConfig(100, 17, 2)
-        frozen = init_particles(config, model)
-        incs = np.empty(10_000)
-        for rep in range(10_000):
-            nxt = step_particles(frozen, model, spec, config, replicate=rep)
-            incs[rep] = sampling_error(
-                model, frozen.empirical(), nxt.empirical(), 1, f.values[1]
-            )
+        counts = simulate(RunConfig(100, 17, 0), model, spec).counts[0]
+        frozen = counts / 100
+        redrawn = _redraw(model, spec, counts, 0, 17, 10_000) / 100
+        incs = np.array(
+            [sampling_error(model, frozen, nxt, 1, f.values[1]) for nxt in redrawn]
+        )
         se = incs.std(ddof=1) / np.sqrt(len(incs))
         assert abs(incs.mean()) <= 5 * se
 
-        exact_var = (
-            conditional_variance(model, spec, frozen.empirical(), 1, f.values[1]) / 100
-        )
+        exact_var = conditional_variance(model, spec, frozen, 1, f.values[1]) / 100
         sq = (incs - incs.mean()) ** 2
         se_var = sq.std(ddof=1) / np.sqrt(len(sq))
         assert abs(incs.var(ddof=1) - exact_var) <= 5 * se_var
@@ -149,14 +241,12 @@ class TestIncreasingProcess:
         # eps*G = 1 makes the particle kernel the chain kernel itself
         entry = build("plain_markov", eps=1.0)
         model, spec, f = entry.model, entry.spec, entry.f
-        config = RunConfig(300, 7, 5)
-        prev = init_particles(config, model)
-        mu = prev.empirical()
+        mu = simulate(RunConfig(300, 7, 0), model, spec).empirical(0)
         M = model.kernels[0]
         v = f.values[1]
         expected = float(mu @ (M @ (v * v) - (M @ v) ** 2))
         assert_allclose(
-            conditional_variance(model, spec, prev.empirical(), 1, f.values[1]),
+            conditional_variance(model, spec, mu, 1, f.values[1]),
             expected,
             atol=tol.ALGEBRA,
         )
@@ -235,12 +325,6 @@ class TestReplicates:
         model, spec, f = two_state
         a = simulate_replicates(RunConfig(100, 5, 2), model, spec, f, 10)
         b = simulate_replicates(RunConfig(100, 5, 2), model, spec, f, 10)
-        assert a == b
-
-    def test_thread_count_does_not_change_results(self, two_state):
-        model, spec, f = two_state
-        a = simulate_replicates(RunConfig(100, 5, 2), model, spec, f, 8)
-        b = simulate_replicates(RunConfig(100, 5, 2), model, spec, f, 8, threads=4)
         assert a == b
 
     def test_centering_over_replicates(self, two_state):

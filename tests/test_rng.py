@@ -1,7 +1,6 @@
 import numpy as np
-from numpy.testing import assert_allclose
 
-from fkbench.rng import categorical, categorical_rows, derive_seed, stream
+from fkbench.rng import derive_seed, stream
 
 
 def test_streams_are_address_determined():
@@ -23,26 +22,3 @@ def test_derive_seed_distinct_paths():
     seeds = {derive_seed(5, k) for k in range(100)}
     assert len(seeds) == 100
 
-
-def test_categorical_matches_inverse_cdf():
-    rng = stream(3, 0)
-    probs = np.array([0.2, 0.5, 0.3])
-    draws = categorical(rng, probs, 50_000)
-    freq = np.bincount(draws, minlength=3) / 50_000
-    assert_allclose(freq, probs, atol=0.01)
-
-
-def test_categorical_rows_consumes_in_entry_order():
-    kernel = np.array([[1.0, 0.0], [0.0, 1.0]])
-    rows = np.array([0, 1, 0, 1])
-    draws = categorical_rows(stream(1, 0), kernel, rows)
-    # degenerate rows: the draw must equal the row regardless of the uniform
-    assert np.array_equal(draws, rows)
-
-
-def test_categorical_handles_rounded_cumulative_tail():
-    # probabilities summing to slightly under one must never index out
-    probs = np.array([0.3, 0.7 - 1e-13])
-    rng = stream(2, 0)
-    draws = categorical(rng, probs, 10_000)
-    assert draws.max() <= 1
