@@ -6,6 +6,10 @@ Simulate a single seeded replicate and evaluate, per time step: the sampling
 error increments, the realized increasing process, and the two exact
 decompositions of the fluctuation field.  The decomposition residuals are
 pure floating-point error on every run; no averaging is involved.
+
+A trace holds the counts of R runs, one row per replicate, and every
+bookkeeping function returns one row per run.  A single run is R = 1, so each
+result below is row 0.
 """
 
 import numpy as np
@@ -21,12 +25,18 @@ flow = fk.analyze(model, spec, f, terminal=5)
 
 config = fk.RunConfig(n_particles=500, seed=2024, horizon=5)
 trace = fk.simulate(config, model, spec, replicate=0)
+print(f"replicates in the trace: R = {len(trace.counts[0])}")
 print("particle counts per step (rows = time):")
 for n, c in enumerate(trace.counts):
-    print(f"  n={n}: {c}   empirical = {trace.empirical(n)}")
+    print(f"  n={n}: {c[0]}   empirical = {trace.empirical(n)[0]}")
 
-inc_m = fk.martingale_increments(trace, model, spec, f)
-inc_c = fk.increasing_increments(trace, model, spec, f)
+# each step into time n starts from eta0 (n = 0) or the time-(n-1) measure
+emp = [trace.empirical(n) for n in range(6)]
+inc_m = np.concatenate(
+    [fk.sampling_error(model, mu, emp[n], n, f.values[n])
+     for n, mu in enumerate([model.eta0, *emp[:-1]])]
+)
+inc_c = fk.increasing_increments(trace, model, spec, f)[0]
 print("\nsampling-error increments:", inc_m)
 print("increasing-process increments:", inc_c)
 print("realized increasing process:", np.cumsum(inc_c))
@@ -34,11 +44,11 @@ limit = fk.limiting_increasing_process(model, spec, flow.etas, f, 5)
 print("limiting increments:        ", limit)
 
 series = fk.doob_terms(trace, flow, model, f, 5)
-print("\nfluctuation field w_p:", series.w)
-print("predictable part b_p: ", series.b)
-print("martingale part l_p:  ", series.l)
-print(f"decomposition residuals: mean {series.residual_mean:.2e}, "
-      f"field {series.residual_field:.2e}")
+print("\nfluctuation field w_p:", series.w[0])
+print("predictable part b_p: ", series.b[0])
+print("martingale part l_p:  ", series.l[0])
+print(f"decomposition residuals: mean {series.residual_mean[0]:.2e}, "
+      f"field {series.residual_field[0]:.2e}")
 
 # determinism: the same address always reproduces the same trace
 again = fk.simulate(config, model, spec, replicate=0)

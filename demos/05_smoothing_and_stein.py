@@ -42,8 +42,6 @@ stats = fk.simulate_replicates(
     fk.RunConfig(500, 61, 5), entry.model, entry.spec, entry.f, 4000,
     flow=flow, normalize=True,
 )
-report = stein_check(
-    [s.l_terminal for s in stats], [s.b_terminal for s in stats]
-)
+report = stein_check(stats.l_terminal, stats.b_terminal)
 print(f"\nrealized pairs: lhs {report.lhs:.4f} <= rhs {report.rhs:.4f} "
       f"(+ allowance {report.allowance:.4f}) -> {report.passed}")

@@ -37,7 +37,7 @@ for code in top:
 
 # a genealogical particle run: each particle carries its ancestral line
 trace = fk.simulate(fk.RunConfig(2000, 3, horizon), deep.model, deep.spec)
-counts = trace.counts[horizon]
+counts = trace.counts[horizon][0]  # the run's row: a single run is R = 1
 seen = np.argsort(counts)[::-1][:4]
 print("\nmost sampled ancestral lines at the final time:")
 for code in seen:

@@ -15,7 +15,6 @@ from .engine import (
     RunTrace,
     doob_terms,
     increasing_increments,
-    martingale_increments,
     sampling_error,
     simulate,
     simulate_replicates,

@@ -56,14 +56,15 @@ class McKeanGamma:
         return self.combined + 1.0
 
 
-def a3_constant(tables: ContractionTables, n: int, gamma: float = 1.0) -> float:
+def a3_constant(tables: ContractionTables, n: int) -> float:
     """Exponential-continuity constant of the increasing-process increments.
 
-    a3(n) = 4*sqrt(2)*(1+gamma) * max over q in {n, n-1} of
-    sum_{p<=q} ratios[p,q]*betas[p,q]; the inner sums are b(q)/2.
+    a3(n) = 4*sqrt(2)*tilde * max over q in {n, n-1} of
+    sum_{p<=q} ratios[p,q]*betas[p,q], with tilde from McKeanGamma; the
+    inner sums are b(q)/2.
     """
     sums = [concentration_b(tables, q) / 2.0 for q in range(max(n - 1, 0), n + 1)]
-    return 4.0 * math.sqrt(2.0) * (1.0 + gamma) * max(sums)
+    return 4.0 * math.sqrt(2.0) * McKeanGamma().tilde * max(sums)
 
 
 @dataclass(frozen=True)
@@ -115,14 +116,14 @@ def mixing_bounds(
     n: int,
     model: FeynmanKacModel | None = None,
     flow: ContractionTables | None = None,
-    gamma: float = 1.0,
 ) -> MixingBounds:
     """Closed-form uniform bounds, optionally verified against a model.
 
     r_bound = r**m / rho, b_bound = 2*m*r**(2m-1) / rho**3 and
-    a3_bound = 8*sqrt(2)*m*r**(2m-1)*(1+gamma) / rho**3.  The per-gap
-    contraction bound (1 - r**(m-1)*rho**2)**floor(gap/m) is reported only
-    when its base lies in (0, 1); it is never asserted.
+    a3_bound = 8*sqrt(2)*m*r**(2m-1)*tilde / rho**3, with tilde from
+    McKeanGamma.  The per-gap contraction bound
+    (1 - r**(m-1)*rho**2)**floor(gap/m) is reported only when its base lies
+    in (0, 1); it is never asserted.
 
     When a model is given, the minorization hypothesis is checked by
     enumeration (raising HypothesisNotSatisfied on failure, also when the
@@ -135,7 +136,8 @@ def mixing_bounds(
         raise ValueError(f"need m >= 1, r >= 1, rho in (0, 1]; got {(m, r, rho)}")
     r_bound = r**m / rho
     b_bound = 2.0 * m * r ** (2 * m - 1) / rho**3
-    a3_bound = 8.0 * math.sqrt(2.0) * m * r ** (2 * m - 1) * (1.0 + gamma) / rho**3
+    tilde = McKeanGamma().tilde
+    a3_bound = 8.0 * math.sqrt(2.0) * m * r ** (2 * m - 1) * tilde / rho**3
 
     base = 1.0 - r ** (m - 1) * rho**2
     if 0.0 < base < 1.0:
@@ -163,7 +165,7 @@ def mixing_bounds(
                 concentration_b(flow, q) <= b_bound * slack for q in range(H + 1)
             )
             a3_check = all(
-                a3_constant(flow, q, gamma) <= a3_bound * slack for q in range(H + 1)
+                a3_constant(flow, q) <= a3_bound * slack for q in range(H + 1)
             )
     return MixingBounds(
         m=m,

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -36,11 +37,18 @@ from .model import (
 from . import zoo
 
 
+def _zoo_entry(name: str, raw_params: str | None) -> zoo.ZooEntry:
+    """Build a zoo entry from its name and a JSON dict of builder params."""
+    try:
+        return zoo.build(name, **(json.loads(raw_params) if raw_params else {}))
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise ConfigError(f"bad --zoo-params {raw_params!r} for {name!r}: {exc}") from exc
+
+
 def _resolve_inputs(args):
     """Model, spec and function from --zoo or --model/--function files."""
     if args.zoo:
-        params = json.loads(args.zoo_params) if args.zoo_params else {}
-        entry = zoo.build(args.zoo, **params)
+        entry = _zoo_entry(args.zoo, args.zoo_params)
         model, spec, f = entry.model, entry.spec, entry.f
     elif args.model:
         model, spec = load_model(args.model)
@@ -61,9 +69,13 @@ def _resolve_inputs(args):
     return model, spec, f, horizon
 
 
+def _config(args) -> dict:
+    """The resolved command-line arguments, as reported with every output."""
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+
+
 def _report_envelope(args, payload: dict) -> dict:
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    return {"tool": "fkbench", "version": __version__, "config": config, **payload}
+    return {"tool": "fkbench", "version": __version__, "config": _config(args), **payload}
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -113,24 +125,22 @@ def cmd_simulate(args) -> int:
     lines = [
         f"# tool = fkbench {__version__}",
         f"# seed = {args.seed}",
-        f"# config = {json.dumps({k: v for k, v in sorted(vars(args).items()) if k != 'func'})}",
+        f"# config = {json.dumps(_config(args))}",
     ]
     header = ["replicate_id", "N", "n", "W", "L_terminal", "C_N"]
+    columns = [stats.w, stats.l_terminal, stats.c_total]
     if args.check_doob:
         header += ["doob_residual"]
+        columns.append(np.maximum(stats.residual_mean, stats.residual_field))
+    table = np.column_stack(columns)
     if args.record_steps:
         header += [f"W_{p}" for p in range(horizon + 1)]
         header += [f"C_{p}" for p in range(horizon + 1)]
-    rows = []
-    for s in stats:
-        row = [s.replicate, args.N, horizon, repr(s.w), repr(s.l_terminal),
-               repr(s.c_total)]
-        if args.check_doob:
-            row.append(repr(max(s.residual_mean, s.residual_field)))
-        if args.record_steps:
-            row += [repr(v) for v in s.w_steps]
-            row += [repr(float(v)) for v in np.cumsum(s.delta_c_steps)]
-        rows.append(row)
+        table = np.hstack([table, stats.w_steps, stats.delta_c_steps.cumsum(axis=1)])
+    rows = [
+        [r, args.N, horizon, *(repr(float(x)) for x in values)]
+        for r, values in enumerate(table)
+    ]
     out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8", newline="")
     try:
         for line in lines:
@@ -182,15 +192,7 @@ def cmd_verify(args) -> int:
         stats = simulate_replicates(
             config, model, spec, f, args.reps, flow=flow, normalize=True
         )
-        report = stein_check(
-            [s.l_terminal for s in stats], [s.b_terminal for s in stats]
-        )
-        payload = {
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "allowance": report.allowance,
-            "passed": report.passed,
-        }
+        payload = asdict(stein_check(stats.l_terminal, stats.b_terminal))
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown verification {args.which!r}")
     _emit_json(args, payload)
@@ -203,7 +205,7 @@ def cmd_zoo(args) -> int:
             entry = zoo.build(name)
             sys.stdout.write(f"{name}: {entry.notes}\n")
         return 0
-    entry = zoo.build(args.name, **(json.loads(args.zoo_params) if args.zoo_params else {}))
+    entry = _zoo_entry(args.name, args.zoo_params)
     save_model(args.out, entry.model, entry.spec)
     if args.function_out:
         save_function(args.function_out, entry.f)

@@ -5,8 +5,10 @@ its own counter-based stream, so traces are reproducible byte for byte and
 replicates stay independent under any execution order.  A run is its integer
 count vectors: on a finite space the counts are a sufficient statistic, so
 step_counts draws the next counts directly (binomial, then multinomial) at a
-cost that does not depend on the population size.  Every martingale
-bookkeeping quantity is evaluated from the counts by exact finite-space sums.
+cost that does not depend on the population size.  A RunTrace holds the
+counts of R runs as (R, d) arrays, one row per replicate; a single run is
+R = 1.  Every martingale bookkeeping quantity is evaluated from the counts by
+exact finite-space sums, once per step for all R rows together.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFunction, FlowConsistencyError
-from .flow import FlowAnalytics, analyze, conditional_variance, step_phi
+from .errors import ConfigError, DegenerateFunction, FlowConsistencyError
+from .flow import FlowAnalytics, analyze, boltzmann_gibbs, conditional_variance, step_phi
 from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights
 from .rng import stream
 
@@ -38,7 +40,7 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Counts per time step of one realized run; everything else derives."""
+    """Counts of R runs, counts[q] of shape (R, d_q); everything else derives."""
 
     n_particles: int
     counts: list[np.ndarray]
@@ -77,15 +79,15 @@ def simulate(
     spec: McKeanSpec,
     replicate: int = 0,
 ) -> RunTrace:
-    """Run one replicate to the configured horizon and record count vectors.
+    """Run one replicate to the configured horizon: a trace with R = 1.
 
     The time-0 counts are multinomial from the initial law; step n -> n+1
     draws from the stream addressed (seed, replicate, n+1).
     """
     if config.n_particles < 1:
-        raise ValueError(f"n_particles must be >= 1, got {config.n_particles}")
+        raise ConfigError(f"n_particles must be >= 1, got {config.n_particles}")
     if config.horizon > model.horizon:
-        raise ValueError(
+        raise ConfigError(
             f"config horizon {config.horizon} exceeds model horizon {model.horizon}"
         )
     N = config.n_particles
@@ -93,70 +95,53 @@ def simulate(
     for n in range(config.horizon):
         rng = stream(config.seed, replicate, n + 1)
         counts.append(step_counts(model, spec, counts[n], n, rng))
-    return RunTrace(n_particles=N, counts=counts)
+    return RunTrace(n_particles=N, counts=[c[None, :] for c in counts])
 
 
-def sampling_error(
-    model: FeynmanKacModel, mu, emp: np.ndarray, n: int, v: np.ndarray
-) -> float:
+def sampling_error(model: FeynmanKacModel, mu, emp: np.ndarray, n: int, v: np.ndarray):
     """Sampling error of the step into time n: realized minus predicted mean of v.
 
     emp is the time-n empirical measure and mu the measure the step starts
-    from; at n = 0, mu is the initial law and is itself the prediction.
+    from, each one measure or an (R, d) array of them; at n = 0, mu is the
+    initial law and is itself the prediction.  Later predictions Phi(mu)(v)
+    are read as boltzmann_gibbs(mu) @ (M v), without forming Phi(mu).
     """
-    predicted = mu if n == 0 else step_phi(model, mu, n - 1)
-    return float((emp - predicted) @ v)
-
-
-def _starting_measures(trace: RunTrace, model: FeynmanKacModel):
-    """(n, measure the step into n starts from) along a trace, from eta0."""
-    yield 0, model.eta0
-    for n in range(1, len(trace.counts)):
-        yield n, trace.empirical(n - 1)
-
-
-def martingale_increments(
-    trace: RunTrace, model: FeynmanKacModel, spec: McKeanSpec, f: TestFunction
-) -> np.ndarray:
-    """Realized sampling-error increments along a trace."""
-    return np.array(
-        [
-            sampling_error(model, mu, trace.empirical(n), n, f.values[n])
-            for n, mu in _starting_measures(trace, model)
-        ]
-    )
+    if n == 0:
+        return (emp - mu) @ v
+    return emp @ v - boltzmann_gibbs(model, mu, n - 1) @ (model.kernels[n - 1] @ v)
 
 
 def increasing_increments(
     trace: RunTrace, model: FeynmanKacModel, spec: McKeanSpec, f: TestFunction
 ) -> np.ndarray:
-    """Increments of the realized increasing process along a trace."""
-    return np.array(
-        [
-            conditional_variance(model, spec, mu, n, f.values[n])
-            for n, mu in _starting_measures(trace, model)
-        ]
-    )
+    """Increments of the realized increasing process, (R, steps), one row per run.
+
+    The step into time 0 starts from eta0, each later step from the runs'
+    empirical measures one step earlier.
+    """
+    out = np.empty((len(trace.counts[0]), len(trace.counts)))
+    start = model.eta0
+    for q in range(len(trace.counts)):
+        out[:, q] = conditional_variance(model, spec, start, q, f.values[q])
+        start = trace.empirical(q)
+    return out
 
 
 @dataclass(frozen=True)
 class DoobSeries:
-    """Per-index decomposition of the realized fluctuation field.
+    """Per-index decomposition of the realized fluctuation fields of R runs.
 
-    a and m are the predictable and martingale parts of the empirical mean of
-    the transported functions; b and l are their sqrt(N)-scaled counterparts
-    entering the fluctuation field w.  residual_mean and residual_field are
-    the worst per-index gaps of the two exact decompositions; both are pure
-    floating-point error on every realized run.
+    w is the fluctuation field and b and l its predictable and martingale
+    parts, each (R, n + 1).  residual_mean and residual_field, one per run,
+    are the worst gaps of the exact decompositions of the empirical mean of
+    the transported functions and of w: floating-point error on every run.
     """
 
-    a: np.ndarray
-    m: np.ndarray
     b: np.ndarray
     l: np.ndarray
     w: np.ndarray
-    residual_mean: float
-    residual_field: float
+    residual_mean: np.ndarray
+    residual_field: np.ndarray
 
 
 def doob_terms(
@@ -166,7 +151,7 @@ def doob_terms(
     f: TestFunction,
     n: int,
 ) -> DoobSeries:
-    """Evaluate the predictable/martingale decompositions on a realized run.
+    """Evaluate the predictable/martingale decompositions on realized runs.
 
     Requires flow analytics built for terminal index n.  All series are exact
     functions of the recorded empirical measures; no sampling is involved.
@@ -175,62 +160,60 @@ def doob_terms(
         raise FlowConsistencyError(
             f"flow analytics must hold the transported family for terminal {n}"
         )
-    N = trace.n_particles
-    root_n = np.sqrt(N)
-    fpn = flow.fpn
-    emp = [trace.empirical(q) for q in range(n + 1)]
+    root_n = np.sqrt(trace.n_particles)
+    fpn, etas = flow.fpn, flow.etas
+    shape = (len(trace.counts[0]), n + 1)
+    means, field, a_inc, m_inc, b_inc = (np.zeros(shape) for _ in range(5))
+    start = etas[0]  # the step into time q starts from here
+    for q in range(n + 1):
+        emp = trace.empirical(q)
+        means[:, q] = emp @ fpn[q]
+        field[:, q] = (emp - etas[q]) @ fpn[q]
+        m_inc[:, q] = sampling_error(model, start, emp, q, fpn[q])
+        if q > 0:
+            g = model.potentials[q - 1]
+            mass_ratio = (start @ g) / float(etas[q - 1] @ g)
+            predicted = means[:, q] - m_inc[:, q]  # Phi(start)(fpn[q])
+            a_inc[:, q] = (1.0 - mass_ratio) * predicted
+            b_inc[:, q] = root_n * (1.0 - mass_ratio) * (predicted - etas[q] @ fpn[q])
+        start = emp
 
-    a_inc = np.zeros(n + 1)
-    m_inc = np.zeros(n + 1)
-    b_inc = np.zeros(n + 1)
-    m_inc[0] = float((emp[0] - flow.etas[0]) @ fpn[0])
-    for q in range(1, n + 1):
-        g = model.potentials[q - 1]
-        mass_ratio = float(emp[q - 1] @ g) / float(flow.etas[q - 1] @ g)
-        phi_emp = step_phi(model, emp[q - 1], q - 1)
-        a_inc[q] = (1.0 - mass_ratio) * float(phi_emp @ fpn[q])
-        m_inc[q] = float((emp[q] - phi_emp) @ fpn[q])
-        b_inc[q] = root_n * (1.0 - mass_ratio) * float((phi_emp - flow.etas[q]) @ fpn[q])
-
-    a = np.cumsum(a_inc)
-    m = np.cumsum(m_inc)
-    b = np.cumsum(b_inc)
-    l = root_n * m
-    w = np.array(
-        [root_n * float((emp[p] - flow.etas[p]) @ fpn[p]) for p in range(n + 1)]
-    )
-
-    mean_series = np.array([float(emp[p] @ fpn[p]) for p in range(n + 1)])
-    residual_mean = float(np.max(np.abs(mean_series - (a + m))))
-    residual_field = float(np.max(np.abs(w - (b + l))))
+    a, m, b = (np.cumsum(inc, axis=1) for inc in (a_inc, m_inc, b_inc))
+    l, w = root_n * m, root_n * field
     return DoobSeries(
-        a=a, m=m, b=b, l=l, w=w,
-        residual_mean=residual_mean,
-        residual_field=residual_field,
+        b=b, l=l, w=w,
+        residual_mean=np.max(np.abs(means - (a + m)), axis=1),
+        residual_field=np.max(np.abs(w - (b + l)), axis=1),
     )
 
 
 @dataclass(frozen=True)
 class ReplicateStats:
-    """Terminal statistics of one replicate and its per-step series.
+    """Statistics of R replicates, one row (or entry) per replicate.
 
-    w_steps is the fluctuation field w_p and delta_c_steps the realized
-    increasing-process increments, for p = 0..horizon.
+    w_steps[r, p] is the fluctuation field and delta_c_steps[r, p] the realized
+    increasing-process increment at p = 0..horizon; l_terminal, b_terminal and
+    the residuals are DoobSeries' terminal l and b and its residuals.
     """
 
-    replicate: int
-    w: float
-    l_terminal: float
-    b_terminal: float
-    c_total: float
-    w_steps: tuple[float, ...]
-    delta_c_steps: tuple[float, ...]
-    residual_mean: float
-    residual_field: float
+    w_steps: np.ndarray
+    delta_c_steps: np.ndarray
+    l_terminal: np.ndarray
+    b_terminal: np.ndarray
+    residual_mean: np.ndarray
+    residual_field: np.ndarray
 
     @property
-    def delta_c_terminal(self) -> float:
-        return self.delta_c_steps[-1]
+    def w(self) -> np.ndarray:
+        return self.w_steps[:, -1]
+
+    @property
+    def c_total(self) -> np.ndarray:
+        return self.delta_c_steps.sum(axis=1)
+
+    @property
+    def delta_c_terminal(self) -> np.ndarray:
+        return self.delta_c_steps[:, -1]
 
 
 def simulate_replicates(
@@ -241,12 +224,13 @@ def simulate_replicates(
     n_reps: int,
     flow: FlowAnalytics | None = None,
     normalize: bool = False,
-) -> list[ReplicateStats]:
-    """Run independent replicates, in order, and collect their statistics.
+) -> ReplicateStats:
+    """Run independent replicates, in order, and evaluate them in one pass.
 
     Deterministic for a fixed master seed: replicate r always uses the
     streams addressed (seed, r, step), so any replicate can be rerun alone
-    with the same result.
+    with the same result.  The counts of all replicates form one trace, and
+    the bookkeeping runs once on it.
 
     Args:
         flow: analytics for f with terminal index config.horizon; computed
@@ -255,7 +239,7 @@ def simulate_replicates(
             standard deviation (raises DegenerateFunction when it vanishes).
     """
     if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+        raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
     n = config.horizon
     if flow is None or flow.terminal != n:
         flow = analyze(model, spec, f, terminal=n)
@@ -267,21 +251,17 @@ def simulate_replicates(
             )
         scale = 1.0 / np.sqrt(flow.sigma_sq)
 
-    def one(replicate: int) -> ReplicateStats:
-        trace = simulate(config, model, spec, replicate)
-        dc = increasing_increments(trace, model, spec, f)
-        doob = doob_terms(trace, flow, model, f, n)
-        w_steps = tuple((scale * doob.w).tolist())
-        return ReplicateStats(
-            replicate=replicate,
-            w=w_steps[n],
-            l_terminal=float(scale * doob.l[n]),
-            b_terminal=float(scale * doob.b[n]),
-            c_total=float(dc.sum()),
-            w_steps=w_steps,
-            delta_c_steps=tuple(dc.tolist()),
-            residual_mean=doob.residual_mean,
-            residual_field=doob.residual_field,
-        )
-
-    return [one(r) for r in range(n_reps)]
+    dims = model.dims[: n + 1]
+    trace = RunTrace(config.n_particles, [np.empty((n_reps, d), int) for d in dims])
+    for r in range(n_reps):  # rows filled in place: no run's counts are held twice
+        for rows, c in zip(trace.counts, simulate(config, model, spec, r).counts):
+            rows[r] = c[0]
+    doob = doob_terms(trace, flow, model, f, n)
+    return ReplicateStats(
+        w_steps=scale * doob.w,
+        delta_c_steps=increasing_increments(trace, model, spec, f),
+        l_terminal=scale * doob.l[:, n],
+        b_terminal=scale * doob.b[:, n],
+        residual_mean=doob.residual_mean,
+        residual_field=doob.residual_field,
+    )

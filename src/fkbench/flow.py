@@ -7,7 +7,9 @@ transported family (one O(H d^2) backward sweep) and its limiting variance;
 contraction_tables the Dobrushin coefficients and mass ratios of every
 normalized transport; transport one such matrix on demand.
 conditional_variance is the one-step variance formula that the limiting
-variances here and the engine's realized increasing process share.
+variances here and the engine's realized increasing process share; it never
+forms the d x d kernel (mckean_kernel does, as the reference).  boltzmann_gibbs,
+step_phi and conditional_variance take one measure or an (R, d) array of them.
 """
 
 from __future__ import annotations
@@ -58,11 +60,11 @@ class ContractionTables:
 
 
 def boltzmann_gibbs(model: FeynmanKacModel, mu, n: int) -> np.ndarray:
-    """Reweight mu by the time-n potential and renormalize."""
+    """Reweight mu (or each row of an (R, d) mu) by potential n and renormalize."""
     mu = np.asarray(mu, dtype=float)
     weighted = model.potentials[n] * mu
-    mass = weighted.sum()
-    if mass <= 0.0:
+    mass = weighted.sum(axis=-1, keepdims=True)
+    if np.any(mass <= 0.0):
         raise ZeroMass(f"measure has zero mass under potential {n}")
     return weighted / mass
 
@@ -165,22 +167,37 @@ def contraction_tables(
     return ContractionTables(betas=betas, ratios=ratios)
 
 
+def _kernel_means(model: FeynmanKacModel, spec: McKeanSpec, mu, n: int, v: np.ndarray):
+    """K v and K v^2 for the step-n kernel K at mu, and the moment Phi(mu)(v^2).
+
+    Row x of K is w_x M_n[x] + (1 - w_x) Phi(mu), and Phi(mu)(u) equals
+    boltzmann_gibbs(mu) @ (M_n u), so neither K nor Phi(mu) is formed.
+    """
+    w = mixing_weights(model, spec, n)
+    bg = boltzmann_gibbs(model, mu, n)
+    m1, m2 = model.kernels[n] @ v, model.kernels[n] @ (v * v)
+    t1, t2 = bg @ m1, bg @ m2  # the two moments of Phi(mu)
+    kv = w * m1 + (1.0 - w) * t1[..., None]
+    kv2 = w * m2 + (1.0 - w) * t2[..., None]
+    return kv, kv2, t2
+
+
 def conditional_variance(
     model: FeynmanKacModel, spec: McKeanSpec, mu, n: int, v: np.ndarray
-) -> float:
+):
     """Conditional variance of the time-n sampling error of v.
 
-    mu is the measure the step into time n starts from; the variance is
-    mu-weighted over the rows of the step-(n-1) kernel built at mu.  At
-    n = 0, mu is the initial law and the result is the variance of v under
-    it.
+    mu is the measure the step into time n starts from, or an (R, d) array
+    of them with one result per row; the variance is mu(K v^2) - mu((K v)^2)
+    with K the step-(n-1) kernel built at mu.  At n = 0, mu is the initial
+    law and the result is the variance of v under it.
     """
+    mu = np.asarray(mu, dtype=float)
     if n == 0:
-        mean = float(mu @ v)
-        return float(mu @ (v * v)) - mean * mean
-    K = mckean_kernel(model, spec, mu, n - 1)
-    kf = K @ v
-    return float(mu @ (K @ (v * v) - kf * kf))
+        mean = mu @ v
+        return mu @ (v * v) - mean * mean
+    kv, kv2, _ = _kernel_means(model, spec, mu, n - 1, v)
+    return np.sum(mu * (kv2 - kv * kv), axis=-1)
 
 
 def limiting_variance(
@@ -193,7 +210,8 @@ def limiting_variance(
 
     Term p is conditional_variance of family[p] at eta_{p-1} (eta_0 at
     p = 0).  Each term p >= 1 is checked against a second, algebraically
-    equal form, and the pair must agree to the algebra tolerance.
+    equal form, Phi(mu)(v^2) - mu((K v)^2), and the pair must agree to the
+    algebra tolerance.
     """
     out = np.empty(len(family))
     for p, v in enumerate(family):
@@ -201,8 +219,8 @@ def limiting_variance(
         out[p] = conditional_variance(model, spec, mu, p, v)
         if p == 0:
             continue
-        kf = mckean_kernel(model, spec, mu, p - 1) @ v
-        form2 = float(step_phi(model, mu, p - 1) @ (v * v) - mu @ (kf * kf))
+        kv, _, phi_v2 = _kernel_means(model, spec, mu, p - 1, v)
+        form2 = float(phi_v2 - mu @ (kv * kv))
         if abs(out[p] - form2) > tol.ALGEBRA:
             raise FlowConsistencyError(
                 f"variance increment forms disagree at p={p}: {out[p]} vs {form2}"

@@ -19,6 +19,7 @@ from scipy.special import ndtr
 from .bounds import a3_constant, burkholder_d
 from .engine import RunConfig, simulate_replicates
 from .errors import (
+    ConfigError,
     DegenerateFunction,
     DegenerateSigma,
     InsufficientReplicates,
@@ -61,13 +62,11 @@ def kolmogorov_distance(sample: EcdfSample, sigma: float) -> float:
     """
     if sigma <= 0.0:
         raise DegenerateSigma(f"sigma must be > 0, got {sigma}")
-    R = sample.count
-    i = np.arange(1, R + 1)
-    phi = ndtr(sample.values / sigma)
-    return float(np.max(np.maximum(i / R - phi, phi - (i - 1) / R)))
+    return _ks_from_sorted_uniforms(ndtr(sample.values / sigma))
 
 
 def _ks_from_sorted_uniforms(u: np.ndarray) -> float:
+    """Jump-point sup distance between the ECDF of sorted u and the uniform CDF."""
     R = len(u)
     i = np.arange(1, R + 1)
     return float(np.max(np.maximum(i / R - u, u - (i - 1) / R)))
@@ -127,6 +126,8 @@ def clt_rate_experiment(
         InsufficientReplicates: all measured distances sit at or below the
             ECDF noise scale, so no rate is identified.
     """
+    if n_reps < 1:
+        raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
     if f.oscillation(n) == 0.0:
         raise DegenerateFunction(f"test function is constant at time {n}")
     flow = analyze(model, spec, f, terminal=n)
@@ -141,7 +142,7 @@ def clt_rate_experiment(
     for k, N in enumerate(n_grid):
         config = RunConfig(n_particles=N, seed=derive_seed(master_seed, k), horizon=n)
         stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
-        sample = EcdfSample.from_values([s.w / sigma for s in stats])
+        sample = EcdfSample.from_values(stats.w / sigma)
         distances.append(kolmogorov_distance(sample, 1.0))
         phis.append(ndtr(sample.values))
     if min(distances) <= ecdf_allowance:
@@ -239,7 +240,6 @@ def concentration_experiment(
     n_reps: int,
     master_seed: int,
     statistic: str = "eta",
-    gamma: float = 1.0,
 ) -> ConcentrationReport:
     """Compare an empirical MGF with its analytic concentration bound.
 
@@ -264,17 +264,15 @@ def concentration_experiment(
     root_n = math.sqrt(n_particles)
 
     if statistic == "eta":
-        values = np.array([abs(s.w) for s in stats])  # already sqrt(N)-scaled
+        values = np.abs(stats.w)  # already sqrt(N)-scaled
         const = concentration_b(tables, n)
         def log_bound(eps):
             return math.log1p(eps * const / math.sqrt(2.0)) + (eps * const) ** 2 / 2.0
         stat_scale = osc
     elif statistic == "delta_c":
         limit_inc = limiting_increasing_process(model, spec, flow.etas, f, n)
-        values = np.array(
-            [root_n * abs(s.delta_c_terminal - limit_inc[n]) for s in stats]
-        )
-        const = a3_constant(tables, n, gamma)
+        values = root_n * np.abs(stats.delta_c_terminal - limit_inc[n])
+        const = a3_constant(tables, n)
         def log_bound(eps):
             return math.log1p(eps * const) + (eps * const) ** 2
         stat_scale = osc**2 / 2.0
@@ -284,7 +282,7 @@ def concentration_experiment(
     eps_grid = tuple(float(e) for e in eps_grid)
     for eps in eps_grid:
         if eps < 0 or eps * root_n * stat_scale > 20.0 + 1e-9:
-            raise ValueError(
+            raise ConfigError(
                 f"eps={eps} exceeds the stability cap 20/(sqrt(N)*scale); "
                 f"shrink the grid"
             )
@@ -406,7 +404,7 @@ def lp_moment_experiment(
     sets the allowance.
     """
     if p_max > 8:
-        raise ValueError(f"p_max must be <= 8 at desk scale, got {p_max}")
+        raise ConfigError(f"p_max must be <= 8 at desk scale, got {p_max}")
     if f.oscillation(n) > 1.0 + 1e-12:
         raise OscillationTooLarge(
             f"oscillation {f.oscillation(n)} at time {n} exceeds 1"
@@ -415,7 +413,7 @@ def lp_moment_experiment(
     b_n = concentration_b(contraction_tables(model, flow.etas), n)
     config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)
     stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
-    values = np.abs([s.w for s in stats])
+    values = np.abs(stats.w)
     return _moment_table(
         values,
         lambda p: burkholder_d(p) ** (1.0 / p) * b_n,

@@ -15,7 +15,7 @@ from scipy.stats import binom
 
 import fkbench.zoo as zoo
 from fkbench import tolerances as tol
-from fkbench.bounds import McKeanGamma, burkholder_d
+from fkbench.bounds import burkholder_d
 from fkbench.engine import RunConfig, simulate, simulate_replicates, doob_terms
 from fkbench.flow import (
     analyze,
@@ -128,7 +128,7 @@ def test_per_run_decomposition_identities():
     for rep in range(200):
         trace = simulate(config, entry.model, entry.spec, replicate=rep)
         series = doob_terms(trace, flow, entry.model, entry.f, 5)
-        worst = max(worst, series.residual_mean, series.residual_field)
+        worst = max(worst, series.residual_mean[0], series.residual_field[0])
     elapsed = time.time() - t0
     ok = worst <= tol.PRODUCT and elapsed < 30.0
     report(
@@ -202,7 +202,7 @@ def test_increasing_process_convergence():
         stats = simulate_replicates(
             RunConfig(N, 909, 5), entry.model, entry.spec, entry.f, 200, flow=flow
         )
-        medians[N] = float(np.median([abs(s.c_total - limit) for s in stats]))
+        medians[N] = float(np.median(np.abs(stats.c_total - limit)))
     shrink = medians[100] / medians[10_000]
     ok = shrink >= 5.0
     report(
@@ -248,13 +248,12 @@ def test_concentration_bound():
 
 def test_increasing_process_exponential_continuity():
     entry = zoo.build("binary_hmm")
-    gamma = McKeanGamma().combined
     N = 1000
     scale = entry.f.oscillation(5) ** 2 / 2.0
     grid = default_eps_grid(N, scale)
     rep = concentration_experiment(
         entry.model, entry.spec, entry.f, 5, N, grid, n_reps=2000,
-        master_seed=47, statistic="delta_c", gamma=gamma,
+        master_seed=47, statistic="delta_c",
     )
     worst_gap = max(
         math.log(e) - lb for e, lb in zip(rep.empirical, rep.log_bounds)
@@ -299,9 +298,7 @@ def test_smoothing_and_perturbation_inequalities():
         RunConfig(500, 61, 5), entry.model, entry.spec, entry.f, 10_000,
         flow=flow, normalize=True,
     )
-    stein = stein_check(
-        [s.l_terminal for s in stats], [s.b_terminal for s in stats]
-    )
+    stein = stein_check(stats.l_terminal, stats.b_terminal)
     ok = smoothing_ok and stein.passed
     report(
         "smoothing and perturbation inequalities",

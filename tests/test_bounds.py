@@ -46,13 +46,6 @@ class TestMcKeanGamma:
         assert g.combined == 1.0
         assert g.tilde == 2.0
 
-    def test_a3_doubles_with_gamma(self, two_state):
-        model, spec, f = two_state
-        tables = contraction_tables(model, exact_flow(model).etas)
-        assert_allclose(
-            a3_constant(tables, 2, gamma=1.0), 2.0 * a3_constant(tables, 2, gamma=0.0)
-        )
-
     def test_a3_matches_formula(self, two_state):
         model, spec, f = two_state
         tables = contraction_tables(model, exact_flow(model).etas)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from fkbench.cli import main
@@ -199,3 +200,25 @@ def test_function_shorter_than_horizon(tmp_path, capsys):
     )
     assert code == 2
     assert "horizon" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--zoo", "binary_hmm", "--N", "0"],
+        ["simulate", "--zoo", "binary_hmm", "--reps", "0"],
+        ["verify", "clt", "--zoo", "binary_hmm", "--reps", "0"],
+        ["verify", "moments", "--zoo", "binary_hmm", "--p-max", "9"],
+        ["oracle", "--zoo", "binary_hmm", "--zoo-params", "{bad"],
+        ["oracle", "--zoo", "binary_hmm", "--zoo-params", '{"nope": 1}'],
+        ["verify", "concentration", "--zoo", "binary_hmm", "--eps-grid", "5"],
+        ["zoo", "export", "--name", "binary_hmm", "--zoo-params", "{bad",
+         "--out", "m.json"],
+    ],
+)
+def test_bad_input_is_config_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "config error" in err
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from scipy.stats import chi2, chisquare
 
 from fkbench import tolerances as tol
 from fkbench.engine import (
+    ReplicateStats,
     RunConfig,
     doob_terms,
     increasing_increments,
-    martingale_increments,
     sampling_error,
     simulate,
     simulate_replicates,
@@ -68,12 +69,12 @@ class TestInit:
     def test_point_mass_initial_law(self):
         model = make_model([1.0, 0.0], [np.eye(2)], [np.ones(2)] * 2)
         trace = simulate(RunConfig(50, 3, 1), model, McKeanSpec.zero(1))
-        assert all(c.tolist() == [50, 0] for c in trace.counts)
+        assert all(c.tolist() == [[50, 0]] for c in trace.counts)
 
     def test_initial_frequency(self):
         model = make_model([0.5, 0.5], [], [np.ones(2)])
         trace = simulate(RunConfig(100_000, 9, 0), model, McKeanSpec.zero(0))
-        freq = trace.empirical(0)[0]
+        freq = trace.empirical(0)[0, 0]
         se = 0.5 / np.sqrt(100_000)
         assert abs(freq - 0.5) <= 5 * se
 
@@ -95,15 +96,16 @@ class TestStep:
         spec = McKeanSpec.zero(3)
         f = make_function([[0.5]] * 4)
         trace = simulate(RunConfig(20, 5, 3), model, spec)
-        assert all(c.tolist() == [20] for c in trace.counts)
-        assert_allclose(martingale_increments(trace, model, spec, f), 0.0)
+        assert all(c.tolist() == [[20]] for c in trace.counts)
+        flow = analyze(model, spec, f, terminal=3)
+        assert_allclose(doob_terms(trace, flow, model, f, 3).l, 0.0)
         assert_allclose(increasing_increments(trace, model, spec, f), 0.0)
 
     def test_conditional_mean_matches_exact_update(self, two_state):
         # freeze a cloud, redraw the next step many times: the average
         # empirical mean must match the exact one-step prediction
         model, spec, f = two_state
-        frozen = simulate(RunConfig(200, 13, 0), model, spec).counts[0]
+        frozen = simulate(RunConfig(200, 13, 0), model, spec).counts[0][0]
         predicted = float(step_phi(model, frozen / 200, 0) @ f.values[1])
         draws = _redraw(model, spec, frozen, 0, 13, 10_000) @ f.values[1] / 200
         se = draws.std(ddof=1) / np.sqrt(len(draws))
@@ -241,7 +243,7 @@ class TestIncreasingProcess:
         # eps*G = 1 makes the particle kernel the chain kernel itself
         entry = build("plain_markov", eps=1.0)
         model, spec, f = entry.model, entry.spec, entry.f
-        mu = simulate(RunConfig(300, 7, 0), model, spec).empirical(0)
+        mu = simulate(RunConfig(300, 7, 0), model, spec).empirical(0)[0]
         M = model.kernels[0]
         v = f.values[1]
         expected = float(mu @ (M @ (v * v) - (M @ v) ** 2))
@@ -250,6 +252,32 @@ class TestIncreasingProcess:
             expected,
             atol=tol.ALGEBRA,
         )
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    def test_matches_formed_kernel(self, eps):
+        # the kernel-free form against mu @ (K v^2 - (K v)^2) with K formed,
+        # for one measure and for each row of an (R, d) array of measures
+        model = make_model(
+            [0.3, 0.7],
+            [[[0.8, 0.2], [0.3, 0.7]], [[0.6, 0.4], [0.1, 0.9]]],
+            [np.array([0.5, 1.0]), np.array([1.0, 0.25]), np.ones(2)],
+        )
+        spec = McKeanSpec(epsilons=(eps, eps))
+        validate_spec(spec, model)
+        v = np.array([-1.0, 2.5])
+        mus = np.array([[0.5, 0.5], [0.9, 0.1], [0.0, 1.0]])
+        for n in (1, 2):
+            batch = conditional_variance(model, spec, mus, n, v)
+            for mu, got in zip(mus, batch):
+                K = mckean_kernel(model, spec, mu, n - 1)
+                expected = mu @ (K @ (v * v) - (K @ v) ** 2)
+                assert_allclose(got, expected, rtol=0, atol=tol.ALGEBRA)
+                assert_allclose(
+                    conditional_variance(model, spec, mu, n, v),
+                    expected,
+                    rtol=0,
+                    atol=tol.ALGEBRA,
+                )
 
     def test_converges_to_limit(self, two_state):
         model, spec, f = two_state
@@ -260,7 +288,7 @@ class TestIncreasingProcess:
             stats = simulate_replicates(
                 RunConfig(N, 29, 2), model, spec, f, 50
             )
-            errs.append(np.median([abs(s.c_total - limit) for s in stats]))
+            errs.append(np.median(np.abs(stats.c_total - limit)))
         assert errs[1] < errs[0]
 
     def test_converges_to_limit_with_mixed_kernel(self):
@@ -273,7 +301,7 @@ class TestIncreasingProcess:
         flow = exact_flow(model)
         limit = limiting_increasing_process(model, spec, flow.etas, f, n).sum()
         stats = simulate_replicates(RunConfig(20_000, 71, n), model, spec, f, 8)
-        worst = max(abs(s.c_total - limit) for s in stats)
+        worst = np.abs(stats.c_total - limit).max()
         assert worst < 0.02 * limit
 
 
@@ -297,9 +325,9 @@ class TestDoob:
         trace = simulate(config, model, spec)
         series = doob_terms(trace, flow, model, f, 2)
         expected = np.sqrt(250) * float(
-            (trace.empirical(2) - flow.etas[2]) @ f.values[2]
+            (trace.empirical(2)[0] - flow.etas[2]) @ f.values[2]
         )
-        assert_allclose(series.w[2], expected, atol=tol.PRODUCT)
+        assert_allclose(series.w[0, 2], expected, atol=tol.PRODUCT)
 
 
     def test_rejects_analytics_for_another_terminal(self, two_state):
@@ -318,14 +346,51 @@ class TestReplicates:
         stats = simulate_replicates(config, model, spec, f, 1, flow=flow)
         trace = simulate(config, model, spec, replicate=0)
         series = doob_terms(trace, flow, model, f, 2)
-        assert stats[0].w == series.w[2]
-        assert stats[0].l_terminal == series.l[2]
+        assert stats.w[0] == series.w[0, 2]
+        assert stats.l_terminal[0] == series.l[0, 2]
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("two_state", {}),
+            ("ring_walk", {"eps_scale": 1.0}),
+            ("path_genealogy", {"horizon": 4}),
+        ],
+    )
+    def test_rows_match_single_runs(self, name, params, request):
+        # the one pass over R = 37 stacked runs gives, row by row, what the
+        # same functions give on each replicate's own R = 1 trace
+        if name == "two_state":
+            model, spec, f = request.getfixturevalue("two_state")
+        else:
+            entry = build(name, **params)
+            model, spec, f = entry.model, entry.spec, entry.f
+        n = model.horizon
+        flow = analyze(model, spec, f, terminal=n)
+        config = RunConfig(40, 19, n)
+        stats = simulate_replicates(config, model, spec, f, 37, flow=flow)
+        assert stats.w_steps.shape == stats.delta_c_steps.shape == (37, n + 1)
+        for r in range(37):
+            trace = simulate(config, model, spec, replicate=r)
+            doob = doob_terms(trace, flow, model, f, n)
+            dc = increasing_increments(trace, model, spec, f)
+            pairs = [
+                (stats.w_steps[r], doob.w[0]),
+                (stats.delta_c_steps[r], dc[0]),
+                (stats.l_terminal[r], doob.l[0, n]),
+                (stats.b_terminal[r], doob.b[0, n]),
+                (stats.residual_mean[r], doob.residual_mean[0]),
+                (stats.residual_field[r], doob.residual_field[0]),
+            ]
+            for got, expected in pairs:
+                assert_allclose(got, expected, rtol=0, atol=tol.ALGEBRA)
 
     def test_deterministic_output(self, two_state):
         model, spec, f = two_state
         a = simulate_replicates(RunConfig(100, 5, 2), model, spec, f, 10)
         b = simulate_replicates(RunConfig(100, 5, 2), model, spec, f, 10)
-        assert a == b
+        for field in fields(ReplicateStats):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
     def test_centering_over_replicates(self, two_state):
         model, spec, f = two_state
@@ -333,7 +398,7 @@ class TestReplicates:
         stats = simulate_replicates(
             RunConfig(50, 23, 2), model, spec, f, 2000, flow=flow
         )
-        w = np.array([s.w for s in stats])
+        w = stats.w
         se = w.std(ddof=1) / np.sqrt(len(w))
         assert abs(w.mean()) <= 5 * se
 
