@@ -14,9 +14,8 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-import fkbench as fk
 from fkbench import zoo
-from fkbench.lab import empirical_cf, normal_cf, smoothing_bound, stein_check
+from fkbench.lab import empirical_cf, normal_cf, smoothing_bound, stein_experiment
 
 density_sup = 1.0 / math.sqrt(2.0 * math.pi)
 grid = np.linspace(-8, 8, 200_001)
@@ -37,11 +36,6 @@ print(f"\nempirical cf of a shifted sample: bound {bound:.4f}")
 # normalized fluctuation, and the predictable part must not move the
 # distance by more than the inequality allows
 entry = zoo.build("binary_hmm")
-flow = fk.analyze(entry.model, entry.spec, entry.f, terminal=5)
-stats = fk.simulate_replicates(
-    fk.RunConfig(500, 61, 5), entry.model, entry.spec, entry.f, 4000,
-    flow=flow, normalize=True,
-)
-report = stein_check(stats.l_terminal, stats.b_terminal)
+report = stein_experiment(entry.model, entry.spec, entry.f, 5, 500, 4000, 61)
 print(f"\nrealized pairs: lhs {report.lhs:.4f} <= rhs {report.rhs:.4f} "
       f"(+ allowance {report.allowance:.4f}) -> {report.passed}")

@@ -39,7 +39,6 @@ from .flow import (
     transport,
 )
 from .lab import (
-    EcdfSample,
     clt_rate_experiment,
     concentration_experiment,
     iid_moment_check,
@@ -47,6 +46,7 @@ from .lab import (
     lp_moment_experiment,
     smoothing_bound,
     stein_check,
+    stein_experiment,
 )
 from .model import (
     FeynmanKacModel,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -24,8 +25,9 @@ from .flow import analyze, concentration_b, contraction_tables
 from .lab import (
     clt_rate_experiment,
     concentration_experiment,
+    default_eps_grid,
     lp_moment_experiment,
-    stein_check,
+    stein_experiment,
 )
 from .model import (
     load_function,
@@ -78,18 +80,26 @@ def _report_envelope(args, payload: dict) -> dict:
     return {"tool": "fkbench", "version": __version__, "config": _config(args), **payload}
 
 
+def _plain(x):
+    """x as plain JSON data: tuples and arrays as lists, non-finite floats as None."""
+    if isinstance(x, np.ndarray):  # row by row: no second copy of a whole table
+        x = list(x) if x.ndim > 1 else x.tolist()
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
 def _emit_json(args, payload: dict) -> None:
-    text = json.dumps(_report_envelope(args, payload), indent=2) + "\n"
+    text = json.dumps(_plain(_report_envelope(args, payload)), indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _table(matrix) -> list:
-    """Upper-triangular table as nested lists, unfilled entries as null."""
-    return [[x if not np.isnan(x) else None for x in row] for row in matrix]
 
 
 def cmd_oracle(args) -> int:
@@ -99,11 +109,11 @@ def cmd_oracle(args) -> int:
     gamma = McKeanGamma()
     payload = {
         "horizon": horizon,
-        "etas": [e.tolist() for e in flow.etas],
-        "log_gamma1": flow.log_gamma1.tolist(),
-        "betas": _table(tables.betas),
-        "ratios": _table(tables.ratios),
-        "delta_c": flow.deltaC.tolist(),
+        "etas": flow.etas,
+        "log_gamma1": flow.log_gamma1,
+        "betas": tables.betas,
+        "ratios": tables.ratios,
+        "delta_c": flow.deltaC,
         "sigma_sq": flow.sigma_sq,
         "b": [concentration_b(tables, q) for q in range(horizon + 1)],
         "gamma": {
@@ -168,10 +178,7 @@ def cmd_verify(args) -> int:
         report = clt_rate_experiment(
             model, spec, f, horizon, n_grid, args.reps, args.seed
         )
-        payload = report.to_dict()
     elif args.which == "concentration":
-        from .lab import default_eps_grid
-
         if args.eps_grid:
             eps_grid = _parse_grid(args.eps_grid, float)
         else:
@@ -180,23 +187,18 @@ def cmd_verify(args) -> int:
             model, spec, f, horizon, args.N, eps_grid, args.reps, args.seed,
             statistic=args.statistic,
         )
-        payload = report.to_dict()
     elif args.which == "moments":
         report = lp_moment_experiment(
             model, spec, f, horizon, args.N, args.p_max, args.reps, args.seed
         )
-        payload = report.to_dict()
     elif args.which == "stein":
-        flow = analyze(model, spec, f, terminal=horizon)
-        config = RunConfig(n_particles=args.N, seed=args.seed, horizon=horizon)
-        stats = simulate_replicates(
-            config, model, spec, f, args.reps, flow=flow, normalize=True
+        report = stein_experiment(
+            model, spec, f, horizon, args.N, args.reps, args.seed
         )
-        payload = asdict(stein_check(stats.l_terminal, stats.b_terminal))
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown verification {args.which!r}")
-    _emit_json(args, payload)
-    return 0 if payload["passed"] else 1
+    _emit_json(args, asdict(report))
+    return 0 if report.passed else 1
 
 
 def cmd_zoo(args) -> int:

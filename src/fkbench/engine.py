@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFunction, FlowConsistencyError
+from .errors import ConfigError, FlowConsistencyError
 from .flow import FlowAnalytics, analyze, boltzmann_gibbs, conditional_variance, step_phi
 from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights
 from .rng import stream
@@ -223,7 +223,6 @@ def simulate_replicates(
     f: TestFunction,
     n_reps: int,
     flow: FlowAnalytics | None = None,
-    normalize: bool = False,
 ) -> ReplicateStats:
     """Run independent replicates, in order, and evaluate them in one pass.
 
@@ -235,22 +234,12 @@ def simulate_replicates(
     Args:
         flow: analytics for f with terminal index config.horizon; computed
             here when omitted.
-        normalize: divide w and the decomposition terms by the limiting
-            standard deviation (raises DegenerateFunction when it vanishes).
     """
     if n_reps < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
     n = config.horizon
     if flow is None or flow.terminal != n:
         flow = analyze(model, spec, f, terminal=n)
-    scale = 1.0
-    if normalize:
-        if flow.sigma_sq <= 0.0 or f.oscillation(n) == 0.0:
-            raise DegenerateFunction(
-                f"limiting variance at time {n} is zero; cannot normalize"
-            )
-        scale = 1.0 / np.sqrt(flow.sigma_sq)
-
     dims = model.dims[: n + 1]
     trace = RunTrace(config.n_particles, [np.empty((n_reps, d), int) for d in dims])
     for r in range(n_reps):  # rows filled in place: no run's counts are held twice
@@ -258,10 +247,10 @@ def simulate_replicates(
             rows[r] = c[0]
     doob = doob_terms(trace, flow, model, f, n)
     return ReplicateStats(
-        w_steps=scale * doob.w,
+        w_steps=doob.w,
         delta_c_steps=increasing_increments(trace, model, spec, f),
-        l_terminal=scale * doob.l[:, n],
-        b_terminal=scale * doob.b[:, n],
+        l_terminal=doob.l[:, n],
+        b_terminal=doob.b[:, n],
         residual_mean=doob.residual_mean,
         residual_field=doob.residual_field,
     )

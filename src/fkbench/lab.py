@@ -3,7 +3,8 @@
 Each experiment pits Monte Carlo estimates from the particle engine against
 an exact constant from the flow analytics, and every pass/fail decision
 carries an explicit sampling-error allowance.  Distances to the Gaussian are
-exact suprema over ECDF jump points; nothing is evaluated on a grid.
+exact suprema over ECDF jump points; nothing is evaluated on a grid.  Every
+report is a plain frozen dataclass, serialized as it stands.
 """
 
 from __future__ import annotations
@@ -38,22 +39,7 @@ from .rng import derive_seed, stream
 DKW_SCALE = 0.5  # ECDF noise allowance is DKW_SCALE / sqrt(n_samples)
 
 
-@dataclass(frozen=True)
-class EcdfSample:
-    """A sorted sample and its size."""
-
-    values: np.ndarray
-    count: int
-
-    @staticmethod
-    def from_values(values) -> "EcdfSample":
-        v = np.sort(np.asarray(values, dtype=float))
-        if v.size < 1:
-            raise ValueError("need at least one sample value")
-        return EcdfSample(values=v, count=int(v.size))
-
-
-def kolmogorov_distance(sample: EcdfSample, sigma: float) -> float:
+def kolmogorov_distance(values, sigma: float) -> float:
     """Exact sup distance between the sample ECDF and a centered normal CDF.
 
     The supremum over the real line is attained at a jump point, where the
@@ -62,7 +48,10 @@ def kolmogorov_distance(sample: EcdfSample, sigma: float) -> float:
     """
     if sigma <= 0.0:
         raise DegenerateSigma(f"sigma must be > 0, got {sigma}")
-    return _ks_from_sorted_uniforms(ndtr(sample.values / sigma))
+    v = np.sort(np.asarray(values, dtype=float))
+    if v.size < 1:
+        raise ValueError("need at least one sample value")
+    return _ks_from_sorted_uniforms(ndtr(v / sigma))
 
 
 def _ks_from_sorted_uniforms(u: np.ndarray) -> float:
@@ -87,20 +76,6 @@ class RateReport:
     ecdf_allowance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n_grid": list(self.n_grid),
-            "distances": list(self.distances),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "slope_ci": list(self.slope_ci),
-            "slope_window": list(self.slope_window),
-            "n_reps": self.n_reps,
-            "master_seed": self.master_seed,
-            "ecdf_allowance": self.ecdf_allowance,
-            "passed": self.passed,
-        }
-
 
 def clt_rate_experiment(
     model: FeynmanKacModel,
@@ -122,6 +97,7 @@ def clt_rate_experiment(
     from resampling replicates within each grid point.
 
     Raises:
+        ConfigError: n_reps < 1, or n_grid lacks two distinct sizes >= 1.
         DegenerateFunction: the terminal function has zero variance.
         InsufficientReplicates: all measured distances sit at or below the
             ECDF noise scale, so no rate is identified.
@@ -130,21 +106,23 @@ def clt_rate_experiment(
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
     if f.oscillation(n) == 0.0:
         raise DegenerateFunction(f"test function is constant at time {n}")
+    n_grid = tuple(int(N) for N in n_grid)
+    if len(set(n_grid)) < 2 or min(n_grid) < 1:
+        raise ConfigError(f"n_grid needs two distinct sizes >= 1, got {n_grid}")
     flow = analyze(model, spec, f, terminal=n)
     if flow.sigma_sq <= 0.0:
         raise DegenerateFunction(f"limiting variance is zero at time {n}")
     sigma = math.sqrt(flow.sigma_sq)
 
-    n_grid = tuple(int(N) for N in n_grid)
     ecdf_allowance = DKW_SCALE / math.sqrt(n_reps)
     phis = []
     distances = []
     for k, N in enumerate(n_grid):
         config = RunConfig(n_particles=N, seed=derive_seed(master_seed, k), horizon=n)
         stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
-        sample = EcdfSample.from_values(stats.w / sigma)
-        distances.append(kolmogorov_distance(sample, 1.0))
-        phis.append(ndtr(sample.values))
+        values = np.sort(stats.w / sigma)
+        distances.append(kolmogorov_distance(values, 1.0))
+        phis.append(ndtr(values))
     if min(distances) <= ecdf_allowance:
         raise InsufficientReplicates(
             f"min distance {min(distances):.4g} is within the ECDF noise scale "
@@ -203,21 +181,6 @@ class ConcentrationReport:
     master_seed: int
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "eps_grid": list(self.eps_grid),
-            "empirical": list(self.empirical),
-            "bounds": [b if math.isfinite(b) else None for b in self.bounds],
-            "log_bounds": list(self.log_bounds),
-            "allowances": list(self.allowances),
-            "constant": self.constant,
-            "n_particles": self.n_particles,
-            "n_reps": self.n_reps,
-            "master_seed": self.master_seed,
-            "passed": self.passed,
-        }
-
 
 def default_eps_grid(n_particles: int, scale: float, points: int = 8) -> np.ndarray:
     """Geometric grid from 0.01 up to the finite-sample stability cap.
@@ -225,6 +188,8 @@ def default_eps_grid(n_particles: int, scale: float, points: int = 8) -> np.ndar
     The cap keeps the largest possible exponent eps*sqrt(N)*scale at 20, past
     which a single extreme replicate dominates the empirical mean.
     """
+    if n_particles < 1:
+        raise ConfigError(f"n_particles must be >= 1, got {n_particles}")
     cap = 20.0 / (math.sqrt(n_particles) * scale)
     lo = min(0.01, cap / 2)
     return np.geomspace(lo, cap, points)
@@ -250,42 +215,47 @@ def concentration_experiment(
     (1 + eps*a3) * exp(eps^2 * a3^2).
 
     The bound is one-sided; a grid point passes when the empirical mean does
-    not exceed the bound by more than three standard errors.
+    not exceed the bound by more than three standard errors.  The statistic
+    and the grid are checked before any replicate is drawn.
     """
+    if statistic not in ("eta", "delta_c"):
+        raise ConfigError(f"unknown statistic {statistic!r}")
     osc = f.oscillation(n)
     if osc > 1.0 + 1e-12:
         raise OscillationTooLarge(
             f"oscillation {osc} at time {n} exceeds 1; rescale the function"
         )
+    if n_particles < 1:
+        raise ConfigError(f"n_particles must be >= 1, got {n_particles}")
+    root_n = math.sqrt(n_particles)
+    stat_scale = osc if statistic == "eta" else osc**2 / 2.0
+    eps_grid = tuple(float(e) for e in eps_grid)
+    if not eps_grid:
+        raise ConfigError("eps_grid is empty")
+    for eps in eps_grid:
+        if not eps >= 0.0:
+            raise ConfigError(f"eps={eps} must be >= 0")
+        if eps * root_n * stat_scale > 20.0 + 1e-9:
+            raise ConfigError(
+                f"eps={eps} exceeds the stability cap 20/(sqrt(N)*scale); "
+                f"shrink the grid"
+            )
+
     flow = analyze(model, spec, f, terminal=n)
     tables = contraction_tables(model, flow.etas)
     config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)
     stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
-    root_n = math.sqrt(n_particles)
-
     if statistic == "eta":
         values = np.abs(stats.w)  # already sqrt(N)-scaled
         const = concentration_b(tables, n)
         def log_bound(eps):
             return math.log1p(eps * const / math.sqrt(2.0)) + (eps * const) ** 2 / 2.0
-        stat_scale = osc
-    elif statistic == "delta_c":
+    else:
         limit_inc = limiting_increasing_process(model, spec, flow.etas, f, n)
         values = root_n * np.abs(stats.delta_c_terminal - limit_inc[n])
         const = a3_constant(tables, n)
         def log_bound(eps):
             return math.log1p(eps * const) + (eps * const) ** 2
-        stat_scale = osc**2 / 2.0
-    else:
-        raise ValueError(f"unknown statistic {statistic!r}")
-
-    eps_grid = tuple(float(e) for e in eps_grid)
-    for eps in eps_grid:
-        if eps < 0 or eps * root_n * stat_scale > 20.0 + 1e-9:
-            raise ConfigError(
-                f"eps={eps} exceeds the stability cap 20/(sqrt(N)*scale); "
-                f"shrink the grid"
-            )
 
     # empirical values sit below exp(20) by the grid cap, but the analytic
     # side can overflow; the comparison is done in the log domain
@@ -336,28 +306,17 @@ class MomentReport:
         ):
             yield p, left, right, allow, left <= right * (1.0 + allow)
 
-    def to_dict(self) -> dict:
-        return {
-            "orders": list(self.orders),
-            "lhs": list(self.lhs),
-            "rhs": list(self.rhs),
-            "allowances": list(self.allowances),
-            "n_particles": self.n_particles,
-            "n_reps": self.n_reps,
-            "master_seed": self.master_seed,
-            "passed": self.passed,
-        }
+
+def _check_p_max(p_max: int) -> None:
+    if not 1 <= p_max <= 8:
+        raise ConfigError(f"p_max must be in [1, 8] at desk scale, got {p_max}")
 
 
 def _moment_table(
-    abs_values: np.ndarray,
-    rhs_fn,
-    p_max: int,
-    n_reps: int,
-    master_seed: int,
-    n_particles: int,
-    n_boot: int,
+    abs_values: np.ndarray, scale: float, p_max: int, n_particles: int,
+    master_seed: int, n_boot: int,
 ) -> MomentReport:
+    """Bootstrap table of (mean |V|^p)^(1/p) against d(p)^(1/p) * scale."""
     orders = tuple(range(1, p_max + 1))
     boot_rng = stream(master_seed, 999)
     lhs, rhs, allowances, ok = [], [], [], []
@@ -368,7 +327,7 @@ def _moment_table(
         for bi in range(n_boot):
             boot[bi] = boot_rng.choice(powers, size=len(powers)).mean() ** (1.0 / p)
         se = float(boot.std(ddof=1))
-        right = float(rhs_fn(p))
+        right = float(burkholder_d(p) ** (1.0 / p) * scale)
         allow = 2.0 * se / right if right > 0 else 0.0
         lhs.append(point)
         rhs.append(right)
@@ -380,7 +339,7 @@ def _moment_table(
         rhs=tuple(rhs),
         allowances=tuple(allowances),
         n_particles=n_particles,
-        n_reps=n_reps,
+        n_reps=len(abs_values),
         master_seed=master_seed,
         passed=all(ok),
     )
@@ -403,8 +362,7 @@ def lp_moment_experiment(
     f_n; rhs(p) = d(p)^(1/p) * b(n).  A bootstrap standard error of the lhs
     sets the allowance.
     """
-    if p_max > 8:
-        raise ConfigError(f"p_max must be <= 8 at desk scale, got {p_max}")
+    _check_p_max(p_max)
     if f.oscillation(n) > 1.0 + 1e-12:
         raise OscillationTooLarge(
             f"oscillation {f.oscillation(n)} at time {n} exceeds 1"
@@ -413,16 +371,7 @@ def lp_moment_experiment(
     b_n = concentration_b(contraction_tables(model, flow.etas), n)
     config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)
     stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
-    values = np.abs(stats.w)
-    return _moment_table(
-        values,
-        lambda p: burkholder_d(p) ** (1.0 / p) * b_n,
-        p_max,
-        n_reps,
-        master_seed,
-        n_particles,
-        n_boot,
-    )
+    return _moment_table(np.abs(stats.w), b_n, p_max, n_particles, master_seed, n_boot)
 
 
 def iid_moment_check(
@@ -440,6 +389,7 @@ def iid_moment_check(
     replicate), centers h under mu, and checks
     sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
     """
+    _check_p_max(p_max)
     mu = np.asarray(mu, dtype=float)
     h = np.asarray(h, dtype=float)
     h = h - float(mu @ h)
@@ -449,15 +399,7 @@ def iid_moment_check(
     for r in range(n_reps):
         counts = stream(master_seed, r).multinomial(n_particles, mu)
         values[r] = root_n * abs(float(counts @ h) / n_particles)
-    return _moment_table(
-        values,
-        lambda p: burkholder_d(p) ** (1.0 / p) * osc,
-        p_max,
-        n_reps,
-        master_seed,
-        n_particles,
-        n_boot,
-    )
+    return _moment_table(values, osc, p_max, n_particles, master_seed, n_boot)
 
 
 def normal_cf(mean: float = 0.0, sd: float = 1.0):
@@ -528,9 +470,9 @@ def stein_check(x_samples, y_samples) -> SteinReport:
     if x.shape != y.shape:
         raise ValueError(f"paired samples have shapes {x.shape} and {y.shape}")
     R = len(x)
-    lhs = kolmogorov_distance(EcdfSample.from_values(x + y), 1.0)
+    lhs = kolmogorov_distance(x + y, 1.0)
     rhs = (
-        kolmogorov_distance(EcdfSample.from_values(x), 1.0)
+        kolmogorov_distance(x, 1.0)
         + 4.0 * float(np.abs(x * y).mean())
         + 4.0 * float(np.abs(y).mean())
     )
@@ -538,3 +480,30 @@ def stein_check(x_samples, y_samples) -> SteinReport:
     return SteinReport(
         lhs=lhs, rhs=rhs, allowance=allowance, passed=lhs <= rhs + allowance
     )
+
+
+def stein_experiment(
+    model: FeynmanKacModel,
+    spec: McKeanSpec,
+    f: TestFunction,
+    n: int,
+    n_particles: int,
+    n_reps: int,
+    master_seed: int,
+) -> SteinReport:
+    """Perturbation inequality on the realized decomposition W = L + B.
+
+    The terminal martingale part L and predictable part B of n_reps runs,
+    each divided by the exact limiting standard deviation, are the paired
+    samples of stein_check.
+
+    Raises:
+        DegenerateFunction: the terminal function has zero limiting variance.
+    """
+    flow = analyze(model, spec, f, terminal=n)
+    if flow.sigma_sq <= 0.0 or f.oscillation(n) == 0.0:
+        raise DegenerateFunction(f"limiting variance at time {n} is zero")
+    config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)
+    stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
+    scale = 1.0 / math.sqrt(flow.sigma_sq)
+    return stein_check(scale * stats.l_terminal, scale * stats.b_terminal)

@@ -78,9 +78,6 @@ class TestFunction:
         v = self.values[n]
         return float(v.max() - v.min()) if v.size else 0.0
 
-    def oscillations(self) -> np.ndarray:
-        return np.array([self.oscillation(n) for n in range(len(self.values))])
-
 
 def make_function(values) -> TestFunction:
     return TestFunction(values=tuple(np.asarray(v, dtype=float) for v in values))
@@ -218,21 +215,28 @@ def model_from_dict(data: dict) -> tuple[FeynmanKacModel, McKeanSpec]:
     return model, spec
 
 
-def load_model(path) -> tuple[FeynmanKacModel, McKeanSpec]:
+def _read_json(path, what: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read model file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(data)
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def _write_json(path, data: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def load_model(path) -> tuple[FeynmanKacModel, McKeanSpec]:
+    return model_from_dict(_read_json(path, "model"))
 
 
 def save_model(path, model: FeynmanKacModel, spec: McKeanSpec) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, spec), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, model_to_dict(model, spec))
 
 
 def function_to_dict(f: TestFunction) -> dict:
@@ -250,17 +254,8 @@ def function_from_dict(data: dict) -> TestFunction:
 
 
 def load_function(path) -> TestFunction:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read function file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"function file {path} is not valid JSON: {exc}") from exc
-    return function_from_dict(data)
+    return function_from_dict(_read_json(path, "function"))
 
 
 def save_function(path, f: TestFunction) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(function_to_dict(f), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, function_to_dict(f))

@@ -172,15 +172,10 @@ def path_genealogy(
             for nxt in range(2):
                 K[code, code + (nxt << (n + 1))] = M[last, nxt]
         kernels.append(K)
-    potentials = []
+    potentials, values = [], []
     for n in range(horizon + 1):
-        d_n = 2 ** (n + 1)
-        last = np.array([path_last_state(c, n) for c in range(d_n)])
+        last = np.array([path_last_state(c, n) for c in range(2 ** (n + 1))])
         potentials.append(flat_potentials[n][last])
-    values = []
-    for n in range(horizon + 1):
-        d_n = 2 ** (n + 1)
-        last = np.array([path_last_state(c, n) for c in range(d_n)])
         values.append(last.astype(float))
     model = make_model(eta0=[0.5, 0.5], kernels=kernels, potentials=potentials)
     return ZooEntry(

@@ -34,7 +34,7 @@ from fkbench.lab import (
     lp_moment_experiment,
     normal_cf,
     smoothing_bound,
-    stein_check,
+    stein_experiment,
 )
 from fkbench.model import McKeanSpec
 from fkbench.zoo import path_last_state
@@ -293,12 +293,7 @@ def test_smoothing_and_perturbation_inequalities():
         smoothing_ok &= bound >= true_dist
 
     entry = zoo.build("binary_hmm")
-    flow = analyze(entry.model, entry.spec, entry.f, terminal=5)
-    stats = simulate_replicates(
-        RunConfig(500, 61, 5), entry.model, entry.spec, entry.f, 10_000,
-        flow=flow, normalize=True,
-    )
-    stein = stein_check(stats.l_terminal, stats.b_terminal)
+    stein = stein_experiment(entry.model, entry.spec, entry.f, 5, 500, 10_000, 61)
     ok = smoothing_ok and stein.passed
     report(
         "smoothing and perturbation inequalities",

@@ -182,6 +182,17 @@ def test_verify_stein_small_run(capsys):
     assert report["lhs"] <= report["rhs"] + report["allowance"]
 
 
+def test_verify_concentration_overflowing_bounds_are_null(capsys):
+    code, out, _ = run(
+        capsys, "verify", "concentration", "--zoo", "binary_hmm", "--N", "1000",
+        "--reps", "200",
+    )
+    assert code == 0
+    report = json.loads(out, parse_constant=_reject_nonstandard)
+    assert None in report["bounds"]
+    assert all(np.isfinite(report["log_bounds"]))
+
+
 def test_verify_concentration_small_run(capsys):
     code, out, _ = run(
         capsys, "verify", "concentration", "--zoo", "ring_walk", "--N", "100",
@@ -214,6 +225,12 @@ def test_function_shorter_than_horizon(tmp_path, capsys):
         ["verify", "concentration", "--zoo", "binary_hmm", "--eps-grid", "5"],
         ["zoo", "export", "--name", "binary_hmm", "--zoo-params", "{bad",
          "--out", "m.json"],
+        ["verify", "clt", "--zoo", "binary_hmm", "--N-grid", ","],
+        ["verify", "clt", "--zoo", "binary_hmm", "--N-grid", "100"],
+        ["verify", "clt", "--zoo", "binary_hmm", "--N-grid", "100,100"],
+        ["verify", "concentration", "--zoo", "binary_hmm", "--eps-grid", ","],
+        ["verify", "moments", "--zoo", "binary_hmm", "--p-max", "0"],
+        ["verify", "concentration", "--zoo", "binary_hmm", "--N", "0"],
     ],
 )
 def test_bad_input_is_config_error(argv, tmp_path, monkeypatch, capsys):

@@ -27,6 +27,7 @@ from fkbench.flow import (
     mckean_kernel,
     step_phi,
 )
+from fkbench.lab import stein_experiment
 from fkbench.model import (
     McKeanSpec,
     make_function,
@@ -406,9 +407,7 @@ class TestReplicates:
         model, spec, _ = two_state
         f = make_function([np.ones(2)] * 3)
         with pytest.raises(DegenerateFunction):
-            simulate_replicates(
-                RunConfig(50, 1, 2), model, spec, f, 2, normalize=True
-            )
+            stein_experiment(model, spec, f, 2, 50, 2, 1)
 
     def test_bad_rep_count(self, two_state):
         model, spec, f = two_state

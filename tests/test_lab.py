@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,15 +8,17 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
 import fkbench.lab as lab
+from fkbench.engine import RunConfig, simulate_replicates
 from fkbench.errors import (
+    ConfigError,
     DegenerateFunction,
     DegenerateSigma,
     InsufficientReplicates,
     OscillationTooLarge,
     QuadratureFailure,
 )
+from fkbench.flow import analyze
 from fkbench.lab import (
-    EcdfSample,
     clt_rate_experiment,
     concentration_experiment,
     default_eps_grid,
@@ -25,6 +28,7 @@ from fkbench.lab import (
     normal_cf,
     smoothing_bound,
     stein_check,
+    stein_experiment,
 )
 from fkbench.model import make_function
 from fkbench.zoo import build
@@ -32,40 +36,34 @@ from fkbench.zoo import build
 
 class TestKolmogorovDistance:
     def test_single_point_at_zero(self):
-        assert_allclose(
-            kolmogorov_distance(EcdfSample.from_values([0.0]), 1.0), 0.5
-        )
+        assert_allclose(kolmogorov_distance([0.0], 1.0), 0.5)
 
     def test_distant_mass(self):
-        sample = EcdfSample.from_values(np.full(100, 10.0))
-        assert kolmogorov_distance(sample, 1.0) > 0.999
+        assert kolmogorov_distance(np.full(100, 10.0), 1.0) > 0.999
 
     def test_gaussian_sample_is_close(self):
         rng = np.random.default_rng(4)
-        sample = EcdfSample.from_values(rng.normal(0.0, 2.0, size=10_000))
-        assert kolmogorov_distance(sample, 2.0) < 0.02
+        assert kolmogorov_distance(rng.normal(0.0, 2.0, size=10_000), 2.0) < 0.02
 
     def test_matches_dense_grid_bruteforce(self):
         rng = np.random.default_rng(8)
         values = rng.normal(size=40)
-        sample = EcdfSample.from_values(values)
-        exact = kolmogorov_distance(sample, 1.0)
+        exact = kolmogorov_distance(values, 1.0)
         # dense grid plus points hugging each jump from the left
-        grid = np.concatenate(
-            [np.linspace(-5, 5, 200_001), sample.values, sample.values - 1e-9]
-        )
-        ecdf = np.searchsorted(sample.values, grid, side="right") / sample.count
+        jumps = np.sort(values)
+        grid = np.concatenate([np.linspace(-5, 5, 200_001), jumps, jumps - 1e-9])
+        ecdf = np.searchsorted(jumps, grid, side="right") / jumps.size
         brute = np.max(np.abs(ecdf - ndtr(grid)))
         assert brute <= exact + 1e-12
         assert_allclose(brute, exact, atol=1e-6)
 
     def test_degenerate_sigma(self):
         with pytest.raises(DegenerateSigma):
-            kolmogorov_distance(EcdfSample.from_values([1.0]), 0.0)
+            kolmogorov_distance([1.0], 0.0)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            EcdfSample.from_values([])
+            kolmogorov_distance([], 1.0)
 
 
 class TestCltRateExperiment:
@@ -77,7 +75,7 @@ class TestCltRateExperiment:
         assert a == b
         assert a.slope < 0.0
         assert a.slope_ci[0] <= a.slope <= a.slope_ci[1]
-        json.dumps(a.to_dict())
+        json.dumps(asdict(a), allow_nan=False)
 
     def test_degenerate_function(self):
         entry = build("iid_reduction")
@@ -142,10 +140,7 @@ class TestSteinCheck:
         x = rng.normal(size=2000)
         report = stein_check(x, np.zeros(2000))
         assert report.passed
-        assert_allclose(
-            report.lhs,
-            kolmogorov_distance(EcdfSample.from_values(x), 1.0),
-        )
+        assert_allclose(report.lhs, kolmogorov_distance(x, 1.0))
 
     def test_small_multiplicative_perturbation(self):
         rng = np.random.default_rng(7)
@@ -168,7 +163,7 @@ class TestConcentrationExperiment:
         assert report.empirical[0] == 1.0
         assert report.bounds[0] == 1.0
         assert report.passed
-        json.dumps(report.to_dict())
+        json.dumps(asdict(report), allow_nan=False)
 
     def test_delta_c_variant(self, two_state):
         model, spec, f = two_state
@@ -233,7 +228,7 @@ class TestMomentExperiments:
         assert len(report.lhs) == 4
         # rhs(p) = d(p)^(1/p) * b(n), so p=4 against p=2 isolates d(4) = 3
         assert_allclose(report.rhs[3] / report.rhs[1], 3.0**0.25)
-        json.dumps(report.to_dict())
+        json.dumps(asdict(report), allow_nan=False)
 
     def test_order_cap(self, two_state):
         model, spec, f = two_state
@@ -241,3 +236,61 @@ class TestMomentExperiments:
             lp_moment_experiment(
                 model, spec, f, 2, 100, 9, 100, master_seed=1
             )
+
+
+def _ill_posed_calls():
+    """Experiments whose verdict cannot mean anything, keyed by the reason."""
+    entry = build("binary_hmm")
+    args = (entry.model, entry.spec, entry.f, 5)
+    return {
+        "empty N grid": lambda: clt_rate_experiment(*args, [], 100, 1),
+        "one N": lambda: clt_rate_experiment(*args, [100], 100, 1),
+        "repeated N": lambda: clt_rate_experiment(*args, [100, 100], 100, 1),
+        "zero N": lambda: clt_rate_experiment(*args, [100, 0], 100, 1),
+        "empty eps grid": lambda: concentration_experiment(*args, 100, [], 100, 1),
+        "negative eps": lambda: concentration_experiment(*args, 100, [-0.1], 100, 1),
+        "eps over cap": lambda: concentration_experiment(*args, 100, [5.0], 100, 1),
+        "unknown statistic": lambda: concentration_experiment(
+            *args, 100, [0.1], 100, 1, statistic="nope"
+        ),
+        "no particles": lambda: concentration_experiment(*args, 0, [0.1], 100, 1),
+        "p_max 0": lambda: lp_moment_experiment(*args, 100, 0, 100, 1),
+        "p_max 9": lambda: lp_moment_experiment(*args, 100, 9, 100, 1),
+        "iid p_max 0": lambda: iid_moment_check([0.5, 0.5], [0, 1], 100, 0, 100, 1),
+        "iid p_max 9": lambda: iid_moment_check([0.5, 0.5], [0, 1], 100, 9, 100, 1),
+    }
+
+
+ILL_POSED = _ill_posed_calls()
+
+
+@pytest.mark.parametrize("case", list(ILL_POSED))
+def test_ill_posed_verdict_fails_before_any_draw(case, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("an ill-posed experiment drew replicates")
+
+    monkeypatch.setattr(lab, "simulate_replicates", no_draws)
+    monkeypatch.setattr(lab, "stream", no_draws)
+    with pytest.raises(ConfigError):
+        ILL_POSED[case]()
+
+
+def test_negative_eps_has_its_own_message():
+    entry = build("binary_hmm")
+    with pytest.raises(ConfigError, match="must be >= 0"):
+        concentration_experiment(
+            entry.model, entry.spec, entry.f, 5, 100, [0.1, -0.1], 100, 1
+        )
+
+
+class TestSteinExperiment:
+    def test_is_stein_check_on_normalized_decomposition(self, two_state):
+        model, spec, f = two_state
+        report = stein_experiment(model, spec, f, 2, 100, 300, 4)
+        flow = analyze(model, spec, f, terminal=2)
+        stats = simulate_replicates(RunConfig(100, 4, 2), model, spec, f, 300)
+        scale = 1.0 / math.sqrt(flow.sigma_sq)
+        assert report == stein_check(
+            scale * stats.l_terminal, scale * stats.b_terminal
+        )
+        json.dumps(asdict(report), allow_nan=False)
