@@ -7,9 +7,9 @@ error increments, the realized increasing process, and the two exact
 decompositions of the fluctuation field.  The decomposition residuals are
 pure floating-point error on every run; no averaging is involved.
 
-A trace holds the counts of R runs, one row per replicate, and every
-bookkeeping function returns one row per run.  A single run is R = 1, so each
-result below is row 0.
+simulate runs any list of replicates as one batch: a trace holds the counts
+of R runs, one row per listed replicate, and every bookkeeping function
+returns one row per run.  The list here is [0], so each result below is row 0.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ model, spec, f = entry.model, entry.spec, entry.f
 flow = fk.analyze(model, spec, f, terminal=5)
 
 config = fk.RunConfig(n_particles=500, seed=2024, horizon=5)
-trace = fk.simulate(config, model, spec, replicate=0)
+trace = fk.simulate(config, model, spec, [0])
 print(f"replicates in the trace: R = {len(trace.counts[0])}")
 print("particle counts per step (rows = time):")
 for n, c in enumerate(trace.counts):
@@ -51,6 +51,6 @@ print(f"decomposition residuals: mean {series.residual_mean[0]:.2e}, "
       f"field {series.residual_field[0]:.2e}")
 
 # determinism: the same address always reproduces the same trace
-again = fk.simulate(config, model, spec, replicate=0)
+again = fk.simulate(config, model, spec, [0])
 same = all(np.array_equal(a, b) for a, b in zip(trace.counts, again.counts))
 print(f"\nsame seed, same replicate, same trace: {same}")

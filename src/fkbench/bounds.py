@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import HypothesisNotSatisfied
+from .errors import ConfigError, HypothesisNotSatisfied
 from .flow import ContractionTables, concentration_b
 from .model import FeynmanKacModel, validate_model
 
@@ -26,7 +26,7 @@ def burkholder_d(p: int) -> float:
     d(2) = 1 and d(4) = 3, matching the Gaussian moments.
     """
     if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+        raise ConfigError(f"p must be >= 1, got {p}")
     if p % 2 == 0:
         n = p // 2
         return math.perm(2 * n, n) * 2.0 ** (-n)
@@ -133,7 +133,7 @@ def mixing_bounds(
     a3(n) are compared against the bounds.
     """
     if m < 1 or r < 1.0 or not 0.0 < rho <= 1.0:
-        raise ValueError(f"need m >= 1, r >= 1, rho in (0, 1]; got {(m, r, rho)}")
+        raise ConfigError(f"need m >= 1, r >= 1, rho in (0, 1]; got {(m, r, rho)}")
     r_bound = r**m / rho
     b_bound = 2.0 * m * r ** (2 * m - 1) / rho**3
     tilde = McKeanGamma().tilde

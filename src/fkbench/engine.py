@@ -6,13 +6,14 @@ replicates stay independent under any execution order.  A run is its integer
 count vectors: on a finite space the counts are a sufficient statistic, so
 step_counts draws the next counts directly (binomial, then multinomial) at a
 cost that does not depend on the population size.  A RunTrace holds the
-counts of R runs as (R, d) arrays, one row per replicate; a single run is
-R = 1.  Every martingale bookkeeping quantity is evaluated from the counts by
-exact finite-space sums, once per step for all R rows together.
+counts of R runs as (R, d) arrays, one row per replicate; the sampler advances
+that batch one step at a time, and every martingale bookkeeping quantity is
+evaluated from the counts by exact finite-space sums, once per step for all R.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,22 +55,25 @@ def step_counts(
     spec: McKeanSpec,
     counts: np.ndarray,
     n: int,
-    rng: np.random.Generator,
+    rngs: Iterable[np.random.Generator],
 ) -> np.ndarray:
-    """Draw the time-(n+1) counts from the time-n counts.
+    """Draw the time-(n+1) counts of each row of counts with the row's own generator.
 
-    Each of the counts[x] particles at x moves through its own kernel row
+    Each of the counts[i, x] particles at x moves through its own kernel row
     with probability eps_n*G_n(x) and otherwise draws from the updated law of
-    the empirical measure.  The draws are, in order: the own-row numbers per
-    state, the resampled particles, and the own-row moves of the occupied
-    rows.  The cost does not depend on the population size.
+    row i's empirical measure.  A row's draws are, in order: the own-row
+    numbers per state, the resampled particles, and the own-row moves of the
+    occupied rows.  The cost does not depend on the population size.
     """
-    own = rng.binomial(counts, mixing_weights(model, spec, n))
-    N = int(counts.sum())
-    nxt = rng.multinomial(N - own.sum(), step_phi(model, counts / N, n))
-    occ = own > 0
-    if occ.any():  # skipping an empty multinomial leaves the stream unchanged
-        nxt += rng.multinomial(own[occ], model.kernels[n][occ]).sum(axis=0)
+    weights = mixing_weights(model, spec, n)
+    nxt = np.empty((len(counts), model.dims[n + 1]), dtype=int)
+    for row, c, N, rng in zip(nxt, counts, counts.sum(axis=1), rngs, strict=True):
+        own = rng.binomial(c, weights)
+        # step_phi per row: a batched (R, d) product may round differently
+        row[:] = rng.multinomial(N - own.sum(), step_phi(model, c / N, n))
+        occ = own > 0
+        if occ.any():  # skipping an empty multinomial leaves the stream unchanged
+            row += rng.multinomial(own[occ], model.kernels[n][occ]).sum(axis=0)
     return nxt
 
 
@@ -77,25 +81,29 @@ def simulate(
     config: RunConfig,
     model: FeynmanKacModel,
     spec: McKeanSpec,
-    replicate: int = 0,
+    replicates: Sequence[int] = (0,),
 ) -> RunTrace:
-    """Run one replicate to the configured horizon: a trace with R = 1.
+    """Run the listed replicates to the configured horizon, one row each, in order.
 
-    The time-0 counts are multinomial from the initial law; step n -> n+1
-    draws from the stream addressed (seed, replicate, n+1).
+    Row i's time-0 counts are multinomial from the initial law, and its step
+    n -> n+1 draws from the stream addressed (seed, replicates[i], n+1): any
+    replicate r of a batch reruns alone as simulate(config, model, spec, [r]).
     """
+    if len(replicates) < 1 or min(replicates) < 0:
+        raise ConfigError("replicates must list at least one index, each >= 0")
     if config.n_particles < 1:
         raise ConfigError(f"n_particles must be >= 1, got {config.n_particles}")
     if config.horizon > model.horizon:
         raise ConfigError(
             f"config horizon {config.horizon} exceeds model horizon {model.horizon}"
         )
-    N = config.n_particles
-    counts = [stream(config.seed, replicate, 0).multinomial(N, model.eta0)]
+    N, seed = config.n_particles, config.seed
+    counts = [np.array([stream(seed, r, 0).multinomial(N, model.eta0) for r in replicates])]
     for n in range(config.horizon):
-        rng = stream(config.seed, replicate, n + 1)
-        counts.append(step_counts(model, spec, counts[n], n, rng))
-    return RunTrace(n_particles=N, counts=[c[None, :] for c in counts])
+        # opened lazily: one generator is alive at a time, not R of them
+        rngs = (stream(seed, r, n + 1) for r in replicates)
+        counts.append(step_counts(model, spec, counts[n], n, rngs))
+    return RunTrace(n_particles=N, counts=counts)
 
 
 def sampling_error(model: FeynmanKacModel, mu, emp: np.ndarray, n: int, v: np.ndarray):
@@ -211,10 +219,6 @@ class ReplicateStats:
     def c_total(self) -> np.ndarray:
         return self.delta_c_steps.sum(axis=1)
 
-    @property
-    def delta_c_terminal(self) -> np.ndarray:
-        return self.delta_c_steps[:, -1]
-
 
 def simulate_replicates(
     config: RunConfig,
@@ -224,27 +228,19 @@ def simulate_replicates(
     n_reps: int,
     flow: FlowAnalytics | None = None,
 ) -> ReplicateStats:
-    """Run independent replicates, in order, and evaluate them in one pass.
-
-    Deterministic for a fixed master seed: replicate r always uses the
-    streams addressed (seed, r, step), so any replicate can be rerun alone
-    with the same result.  The counts of all replicates form one trace, and
-    the bookkeeping runs once on it.
+    """Simulate replicates 0..n_reps-1 as one batch and evaluate them in one pass.
 
     Args:
-        flow: analytics for f with terminal index config.horizon; computed
-            here when omitted.
+        flow: analytics for f with terminal index config.horizon, computed
+            here when omitted; any other terminal raises FlowConsistencyError
+            before a draw.
     """
-    if n_reps < 1:
-        raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
     n = config.horizon
-    if flow is None or flow.terminal != n:
+    if flow is None:
         flow = analyze(model, spec, f, terminal=n)
-    dims = model.dims[: n + 1]
-    trace = RunTrace(config.n_particles, [np.empty((n_reps, d), int) for d in dims])
-    for r in range(n_reps):  # rows filled in place: no run's counts are held twice
-        for rows, c in zip(trace.counts, simulate(config, model, spec, r).counts):
-            rows[r] = c[0]
+    elif flow.terminal != n:
+        raise FlowConsistencyError(f"flow analytics for terminal {flow.terminal}, not {n}")
+    trace = simulate(config, model, spec, range(n_reps))
     doob = doob_terms(trace, flow, model, f, n)
     return ReplicateStats(
         w_steps=doob.w,

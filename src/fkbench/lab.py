@@ -50,7 +50,7 @@ def kolmogorov_distance(values, sigma: float) -> float:
         raise DegenerateSigma(f"sigma must be > 0, got {sigma}")
     v = np.sort(np.asarray(values, dtype=float))
     if v.size < 1:
-        raise ValueError("need at least one sample value")
+        raise ConfigError("need at least one sample value")
     return _ks_from_sorted_uniforms(ndtr(v / sigma))
 
 
@@ -252,7 +252,7 @@ def concentration_experiment(
             return math.log1p(eps * const / math.sqrt(2.0)) + (eps * const) ** 2 / 2.0
     else:
         limit_inc = limiting_increasing_process(model, spec, flow.etas, f, n)
-        values = root_n * np.abs(stats.delta_c_terminal - limit_inc[n])
+        values = root_n * np.abs(stats.delta_c_steps[:, -1] - limit_inc[n])
         const = a3_constant(tables, n)
         def log_bound(eps):
             return math.log1p(eps * const) + (eps * const) ** 2
@@ -390,6 +390,8 @@ def iid_moment_check(
     sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
     """
     _check_p_max(p_max)
+    if n_particles < 1 or n_reps < 1:
+        raise ConfigError(f"need n_particles, n_reps >= 1; got {n_particles}, {n_reps}")
     mu = np.asarray(mu, dtype=float)
     h = np.asarray(h, dtype=float)
     h = h - float(mu @ h)
@@ -429,7 +431,7 @@ def smoothing_bound(cf1, cf2, a: float, density_sup: float) -> float:
     flat-density tail term 24 / (a*pi) * density_sup.
     """
     if a <= 0:
-        raise ValueError(f"a must be > 0, got {a}")
+        raise ConfigError(f"a must be > 0, got {a}")
 
     def integrand(x: float) -> float:
         if x < 1e-12:
@@ -468,7 +470,7 @@ def stein_check(x_samples, y_samples) -> SteinReport:
     x = np.asarray(x_samples, dtype=float)
     y = np.asarray(y_samples, dtype=float)
     if x.shape != y.shape:
-        raise ValueError(f"paired samples have shapes {x.shape} and {y.shape}")
+        raise ConfigError(f"paired samples have shapes {x.shape} and {y.shape}")
     R = len(x)
     lhs = kolmogorov_distance(x + y, 1.0)
     rhs = (

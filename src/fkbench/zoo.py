@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonTooLargeForPathSpace, UnknownEntry
+from .errors import ConfigError, HorizonTooLargeForPathSpace, UnknownEntry
 from .model import (
     FeynmanKacModel,
     McKeanSpec,
@@ -265,11 +265,13 @@ def names() -> list[str]:
 
 
 def build(name: str, **params) -> ZooEntry:
-    """Build a zoo entry by name; unknown names raise UnknownEntry."""
+    """Build a zoo entry by name: UnknownEntry if unknown, ConfigError on bad sizes."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise UnknownEntry(f"unknown zoo entry {name!r}; know {names()}") from None
+    if params.get("horizon", 0) < 0 or params.get("d", 1) < 1:
+        raise ConfigError(f"{name} needs horizon >= 0 and d >= 1, got {params}")
     entry = builder(**params)
     validate_model(entry.model)
     validate_spec(entry.spec, entry.model)

@@ -231,6 +231,12 @@ def test_function_shorter_than_horizon(tmp_path, capsys):
         ["verify", "concentration", "--zoo", "binary_hmm", "--eps-grid", ","],
         ["verify", "moments", "--zoo", "binary_hmm", "--p-max", "0"],
         ["verify", "concentration", "--zoo", "binary_hmm", "--N", "0"],
+        ["oracle", "--zoo", "ring_walk", "--zoo-params", '{"d": -3}'],
+        ["oracle", "--zoo", "ring_walk", "--zoo-params", '{"d": 0}'],
+        ["oracle", "--zoo", "ring_walk", "--zoo-params", '{"horizon": -1}'],
+        ["oracle", "--zoo", "binary_hmm", "--zoo-params", '{"horizon": -1}'],
+        ["oracle", "--zoo", "path_genealogy", "--zoo-params", '{"horizon": -1}'],
+        ["oracle", "--zoo", "plain_markov", "--zoo-params", '{"horizon": -1}'],
     ],
 )
 def test_bad_input_is_config_error(argv, tmp_path, monkeypatch, capsys):

@@ -7,10 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chi2, chisquare
 
+import fkbench.engine as engine
 from fkbench import tolerances as tol
 from fkbench.engine import (
     ReplicateStats,
     RunConfig,
+    RunTrace,
     doob_terms,
     increasing_increments,
     sampling_error,
@@ -18,7 +20,7 @@ from fkbench.engine import (
     simulate_replicates,
     step_counts,
 )
-from fkbench.errors import DegenerateFunction, FlowConsistencyError
+from fkbench.errors import ConfigError, DegenerateFunction, FlowConsistencyError
 from fkbench.flow import (
     analyze,
     conditional_variance,
@@ -42,12 +44,8 @@ from fkbench.zoo import build
 
 def _redraw(model, spec, counts, n, seed, reps):
     """reps independent draws of the step n -> n+1 from frozen counts."""
-    return np.array(
-        [
-            step_counts(model, spec, counts, n, stream(seed, rep, n + 1))
-            for rep in range(reps)
-        ]
-    )
+    rngs = (stream(seed, r, n + 1) for r in range(reps))
+    return step_counts(model, spec, np.tile(counts, (reps, 1)), n, rngs)
 
 
 def _count_law(kernel, counts):
@@ -163,9 +161,8 @@ class TestStep:
             spec = McKeanSpec(epsilons=(0.5, 0.5))
             validate_model(model)
             validate_spec(spec, model)
-            for rep in range(50):
-                trace = simulate(RunConfig(1000, 2, 2), model, spec, replicate=rep)
-                assert [int(c.sum()) for c in trace.counts] == [1000] * 3
+            trace = simulate(RunConfig(1000, 2, 2), model, spec, range(50))
+            assert all(np.all(c.sum(axis=1) == 1000) for c in trace.counts)
 
     def test_cost_does_not_grow_with_population(self):
         entry = build("binary_hmm")
@@ -183,6 +180,51 @@ class TestStep:
         model, spec, _ = two_state
         with pytest.raises(ValueError):
             simulate(RunConfig(10, 1, 3), model, spec)
+
+
+class TestBatch:
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("two_state", {}),
+            ("ring_walk", {"eps_scale": 1.0}),
+            ("path_genealogy", {"horizon": 4}),
+        ],
+    )
+    def test_rows_are_the_single_replicate_runs(self, name, params, request):
+        if name == "two_state":
+            model, spec, _ = request.getfixturevalue("two_state")
+        else:
+            entry = build(name, **params)
+            model, spec = entry.model, entry.spec
+        config = RunConfig(60, 31, model.horizon)
+        batch = simulate(config, model, spec, [5, 2, 9])
+        backward = simulate(config, model, spec, [9, 2, 5])
+        for i, r in enumerate([5, 2, 9]):
+            alone = simulate(config, model, spec, [r])
+            for q, c in enumerate(alone.counts):
+                assert np.array_equal(batch.counts[q][i], c[0])
+                assert np.array_equal(backward.counts[q][2 - i], c[0])
+
+    @pytest.mark.parametrize("replicates", [[], [3, -1]])
+    def test_bad_batch_rejected(self, replicates, two_state):
+        model, spec, _ = two_state
+        with pytest.raises(ConfigError):
+            simulate(RunConfig(10, 1, 2), model, spec, replicates)
+
+    def test_mixing_weights_once_per_step(self, two_state, monkeypatch):
+        # the replicates are one batch: the step's weights are derived once
+        model, spec, f = two_state
+        flow = analyze(model, spec, f, terminal=2)
+        calls = Counter()
+
+        def counted(model, spec, n):
+            calls[n] += 1
+            return mixing_weights(model, spec, n)
+
+        monkeypatch.setattr(engine, "mixing_weights", counted)
+        simulate_replicates(RunConfig(10, 1, 2), model, spec, f, 6, flow=flow)
+        assert calls == {0: 1, 1: 1}
 
 
 class TestMartingaleIncrement:
@@ -310,14 +352,12 @@ class TestDoob:
     def test_identities_per_run(self, two_state):
         model, spec, f = two_state
         flow = analyze(model, spec, f, terminal=2)
-        config = RunConfig(250, 101, 2)
-        for rep in range(25):
-            trace = simulate(config, model, spec, replicate=rep)
-            series = doob_terms(trace, flow, model, f, 2)
-            assert series.residual_mean <= tol.PRODUCT
-            assert series.residual_field <= tol.PRODUCT
-            # realized increasing process never decreases
-            assert np.all(increasing_increments(trace, model, spec, f) >= -1e-15)
+        trace = simulate(RunConfig(250, 101, 2), model, spec, range(25))
+        series = doob_terms(trace, flow, model, f, 2)
+        assert np.all(series.residual_mean <= tol.PRODUCT)
+        assert np.all(series.residual_field <= tol.PRODUCT)
+        # realized increasing process never decreases
+        assert np.all(increasing_increments(trace, model, spec, f) >= -1e-15)
 
     def test_terminal_field_is_plain_error(self, two_state):
         model, spec, f = two_state
@@ -345,7 +385,7 @@ class TestReplicates:
         flow = analyze(model, spec, f, terminal=2)
         config = RunConfig(100, 5, 2)
         stats = simulate_replicates(config, model, spec, f, 1, flow=flow)
-        trace = simulate(config, model, spec, replicate=0)
+        trace = simulate(config, model, spec, [0])
         series = doob_terms(trace, flow, model, f, 2)
         assert stats.w[0] == series.w[0, 2]
         assert stats.l_terminal[0] == series.l[0, 2]
@@ -360,7 +400,8 @@ class TestReplicates:
     )
     def test_rows_match_single_runs(self, name, params, request):
         # the one pass over R = 37 stacked runs gives, row by row, what the
-        # same functions give on each replicate's own R = 1 trace
+        # same functions give on each replicate's own R = 1 trace (a row of
+        # the batch is that trace: see TestBatch)
         if name == "two_state":
             model, spec, f = request.getfixturevalue("two_state")
         else:
@@ -371,8 +412,9 @@ class TestReplicates:
         config = RunConfig(40, 19, n)
         stats = simulate_replicates(config, model, spec, f, 37, flow=flow)
         assert stats.w_steps.shape == stats.delta_c_steps.shape == (37, n + 1)
+        batch = simulate(config, model, spec, range(37))
         for r in range(37):
-            trace = simulate(config, model, spec, replicate=r)
+            trace = RunTrace(40, [c[r : r + 1] for c in batch.counts])
             doob = doob_terms(trace, flow, model, f, n)
             dc = increasing_increments(trace, model, spec, f)
             pairs = [
@@ -408,6 +450,19 @@ class TestReplicates:
         f = make_function([np.ones(2)] * 3)
         with pytest.raises(DegenerateFunction):
             stein_experiment(model, spec, f, 2, 50, 2, 1)
+
+    def test_analytics_for_another_terminal_fail_before_any_draw(
+        self, two_state, monkeypatch
+    ):
+        model, spec, f = two_state
+        flow = analyze(model, spec, f, terminal=1)
+
+        def no_draws(*args):
+            raise AssertionError("drew replicates")
+
+        monkeypatch.setattr(engine, "stream", no_draws)
+        with pytest.raises(FlowConsistencyError):
+            simulate_replicates(RunConfig(50, 1, 2), model, spec, f, 5, flow=flow)
 
     def test_bad_rep_count(self, two_state):
         model, spec, f = two_state

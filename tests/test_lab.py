@@ -8,11 +8,13 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
 import fkbench.lab as lab
+from fkbench.bounds import burkholder_d, mixing_bounds
 from fkbench.engine import RunConfig, simulate_replicates
 from fkbench.errors import (
     ConfigError,
     DegenerateFunction,
     DegenerateSigma,
+    FkbenchError,
     InsufficientReplicates,
     OscillationTooLarge,
     QuadratureFailure,
@@ -258,6 +260,8 @@ def _ill_posed_calls():
         "p_max 9": lambda: lp_moment_experiment(*args, 100, 9, 100, 1),
         "iid p_max 0": lambda: iid_moment_check([0.5, 0.5], [0, 1], 100, 0, 100, 1),
         "iid p_max 9": lambda: iid_moment_check([0.5, 0.5], [0, 1], 100, 9, 100, 1),
+        "iid no reps": lambda: iid_moment_check([0.5, 0.5], [0, 1], 100, 4, 0, 1),
+        "iid no particles": lambda: iid_moment_check([0.5, 0.5], [0, 1], 0, 4, 100, 1),
     }
 
 
@@ -273,6 +277,21 @@ def test_ill_posed_verdict_fails_before_any_draw(case, monkeypatch):
     monkeypatch.setattr(lab, "stream", no_draws)
     with pytest.raises(ConfigError):
         ILL_POSED[case]()
+
+
+BAD_INPUT = {
+    "smoothing cutoff": lambda: smoothing_bound(normal_cf(), normal_cf(), 0.0, 1.0),
+    "burkholder order": lambda: burkholder_d(0),
+    "mixing window": lambda: mixing_bounds(m=0, r=1.0, rho=0.5, n=1),
+    "empty sample": lambda: kolmogorov_distance([], 1.0),
+    "stein shapes": lambda: stein_check([0.0, 1.0], [0.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT))
+def test_bad_input_raises_typed_error(case):
+    with pytest.raises(FkbenchError):
+        BAD_INPUT[case]()
 
 
 def test_negative_eps_has_its_own_message():
