@@ -3,12 +3,12 @@
 A run is addressed by (master seed, replicate index); each time step consumes
 its own counter-based stream, so traces are reproducible byte for byte and
 replicates stay independent under any execution order.  A run is its integer
-count vectors: on a finite space the counts are a sufficient statistic, so
-step_counts draws the next counts directly (binomial, then multinomial) at a
-cost that does not depend on the population size.  A RunTrace holds the
-counts of R runs as (R, d) arrays, one row per replicate; the sampler advances
-that batch one step at a time, and every martingale bookkeeping quantity is
-evaluated from the counts by exact finite-space sums, once per step for all R.
+count vectors, a sufficient statistic on a finite space: step_counts draws the
+next counts directly (binomial, then multinomial) at a cost free of N.  A
+RunTrace holds R runs as (R, d) count arrays, one row per replicate; the
+sampler advances the batch a step at a time, and the bookkeeping evaluates it
+once per step, each row summed in flow's one order (never @, which rounds a
+row inside a batch differently than alone), so no row depends on the batch.
 """
 
 from __future__ import annotations
@@ -66,11 +66,12 @@ def step_counts(
     occupied rows.  The cost does not depend on the population size.
     """
     weights = mixing_weights(model, spec, n)
+    sizes = counts.sum(axis=1)
+    targets = step_phi(model, counts / sizes[:, None], n)
     nxt = np.empty((len(counts), model.dims[n + 1]), dtype=int)
-    for row, c, N, rng in zip(nxt, counts, counts.sum(axis=1), rngs, strict=True):
+    for row, c, N, target, rng in zip(nxt, counts, sizes, targets, rngs, strict=True):
         own = rng.binomial(c, weights)
-        # step_phi per row: a batched (R, d) product may round differently
-        row[:] = rng.multinomial(N - own.sum(), step_phi(model, c / N, n))
+        row[:] = rng.multinomial(N - own.sum(), target)
         occ = own > 0
         if occ.any():  # skipping an empty multinomial leaves the stream unchanged
             row += rng.multinomial(own[occ], model.kernels[n][occ]).sum(axis=0)
@@ -112,11 +113,12 @@ def sampling_error(model: FeynmanKacModel, mu, emp: np.ndarray, n: int, v: np.nd
     emp is the time-n empirical measure and mu the measure the step starts
     from, each one measure or an (R, d) array of them; at n = 0, mu is the
     initial law and is itself the prediction.  Later predictions Phi(mu)(v)
-    are read as boltzmann_gibbs(mu) @ (M v), without forming Phi(mu).
+    are read as boltzmann_gibbs(mu)(M v), without forming Phi(mu).
     """
     if n == 0:
-        return (emp - mu) @ v
-    return emp @ v - boltzmann_gibbs(model, mu, n - 1) @ (model.kernels[n - 1] @ v)
+        return ((emp - mu) * v).sum(-1)
+    bg = boltzmann_gibbs(model, mu, n - 1)
+    return (emp * v).sum(-1) - (bg * (model.kernels[n - 1] @ v)).sum(-1)
 
 
 def increasing_increments(
@@ -175,12 +177,12 @@ def doob_terms(
     start = etas[0]  # the step into time q starts from here
     for q in range(n + 1):
         emp = trace.empirical(q)
-        means[:, q] = emp @ fpn[q]
-        field[:, q] = (emp - etas[q]) @ fpn[q]
+        means[:, q] = (emp * fpn[q]).sum(-1)
+        field[:, q] = ((emp - etas[q]) * fpn[q]).sum(-1)
         m_inc[:, q] = sampling_error(model, start, emp, q, fpn[q])
         if q > 0:
             g = model.potentials[q - 1]
-            mass_ratio = (start @ g) / float(etas[q - 1] @ g)
+            mass_ratio = (start * g).sum(-1) / float(etas[q - 1] @ g)
             predicted = means[:, q] - m_inc[:, q]  # Phi(start)(fpn[q])
             a_inc[:, q] = (1.0 - mass_ratio) * predicted
             b_inc[:, q] = root_n * (1.0 - mass_ratio) * (predicted - etas[q] @ fpn[q])

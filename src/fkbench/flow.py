@@ -1,15 +1,15 @@
 """Exact evolution of the weighted flow and its limiting constants.
 
-Everything here is deterministic linear algebra on the finite model, and
-each function returns one fully filled result: exact_flow the normalized
-flow and log-normalizers; analyze, for one terminal function, also the
-transported family (one O(H d^2) backward sweep) and its limiting variance;
-contraction_tables the Dobrushin coefficients and mass ratios of every
-normalized transport; transport one such matrix on demand.
-conditional_variance is the one-step variance formula that the limiting
-variances here and the engine's realized increasing process share; it never
-forms the d x d kernel (mckean_kernel does, as the reference).  boltzmann_gibbs,
-step_phi and conditional_variance take one measure or an (R, d) array of them.
+Deterministic linear algebra on the finite model, each function returning one
+filled result: exact_flow the flow and log-normalizers; analyze, for one
+terminal function, also the transported family (one O(H d^2) backward sweep)
+and its limiting variance; contraction_tables the Dobrushin coefficients and
+mass ratios of every normalized transport; transport one of them on demand.
+conditional_variance, the one-step variance shared by the limiting variances
+and the engine's increasing process, never forms the d x d kernel.  Products
+of a measure, or of an (R, d) batch of them, sum each row in one order:
+(mu * v).sum(-1) or np.einsum("...d,de->...e", mu, M), never @, whose BLAS
+call rounds a row inside a batch differently than alone.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def boltzmann_gibbs(model: FeynmanKacModel, mu, n: int) -> np.ndarray:
 
 
 def step_phi(model: FeynmanKacModel, mu, n: int) -> np.ndarray:
-    """One nonlinear update: reweight at time n, then move through kernel n."""
-    return boltzmann_gibbs(model, mu, n) @ model.kernels[n]
+    """Reweight mu (each row of an (R, d) mu) at time n, then move through kernel n."""
+    return np.einsum("...d,de->...e", boltzmann_gibbs(model, mu, n), model.kernels[n])
 
 
 def exact_flow(model: FeynmanKacModel) -> ExactFlow:
@@ -171,12 +171,12 @@ def _kernel_means(model: FeynmanKacModel, spec: McKeanSpec, mu, n: int, v: np.nd
     """K v and K v^2 for the step-n kernel K at mu, and the moment Phi(mu)(v^2).
 
     Row x of K is w_x M_n[x] + (1 - w_x) Phi(mu), and Phi(mu)(u) equals
-    boltzmann_gibbs(mu) @ (M_n u), so neither K nor Phi(mu) is formed.
+    boltzmann_gibbs(mu)(M_n u), so neither K nor Phi(mu) is formed.
     """
     w = mixing_weights(model, spec, n)
     bg = boltzmann_gibbs(model, mu, n)
     m1, m2 = model.kernels[n] @ v, model.kernels[n] @ (v * v)
-    t1, t2 = bg @ m1, bg @ m2  # the two moments of Phi(mu)
+    t1, t2 = (bg * m1).sum(-1), (bg * m2).sum(-1)  # the two moments of Phi(mu)
     kv = w * m1 + (1.0 - w) * t1[..., None]
     kv2 = w * m2 + (1.0 - w) * t2[..., None]
     return kv, kv2, t2
@@ -194,8 +194,8 @@ def conditional_variance(
     """
     mu = np.asarray(mu, dtype=float)
     if n == 0:
-        mean = mu @ v
-        return mu @ (v * v) - mean * mean
+        mean = (mu * v).sum(-1)
+        return (mu * (v * v)).sum(-1) - mean * mean
     kv, kv2, _ = _kernel_means(model, spec, mu, n - 1, v)
     return np.sum(mu * (kv2 - kv * kv), axis=-1)
 

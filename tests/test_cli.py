@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fkbench
 from fkbench.cli import main
 from fkbench.zoo import build
 
@@ -138,6 +143,40 @@ def test_simulate_record_steps_columns(tmp_path, capsys):
         record = dict(zip(header, line.split(",")))
         assert float(record["W_5"]) == float(record["W"])
         assert float(record["C_5"]) == float(record["C_N"])
+
+
+@pytest.mark.parametrize(
+    "name, params", [("ring_walk", '{"eps_scale": 1.0}'), ("path_genealogy", '{"horizon": 8}')]
+)
+def test_simulate_row_does_not_depend_on_reps(name, params, capsys):
+    # W, L, C and every residual and per-step column of a replicate are its
+    # own: the same bytes whatever batch it was run and evaluated in
+    rows = {}
+    for reps in (1, 2, 40):
+        code, out, _ = run(
+            capsys, "simulate", "--zoo", name, "--zoo-params", params, "--N", "500",
+            "--reps", str(reps), "--seed", "7", "--check-doob", "--record-steps",
+        )
+        assert code == 0
+        rows[reps] = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert len(rows[reps]) == reps
+    assert rows[40][:2] == rows[2]
+    assert rows[2][:1] == rows[1]
+
+
+def test_closed_pipe_exits_quietly():
+    # `fkbench simulate ... | head -3`: the reader leaves long before the end
+    env = {**os.environ, "PYTHONPATH": str(Path(fkbench.__file__).parents[1])}
+    argv = ["simulate", "--zoo", "binary_hmm", "--N", "500", "--reps", "2000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fkbench.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"# tool = fkbench")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in proc.stderr.read()
+    proc.stderr.close()
 
 
 def test_simulate_single_particle_smoke(capsys):

@@ -12,7 +12,6 @@ from fkbench import tolerances as tol
 from fkbench.engine import (
     ReplicateStats,
     RunConfig,
-    RunTrace,
     doob_terms,
     increasing_increments,
     sampling_error,
@@ -23,6 +22,7 @@ from fkbench.engine import (
 from fkbench.errors import ConfigError, DegenerateFunction, FlowConsistencyError
 from fkbench.flow import (
     analyze,
+    boltzmann_gibbs,
     conditional_variance,
     exact_flow,
     limiting_increasing_process,
@@ -226,6 +226,52 @@ class TestBatch:
         simulate_replicates(RunConfig(10, 1, 2), model, spec, f, 6, flow=flow)
         assert calls == {0: 1, 1: 1}
 
+    def test_step_phi_once_per_step(self, two_state, monkeypatch):
+        # every row's resampling law comes from one call on the whole batch
+        model, spec, f = two_state
+        flow = analyze(model, spec, f, terminal=2)
+        calls = Counter()
+
+        def counted(model, mu, n):
+            calls[n] += 1
+            return step_phi(model, mu, n)
+
+        monkeypatch.setattr(engine, "step_phi", counted)
+        simulate_replicates(RunConfig(10, 1, 2), model, spec, f, 6, flow=flow)
+        assert calls == {0: 1, 1: 1}
+
+
+class TestRowExact:
+    """Row i of a batch call equals the call on row i alone, bit for bit.
+
+    A product of an (R, d) batch with @ goes to BLAS gemv/gemm, which rounds a
+    row differently inside a batch; these fail as soon as one comes back.
+    """
+
+    @pytest.mark.parametrize("d", [2, 16, 512])
+    def test_measure_functions_are_row_exact(self, d):
+        rng = np.random.default_rng(d)
+        kernels = rng.random((2, d, d))
+        kernels /= kernels.sum(axis=2, keepdims=True)
+        model = make_model(np.full(d, 1.0 / d), kernels, 0.5 + rng.random((3, d)))
+        spec = McKeanSpec(epsilons=(0.3, 0.3))
+        validate_spec(spec, model)
+        mus, emps = rng.dirichlet(np.ones(d), size=(2, 9))
+        v = rng.standard_normal(d)
+        calls = [
+            lambda mu, emp: boltzmann_gibbs(model, mu, 1),
+            lambda mu, emp: step_phi(model, mu, 1),
+            lambda mu, emp: conditional_variance(model, spec, mu, 0, v),
+            lambda mu, emp: conditional_variance(model, spec, mu, 2, v),
+            lambda mu, emp: sampling_error(model, mu, emp, 0, v),
+            lambda mu, emp: sampling_error(model, mu, emp, 2, v),
+        ]
+        for call in calls:
+            batch = call(mus, emps)
+            for i in range(len(mus)):
+                assert np.array_equal(batch[i], call(mus[i], emps[i]))
+                assert np.array_equal(batch[i], call(mus[i : i + 1], emps[i : i + 1])[0])
+
 
 class TestMartingaleIncrement:
     def test_constant_function_gives_zero(self, two_state):
@@ -399,9 +445,8 @@ class TestReplicates:
         ],
     )
     def test_rows_match_single_runs(self, name, params, request):
-        # the one pass over R = 37 stacked runs gives, row by row, what the
-        # same functions give on each replicate's own R = 1 trace (a row of
-        # the batch is that trace: see TestBatch)
+        # the one pass over R = 37 stacked runs gives, row by row and bit for
+        # bit, what the same functions give on each replicate run alone
         if name == "two_state":
             model, spec, f = request.getfixturevalue("two_state")
         else:
@@ -412,9 +457,8 @@ class TestReplicates:
         config = RunConfig(40, 19, n)
         stats = simulate_replicates(config, model, spec, f, 37, flow=flow)
         assert stats.w_steps.shape == stats.delta_c_steps.shape == (37, n + 1)
-        batch = simulate(config, model, spec, range(37))
         for r in range(37):
-            trace = RunTrace(40, [c[r : r + 1] for c in batch.counts])
+            trace = simulate(config, model, spec, [r])
             doob = doob_terms(trace, flow, model, f, n)
             dc = increasing_increments(trace, model, spec, f)
             pairs = [
@@ -426,7 +470,7 @@ class TestReplicates:
                 (stats.residual_field[r], doob.residual_field[0]),
             ]
             for got, expected in pairs:
-                assert_allclose(got, expected, rtol=0, atol=tol.ALGEBRA)
+                assert np.array_equal(got, expected)
 
     def test_deterministic_output(self, two_state):
         model, spec, f = two_state
