@@ -21,7 +21,7 @@ np.set_printoptions(precision=5, suppress=True)
 
 entry = zoo.build("binary_hmm")
 model, spec, f = entry.model, entry.spec, entry.f
-flow = fk.analyze(model, spec, f, terminal=5)
+flow = fk.analyze(model, spec, f)
 
 config = fk.RunConfig(n_particles=500, seed=2024, horizon=5)
 trace = fk.simulate(config, model, spec, [0])
@@ -40,10 +40,10 @@ inc_c = fk.increasing_increments(trace, model, spec, f)[0]
 print("\nsampling-error increments:", inc_m)
 print("increasing-process increments:", inc_c)
 print("realized increasing process:", np.cumsum(inc_c))
-limit = fk.limiting_increasing_process(model, spec, flow.etas, f, 5)
+limit = fk.limiting_increasing_process(model, spec, flow.etas, f)
 print("limiting increments:        ", limit)
 
-series = fk.doob_terms(trace, flow, model, f, 5)
+series = fk.doob_terms(trace, flow, model)
 print("\nfluctuation field w_p:", series.w[0])
 print("predictable part b_p: ", series.b[0])
 print("martingale part l_p:  ", series.l[0])

@@ -14,7 +14,7 @@ from fkbench import zoo
 
 entry = zoo.build("binary_hmm")
 report = fk.clt_rate_experiment(
-    entry.model, entry.spec, entry.f, 5,
+    entry.model, entry.spec, entry.f,
     n_grid=[100, 400, 1600, 6400], n_reps=500, master_seed=42, n_boot=200,
 )
 print("population sizes:", report.n_grid)
@@ -27,7 +27,7 @@ print(f"slope window {report.slope_window}: passed = {report.passed}")
 # independent-draw twin: same harness, horizon zero, binomial fluctuation
 twin = zoo.build("iid_reduction")
 calibration = fk.clt_rate_experiment(
-    twin.model, twin.spec, twin.f, 0,
+    twin.model, twin.spec, twin.f,
     n_grid=[100, 400, 1600, 6400], n_reps=4000, master_seed=42, n_boot=200,
 )
 print("\ncalibration twin distances:", [round(d, 4) for d in calibration.distances])

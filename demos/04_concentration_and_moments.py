@@ -21,7 +21,7 @@ print(f"model: {entry.name}, b({n}) = {fk.concentration_b(tables, n):.3f}")
 N = 400
 grid = default_eps_grid(N, f.oscillation(n))
 report = fk.concentration_experiment(
-    model, spec, f, n, N, grid, n_reps=2000, master_seed=8,
+    model, spec, f, N, grid, n_reps=2000, master_seed=8,
 )
 print("\neps      empirical MGF   bound          pass")
 for eps, emp, bnd, allow in zip(
@@ -32,7 +32,7 @@ for eps, emp, bnd, allow in zip(
 print(f"overall: {report.passed}")
 
 moments = fk.lp_moment_experiment(
-    model, spec, f, n, N, p_max=6, n_reps=2000, master_seed=8
+    model, spec, f, N, p_max=6, n_reps=2000, master_seed=8
 )
 print("\np   scaled moment   bound        pass")
 for p, lhs, rhs, allow, ok in moments.rows():

@@ -9,7 +9,7 @@ into reproducible file-based runs.
 
 __version__ = "0.1.0"
 
-from .bounds import McKeanGamma, a3_constant, burkholder_d, mixing_bounds
+from .bounds import a3_constant, burkholder_d, mixing_bounds
 from .engine import (
     RunConfig,
     RunTrace,

@@ -34,37 +34,25 @@ def burkholder_d(p: int) -> float:
     return math.perm(2 * n - 1, n) / math.sqrt(n - 0.5) * 2.0 ** (-(n - 0.5))
 
 
-@dataclass(frozen=True)
-class McKeanGamma:
-    """Regularity masses of the constant-eps kernel family.
-
-    The kernel's one-step difference at two measures is controlled by a single
-    point mass on the centered terminal function, so gamma = 0 and
-    gamma_prime = 1.  combined is the larger of the two total masses and
-    tilde = combined + 1 enters the fluctuation constant a3.
-    """
-
-    gamma: float = 0.0
-    gamma_prime: float = 1.0
-
-    @property
-    def combined(self) -> float:
-        return max(self.gamma, self.gamma_prime)
-
-    @property
-    def tilde(self) -> float:
-        return self.combined + 1.0
+# Regularity masses of the constant-eps kernel family.  The kernel's one-step
+# difference at two measures is controlled by a single point mass on the
+# centered terminal function, so gamma = 0 and gamma' = 1.  The combined mass
+# is the larger of the two and tilde = combined + 1 enters the constant a3.
+GAMMA = 0.0
+GAMMA_PRIME = 1.0
+GAMMA_COMBINED = max(GAMMA, GAMMA_PRIME)
+GAMMA_TILDE = GAMMA_COMBINED + 1.0
 
 
 def a3_constant(tables: ContractionTables, n: int) -> float:
     """Exponential-continuity constant of the increasing-process increments.
 
     a3(n) = 4*sqrt(2)*tilde * max over q in {n, n-1} of
-    sum_{p<=q} ratios[p,q]*betas[p,q], with tilde from McKeanGamma; the
-    inner sums are b(q)/2.
+    sum_{p<=q} ratios[p,q]*betas[p,q], with tilde = GAMMA_TILDE; the inner
+    sums are b(q)/2.
     """
     sums = [concentration_b(tables, q) / 2.0 for q in range(max(n - 1, 0), n + 1)]
-    return 4.0 * math.sqrt(2.0) * McKeanGamma().tilde * max(sums)
+    return 4.0 * math.sqrt(2.0) * GAMMA_TILDE * max(sums)
 
 
 @dataclass(frozen=True)
@@ -120,8 +108,8 @@ def mixing_bounds(
     """Closed-form uniform bounds, optionally verified against a model.
 
     r_bound = r**m / rho, b_bound = 2*m*r**(2m-1) / rho**3 and
-    a3_bound = 8*sqrt(2)*m*r**(2m-1)*tilde / rho**3, with tilde from
-    McKeanGamma.  The per-gap contraction bound
+    a3_bound = 8*sqrt(2)*m*r**(2m-1)*tilde / rho**3, with tilde =
+    GAMMA_TILDE.  The per-gap contraction bound
     (1 - r**(m-1)*rho**2)**floor(gap/m) is reported only when its base lies
     in (0, 1); it is never asserted.
 
@@ -136,8 +124,7 @@ def mixing_bounds(
         raise ConfigError(f"need m >= 1, r >= 1, rho in (0, 1]; got {(m, r, rho)}")
     r_bound = r**m / rho
     b_bound = 2.0 * m * r ** (2 * m - 1) / rho**3
-    tilde = McKeanGamma().tilde
-    a3_bound = 8.0 * math.sqrt(2.0) * m * r ** (2 * m - 1) * tilde / rho**3
+    a3_bound = 8.0 * math.sqrt(2.0) * m * r ** (2 * m - 1) * GAMMA_TILDE / rho**3
 
     base = 1.0 - r ** (m - 1) * rho**2
     if 0.0 < base < 1.0:

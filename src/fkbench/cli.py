@@ -19,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .bounds import McKeanGamma, burkholder_d
+from .bounds import GAMMA, GAMMA_COMBINED, GAMMA_PRIME, GAMMA_TILDE, burkholder_d
 from .engine import RunConfig, simulate_replicates
 from .errors import ConfigError, FkbenchError
 from .flow import analyze, concentration_b, contraction_tables
@@ -33,6 +33,7 @@ from .lab import (
 from .model import (
     load_function,
     load_model,
+    open_output,
     save_function,
     save_model,
     truncate,
@@ -49,7 +50,7 @@ def _zoo_entry(name: str, raw_params: str | None) -> zoo.ZooEntry:
 
 
 def _resolve_inputs(args):
-    """Model, spec and function from --zoo or --model/--function files."""
+    """Model cut to --horizon, spec and function from --zoo or files."""
     if args.zoo:
         entry = _zoo_entry(args.zoo, args.zoo_params)
         model, spec, f = entry.model, entry.spec, entry.f
@@ -69,7 +70,9 @@ def _resolve_inputs(args):
             f"function defines {len(f.values)} time indices, horizon needs "
             f"{horizon + 1}"
         )
-    return model, spec, f, horizon
+    if any(v.shape != (d,) for v, d in zip(f.values, model.dims)):
+        raise ConfigError(f"function vectors do not match the model's dims {model.dims}")
+    return model, spec, f
 
 
 def _config(args) -> dict:
@@ -97,17 +100,17 @@ def _plain(x):
 def _emit_json(args, payload: dict) -> None:
     text = json.dumps(_plain(_report_envelope(args, payload)), indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_output(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def cmd_oracle(args) -> int:
-    model, spec, f, horizon = _resolve_inputs(args)
-    flow = analyze(model, spec, f, terminal=horizon)
+    model, spec, f = _resolve_inputs(args)
+    horizon = model.horizon
+    flow = analyze(model, spec, f)
     tables = contraction_tables(model, flow.etas)
-    gamma = McKeanGamma()
     payload = {
         "horizon": horizon,
         "etas": flow.etas,
@@ -118,10 +121,10 @@ def cmd_oracle(args) -> int:
         "sigma_sq": flow.sigma_sq,
         "b": [concentration_b(tables, q) for q in range(horizon + 1)],
         "gamma": {
-            "gamma": gamma.gamma,
-            "gamma_prime": gamma.gamma_prime,
-            "combined": gamma.combined,
-            "tilde": gamma.tilde,
+            "gamma": GAMMA,
+            "gamma_prime": GAMMA_PRIME,
+            "combined": GAMMA_COMBINED,
+            "tilde": GAMMA_TILDE,
         },
         "burkholder_d": {p: burkholder_d(p) for p in range(1, 9)},
     }
@@ -130,7 +133,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model, spec, f, horizon = _resolve_inputs(args)
+    model, spec, f = _resolve_inputs(args)
+    horizon = model.horizon
     config = RunConfig(n_particles=args.N, seed=args.seed, horizon=horizon)
     stats = simulate_replicates(config, model, spec, f, args.reps)
     lines = [
@@ -152,7 +156,7 @@ def cmd_simulate(args) -> int:
         [r, args.N, horizon, *(repr(float(x)) for x in values)]
         for r, values in enumerate(table)
     ]
-    out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8", newline="")
+    out = open_output(args.out) if args.out else sys.stdout
     try:
         for line in lines:
             out.write(line + "\n")
@@ -173,29 +177,25 @@ def _parse_grid(raw: str, cast) -> list:
 
 
 def cmd_verify(args) -> int:
-    model, spec, f, horizon = _resolve_inputs(args)
+    model, spec, f = _resolve_inputs(args)
     if args.which == "clt":
         n_grid = _parse_grid(args.N_grid, int) if args.N_grid else [100, 400, 1600, 6400]
-        report = clt_rate_experiment(
-            model, spec, f, horizon, n_grid, args.reps, args.seed
-        )
+        report = clt_rate_experiment(model, spec, f, n_grid, args.reps, args.seed)
     elif args.which == "concentration":
         if args.eps_grid:
             eps_grid = _parse_grid(args.eps_grid, float)
         else:
-            eps_grid = default_eps_grid(args.N, max(f.oscillation(horizon), 1e-9))
+            eps_grid = default_eps_grid(args.N, max(f.oscillation(model.horizon), 1e-9))
         report = concentration_experiment(
-            model, spec, f, horizon, args.N, eps_grid, args.reps, args.seed,
+            model, spec, f, args.N, eps_grid, args.reps, args.seed,
             statistic=args.statistic,
         )
     elif args.which == "moments":
         report = lp_moment_experiment(
-            model, spec, f, horizon, args.N, args.p_max, args.reps, args.seed
+            model, spec, f, args.N, args.p_max, args.reps, args.seed
         )
     elif args.which == "stein":
-        report = stein_experiment(
-            model, spec, f, horizon, args.N, args.reps, args.seed
-        )
+        report = stein_experiment(model, spec, f, args.N, args.reps, args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown verification {args.which!r}")
     _emit_json(args, asdict(report))

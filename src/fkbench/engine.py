@@ -9,6 +9,9 @@ RunTrace holds R runs as (R, d) count arrays, one row per replicate; the
 sampler advances the batch a step at a time, and the bookkeeping evaluates it
 once per step, each row summed in flow's one order (never @, which rounds a
 row inside a batch differently than alone), so no row depends on the batch.
+The runs' bookkeeping reads the flow analytics of the model's horizon, the
+one terminal time; a run stopped earlier is paired with the analytics of
+the truncated model.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, FlowConsistencyError
 from .flow import FlowAnalytics, analyze, boltzmann_gibbs, conditional_variance, step_phi
-from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights
+from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights, truncate
 from .rng import stream
 
 
@@ -142,9 +145,10 @@ class DoobSeries:
     """Per-index decomposition of the realized fluctuation fields of R runs.
 
     w is the fluctuation field and b and l its predictable and martingale
-    parts, each (R, n + 1).  residual_mean and residual_field, one per run,
-    are the worst gaps of the exact decompositions of the empirical mean of
-    the transported functions and of w: floating-point error on every run.
+    parts, each (R, n + 1) with n the flow's terminal time.  residual_mean
+    and residual_field, one per run, are the worst gaps of the exact
+    decompositions of the empirical mean of the transported functions and of
+    w: floating-point error on every run.
     """
 
     b: np.ndarray
@@ -154,21 +158,17 @@ class DoobSeries:
     residual_field: np.ndarray
 
 
-def doob_terms(
-    trace: RunTrace,
-    flow: FlowAnalytics,
-    model: FeynmanKacModel,
-    f: TestFunction,
-    n: int,
-) -> DoobSeries:
+def doob_terms(trace: RunTrace, flow: FlowAnalytics, model: FeynmanKacModel) -> DoobSeries:
     """Evaluate the predictable/martingale decompositions on realized runs.
 
-    Requires flow analytics built for terminal index n.  All series are exact
+    The series run over times 0..flow.terminal, which the runs must reach;
+    later steps of a longer trace are not read.  All series are exact
     functions of the recorded empirical measures; no sampling is involved.
     """
-    if flow.terminal != n:
+    n = flow.terminal
+    if len(trace.counts) <= n:
         raise FlowConsistencyError(
-            f"flow analytics must hold the transported family for terminal {n}"
+            f"runs stop at time {len(trace.counts) - 1}, before the terminal {n}"
         )
     root_n = np.sqrt(trace.n_particles)
     fpn, etas = flow.fpn, flow.etas
@@ -233,22 +233,18 @@ def simulate_replicates(
     """Simulate replicates 0..n_reps-1 as one batch and evaluate them in one pass.
 
     Args:
-        flow: analytics for f with terminal index config.horizon, computed
-            here when omitted; any other terminal raises FlowConsistencyError
-            before a draw.
+        flow: analytics for f on the model truncated to config.horizon,
+            computed here when omitted; a flow with another terminal raises
+            FlowConsistencyError before a draw.
     """
     n = config.horizon
     if flow is None:
-        flow = analyze(model, spec, f, terminal=n)
+        flow = analyze(*truncate(model, spec, n), f)
     elif flow.terminal != n:
         raise FlowConsistencyError(f"flow analytics for terminal {flow.terminal}, not {n}")
     trace = simulate(config, model, spec, range(n_reps))
-    doob = doob_terms(trace, flow, model, f, n)
+    doob = doob_terms(trace, flow, model)
+    dc = increasing_increments(trace, model, spec, f)
     return ReplicateStats(
-        w_steps=doob.w,
-        delta_c_steps=increasing_increments(trace, model, spec, f),
-        l_terminal=doob.l[:, n],
-        b_terminal=doob.b[:, n],
-        residual_mean=doob.residual_mean,
-        residual_field=doob.residual_field,
+        doob.w, dc, doob.l[:, -1], doob.b[:, -1], doob.residual_mean, doob.residual_field
     )

@@ -37,10 +37,6 @@ class DegenerateFunction(FkbenchError, ValueError):
     """The test function has zero limiting variance at the requested time."""
 
 
-class DegenerateSigma(FkbenchError, ValueError):
-    """A normalizing standard deviation is zero or negative."""
-
-
 class InsufficientReplicates(FkbenchError, RuntimeError):
     """ECDF noise at the given replicate count swamps the measured distances."""
 

@@ -2,9 +2,11 @@
 
 Deterministic linear algebra on the finite model, each function returning one
 filled result: exact_flow the flow and log-normalizers; analyze, for one
-terminal function, also the transported family (one O(H d^2) backward sweep)
-and its limiting variance; contraction_tables the Dobrushin coefficients and
-mass ratios of every normalized transport; transport one of them on demand.
+test function at the model's horizon, also the transported family (one
+O(H d^2) backward sweep) and its limiting variance; contraction_tables the
+Dobrushin coefficients and mass ratios of every normalized transport;
+transport one of them on demand.  The horizon is the only terminal time: an
+earlier one is the horizon of truncate(model, spec, n).
 conditional_variance, the one-step variance shared by the limiting variances
 and the engine's increasing process, never forms the d x d kernel.  Products
 of a measure, or of an (R, d) batch of them, sum each row in one order:
@@ -36,15 +38,18 @@ class ExactFlow:
 class FlowAnalytics(ExactFlow):
     """Exact flow plus the limiting variance of one terminal test function.
 
-    fpn[p] is the normalized transport from p to `terminal` applied to the
-    terminal function centered under eta_terminal; deltaC[p] is the
-    conditional-variance increment of fpn[p] and sigma_sq their sum.
+    fpn[p] is the normalized transport from p to the terminal time n applied
+    to f_n centered under eta_n; deltaC[p] is the conditional-variance
+    increment of fpn[p] and sigma_sq their sum.
     """
 
-    terminal: int
     fpn: list[np.ndarray]
     deltaC: np.ndarray
     sigma_sq: float
+
+    @property
+    def terminal(self) -> int:
+        return len(self.fpn) - 1
 
 
 @dataclass(frozen=True)
@@ -233,14 +238,14 @@ def limiting_increasing_process(
     spec: McKeanSpec,
     etas: list[np.ndarray],
     f: TestFunction,
-    n: int,
 ) -> np.ndarray:
     """Increments of the deterministic increasing process of f itself.
 
-    Uses the raw per-time values f_p (not the transported family); the sum up
-    to n is the large-population limit of the particle increasing process.
+    Uses the raw per-time values f_p (not the transported family), one term
+    per time of etas; their sum is the large-population limit of the
+    particle increasing process.
     """
-    return limiting_variance(model, spec, etas, [f.values[p] for p in range(n + 1)])
+    return limiting_variance(model, spec, etas, list(f.values[: len(etas)]))
 
 
 def concentration_b(tables: ContractionTables, n: int) -> float:
@@ -253,30 +258,23 @@ def concentration_b(tables: ContractionTables, n: int) -> float:
     return float(2.0 * np.sum(tables.ratios[q, n] * tables.betas[q, n]))
 
 
-def analyze(
-    model: FeynmanKacModel,
-    spec: McKeanSpec,
-    f: TestFunction,
-    terminal: int | None = None,
-) -> FlowAnalytics:
-    """Exact flow, transported family and limiting variance for f.
+def analyze(model: FeynmanKacModel, spec: McKeanSpec, f: TestFunction) -> FlowAnalytics:
+    """Exact flow, transported family and limiting variance for f at the horizon.
 
     The family is built backward from the centered terminal function,
-    fpn[p] = step_p @ fpn[p+1], which is O(H d^2).  terminal defaults to the
-    model horizon.
+    fpn[p] = step_p @ fpn[p+1], which is O(H d^2).
     """
     flow = exact_flow(model)
-    n_star = model.horizon if terminal is None else terminal
-    centered = f.values[n_star] - float(flow.etas[n_star] @ f.values[n_star])
+    n = model.horizon
+    centered = f.values[n] - float(flow.etas[n] @ f.values[n])
     fpn = [centered]
-    for p in range(n_star - 1, -1, -1):
+    for p in range(n - 1, -1, -1):
         fpn.append(_transport_step(model, flow.etas, p) @ fpn[-1])
     fpn.reverse()
     delta = limiting_variance(model, spec, flow.etas, fpn)
     return FlowAnalytics(
         etas=flow.etas,
         log_gamma1=flow.log_gamma1,
-        terminal=n_star,
         fpn=fpn,
         deltaC=delta,
         sigma_sq=float(delta.sum()),

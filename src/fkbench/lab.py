@@ -2,9 +2,11 @@
 
 Each experiment pits Monte Carlo estimates from the particle engine against
 an exact constant from the flow analytics, and every pass/fail decision
-carries an explicit sampling-error allowance.  Distances to the Gaussian are
-exact suprema over ECDF jump points; nothing is evaluated on a grid.  Every
-report is a plain frozen dataclass, serialized as it stands.
+carries an explicit sampling-error allowance.  Every experiment on a model
+runs at the model's horizon, the one terminal time n; truncate(model, spec,
+n) picks an earlier one.  Distances to the Gaussian are exact suprema over
+ECDF jump points; nothing is evaluated on a grid.  Every report is a plain
+frozen dataclass, serialized as it stands.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from .bounds import a3_constant, burkholder_d
-from .engine import RunConfig, simulate_replicates
+from .engine import RunConfig, simulate, simulate_replicates
 from .errors import (
     ConfigError,
     DegenerateFunction,
-    DegenerateSigma,
     InsufficientReplicates,
     OscillationTooLarge,
     QuadratureFailure,
@@ -33,25 +34,25 @@ from .flow import (
     contraction_tables,
     limiting_increasing_process,
 )
-from .model import FeynmanKacModel, McKeanSpec, TestFunction
+from .model import FeynmanKacModel, McKeanSpec, TestFunction, make_model, validate_model
 from .rng import derive_seed, stream
 
 DKW_SCALE = 0.5  # ECDF noise allowance is DKW_SCALE / sqrt(n_samples)
+SLOPE_WINDOW = (-0.65, -0.35)  # the rate verdict passes with its slope inside
+EPS_GRID_POINTS = 8
 
 
-def kolmogorov_distance(values, sigma: float) -> float:
-    """Exact sup distance between the sample ECDF and a centered normal CDF.
+def kolmogorov_distance(values) -> float:
+    """Exact sup distance between the sample ECDF and the standard normal CDF.
 
     The supremum over the real line is attained at a jump point, where the
     ECDF must be compared from both sides:
-    max_i max(i/R - Phi(x_i/sigma), Phi(x_i/sigma) - (i-1)/R).
+    max_i max(i/R - Phi(x_i), Phi(x_i) - (i-1)/R).
     """
-    if sigma <= 0.0:
-        raise DegenerateSigma(f"sigma must be > 0, got {sigma}")
     v = np.sort(np.asarray(values, dtype=float))
     if v.size < 1:
         raise ConfigError("need at least one sample value")
-    return _ks_from_sorted_uniforms(ndtr(v / sigma))
+    return _ks_from_sorted_uniforms(ndtr(v))
 
 
 def _ks_from_sorted_uniforms(u: np.ndarray) -> float:
@@ -81,11 +82,9 @@ def clt_rate_experiment(
     model: FeynmanKacModel,
     spec: McKeanSpec,
     f: TestFunction,
-    n: int,
     n_grid,
     n_reps: int,
     master_seed: int,
-    slope_window: tuple[float, float] = (-0.65, -0.35),
     n_boot: int = 1000,
 ) -> RateReport:
     """Fit the decay rate of the normalized fluctuation's Gaussian distance.
@@ -94,7 +93,8 @@ def clt_rate_experiment(
     normalized by the exact limiting standard deviation, and reduced to the
     exact ECDF sup-distance from the standard normal.  The log-log slope over
     the grid is fitted by least squares, with a percentile bootstrap band
-    from resampling replicates within each grid point.
+    from resampling replicates within each grid point; the verdict is the
+    slope inside SLOPE_WINDOW.
 
     Raises:
         ConfigError: n_reps < 1, or n_grid lacks two distinct sizes >= 1.
@@ -104,12 +104,13 @@ def clt_rate_experiment(
     """
     if n_reps < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
+    n = model.horizon
     if f.oscillation(n) == 0.0:
         raise DegenerateFunction(f"test function is constant at time {n}")
     n_grid = tuple(int(N) for N in n_grid)
     if len(set(n_grid)) < 2 or min(n_grid) < 1:
         raise ConfigError(f"n_grid needs two distinct sizes >= 1, got {n_grid}")
-    flow = analyze(model, spec, f, terminal=n)
+    flow = analyze(model, spec, f)
     if flow.sigma_sq <= 0.0:
         raise DegenerateFunction(f"limiting variance is zero at time {n}")
     sigma = math.sqrt(flow.sigma_sq)
@@ -121,7 +122,7 @@ def clt_rate_experiment(
         config = RunConfig(n_particles=N, seed=derive_seed(master_seed, k), horizon=n)
         stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
         values = np.sort(stats.w / sigma)
-        distances.append(kolmogorov_distance(values, 1.0))
+        distances.append(kolmogorov_distance(values))
         phis.append(ndtr(values))
     if min(distances) <= ecdf_allowance:
         raise InsufficientReplicates(
@@ -146,14 +147,14 @@ def clt_rate_experiment(
         float(np.percentile(boot_slopes, 2.5)),
         float(np.percentile(boot_slopes, 97.5)),
     )
-    passed = bool(slope_window[0] <= slope <= slope_window[1])
+    passed = bool(SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1])
     return RateReport(
         n_grid=n_grid,
         distances=tuple(distances),
         slope=float(slope),
         intercept=float(intercept),
         slope_ci=ci,
-        slope_window=slope_window,
+        slope_window=SLOPE_WINDOW,
         n_reps=n_reps,
         master_seed=master_seed,
         ecdf_allowance=ecdf_allowance,
@@ -182,8 +183,8 @@ class ConcentrationReport:
     passed: bool
 
 
-def default_eps_grid(n_particles: int, scale: float, points: int = 8) -> np.ndarray:
-    """Geometric grid from 0.01 up to the finite-sample stability cap.
+def default_eps_grid(n_particles: int, scale: float) -> np.ndarray:
+    """Geometric grid of EPS_GRID_POINTS from 0.01 up to the stability cap.
 
     The cap keeps the largest possible exponent eps*sqrt(N)*scale at 20, past
     which a single extreme replicate dominates the empirical mean.
@@ -192,14 +193,13 @@ def default_eps_grid(n_particles: int, scale: float, points: int = 8) -> np.ndar
         raise ConfigError(f"n_particles must be >= 1, got {n_particles}")
     cap = 20.0 / (math.sqrt(n_particles) * scale)
     lo = min(0.01, cap / 2)
-    return np.geomspace(lo, cap, points)
+    return np.geomspace(lo, cap, EPS_GRID_POINTS)
 
 
 def concentration_experiment(
     model: FeynmanKacModel,
     spec: McKeanSpec,
     f: TestFunction,
-    n: int,
     n_particles: int,
     eps_grid,
     n_reps: int,
@@ -220,6 +220,7 @@ def concentration_experiment(
     """
     if statistic not in ("eta", "delta_c"):
         raise ConfigError(f"unknown statistic {statistic!r}")
+    n = model.horizon
     osc = f.oscillation(n)
     if osc > 1.0 + 1e-12:
         raise OscillationTooLarge(
@@ -241,7 +242,7 @@ def concentration_experiment(
                 f"shrink the grid"
             )
 
-    flow = analyze(model, spec, f, terminal=n)
+    flow = analyze(model, spec, f)
     tables = contraction_tables(model, flow.etas)
     config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)
     stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
@@ -251,7 +252,7 @@ def concentration_experiment(
         def log_bound(eps):
             return math.log1p(eps * const / math.sqrt(2.0)) + (eps * const) ** 2 / 2.0
     else:
-        limit_inc = limiting_increasing_process(model, spec, flow.etas, f, n)
+        limit_inc = limiting_increasing_process(model, spec, flow.etas, f)
         values = root_n * np.abs(stats.delta_c_steps[:, -1] - limit_inc[n])
         const = a3_constant(tables, n)
         def log_bound(eps):
@@ -349,7 +350,6 @@ def lp_moment_experiment(
     model: FeynmanKacModel,
     spec: McKeanSpec,
     f: TestFunction,
-    n: int,
     n_particles: int,
     p_max: int,
     n_reps: int,
@@ -363,11 +363,12 @@ def lp_moment_experiment(
     sets the allowance.
     """
     _check_p_max(p_max)
+    n = model.horizon
     if f.oscillation(n) > 1.0 + 1e-12:
         raise OscillationTooLarge(
             f"oscillation {f.oscillation(n)} at time {n} exceeds 1"
         )
-    flow = analyze(model, spec, f, terminal=n)
+    flow = analyze(model, spec, f)
     b_n = concentration_b(contraction_tables(model, flow.etas), n)
     config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)
     stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
@@ -385,22 +386,25 @@ def iid_moment_check(
 ) -> MomentReport:
     """Moment bounds for plain independent sampling from mu.
 
-    Draws the counts of N independent variables from mu (one multinomial per
-    replicate), centers h under mu, and checks
-    sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
+    The N independent variables of replicate r are the time-0 particles of
+    the horizon-0 model with initial law mu (BadInitialLaw if mu is not a
+    probability vector), drawn by simulate; h is centered under mu, and the
+    check is sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
     """
     _check_p_max(p_max)
     if n_particles < 1 or n_reps < 1:
         raise ConfigError(f"need n_particles, n_reps >= 1; got {n_particles}, {n_reps}")
     mu = np.asarray(mu, dtype=float)
     h = np.asarray(h, dtype=float)
+    model = make_model(mu, [], [np.ones_like(mu)])
+    validate_model(model)
+    if h.shape != mu.shape:
+        raise ConfigError(f"h has shape {h.shape}, mu has shape {mu.shape}")
     h = h - float(mu @ h)
     osc = float(h.max() - h.min())
-    root_n = math.sqrt(n_particles)
-    values = np.empty(n_reps)
-    for r in range(n_reps):
-        counts = stream(master_seed, r).multinomial(n_particles, mu)
-        values[r] = root_n * abs(float(counts @ h) / n_particles)
+    config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=0)
+    trace = simulate(config, model, McKeanSpec.zero(0), range(n_reps))
+    values = math.sqrt(n_particles) * np.abs((trace.empirical(0) * h).sum(-1))
     return _moment_table(values, osc, p_max, n_particles, master_seed, n_boot)
 
 
@@ -472,9 +476,9 @@ def stein_check(x_samples, y_samples) -> SteinReport:
     if x.shape != y.shape:
         raise ConfigError(f"paired samples have shapes {x.shape} and {y.shape}")
     R = len(x)
-    lhs = kolmogorov_distance(x + y, 1.0)
+    lhs = kolmogorov_distance(x + y)
     rhs = (
-        kolmogorov_distance(x, 1.0)
+        kolmogorov_distance(x)
         + 4.0 * float(np.abs(x * y).mean())
         + 4.0 * float(np.abs(y).mean())
     )
@@ -488,7 +492,6 @@ def stein_experiment(
     model: FeynmanKacModel,
     spec: McKeanSpec,
     f: TestFunction,
-    n: int,
     n_particles: int,
     n_reps: int,
     master_seed: int,
@@ -502,7 +505,8 @@ def stein_experiment(
     Raises:
         DegenerateFunction: the terminal function has zero limiting variance.
     """
-    flow = analyze(model, spec, f, terminal=n)
+    n = model.horizon
+    flow = analyze(model, spec, f)
     if flow.sigma_sq <= 0.0 or f.oscillation(n) == 0.0:
         raise DegenerateFunction(f"limiting variance at time {n} is zero")
     config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)

@@ -113,7 +113,7 @@ def validate_model(model: FeynmanKacModel) -> np.ndarray:
         raise BadInitialLaw(
             f"eta0 has length {model.eta0.shape}, expected ({model.dims[0]},)"
         )
-    if np.any(model.eta0 < 0) or abs(model.eta0.sum() - 1.0) > tol.ALGEBRA:
+    if not np.all(model.eta0 >= 0) or abs(model.eta0.sum() - 1.0) > tol.ALGEBRA:
         raise BadInitialLaw(
             f"eta0 must be a probability vector (sum={model.eta0.sum()!r})"
         )
@@ -124,7 +124,7 @@ def validate_model(model: FeynmanKacModel) -> np.ndarray:
                 f"kernel {n} has shape {kern.shape}, expected "
                 f"({model.dims[n]}, {model.dims[n + 1]})"
             )
-        if np.any(kern < 0) or np.any(np.abs(kern.sum(axis=1) - 1.0) > tol.ALGEBRA):
+        if not np.all(kern >= 0) or np.any(np.abs(kern.sum(axis=1) - 1.0) > tol.ALGEBRA):
             raise NonStochasticKernel(f"kernel {n} rows are not probability vectors")
 
     ratios = np.empty(H + 1)
@@ -225,8 +225,16 @@ def _read_json(path, what: str) -> dict:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
+def open_output(path):
+    """Open path for writing text; a path that cannot be opened is a ConfigError."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+
+
 def _write_json(path, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
 

@@ -122,10 +122,10 @@ def test_exact_algebra_suite():
 def test_per_run_decomposition_identities():
     t0 = time.time()
     entry = zoo.build("binary_hmm")
-    flow = analyze(entry.model, entry.spec, entry.f, terminal=5)
+    flow = analyze(entry.model, entry.spec, entry.f)
     config = RunConfig(n_particles=500, seed=77, horizon=5)
     trace = simulate(config, entry.model, entry.spec, range(200))
-    series = doob_terms(trace, flow, entry.model, entry.f, 5)
+    series = doob_terms(trace, flow, entry.model)
     worst = float(max(series.residual_mean.max(), series.residual_field.max()))
     elapsed = time.time() - t0
     ok = worst <= tol.PRODUCT and elapsed < 30.0
@@ -162,7 +162,7 @@ def test_path_space_consistency():
 def test_gaussian_rate_experiment():
     entry = zoo.build("binary_hmm")
     rep = clt_rate_experiment(
-        entry.model, entry.spec, entry.f, 5, [100, 400, 1600, 6400],
+        entry.model, entry.spec, entry.f, [100, 400, 1600, 6400],
         n_reps=2000, master_seed=1, n_boot=200,
     )
     ratio_ok = rep.distances[-1] < rep.distances[0] / 4.0
@@ -178,7 +178,7 @@ def test_gaussian_rate_experiment():
 def test_gaussian_rate_calibration_twin():
     entry = zoo.build("iid_reduction")
     rep = clt_rate_experiment(
-        entry.model, entry.spec, entry.f, 0, [100, 400, 1600, 6400],
+        entry.model, entry.spec, entry.f, [100, 400, 1600, 6400],
         n_reps=20000, master_seed=1, n_boot=200,
     )
     report(
@@ -191,10 +191,8 @@ def test_gaussian_rate_calibration_twin():
 
 def test_increasing_process_convergence():
     entry = zoo.build("binary_hmm")
-    flow = analyze(entry.model, entry.spec, entry.f, terminal=5)
-    limit = limiting_increasing_process(
-        entry.model, entry.spec, flow.etas, entry.f, 5
-    ).sum()
+    flow = analyze(entry.model, entry.spec, entry.f)
+    limit = limiting_increasing_process(entry.model, entry.spec, flow.etas, entry.f).sum()
     medians = {}
     for N in (100, 10_000):
         stats = simulate_replicates(
@@ -218,7 +216,7 @@ def test_concentration_bound():
     for N in (100, 1000):
         grid = default_eps_grid(N, 1.0)
         rep = concentration_experiment(
-            entry.model, entry.spec, entry.f, 5, N, grid, n_reps=3000,
+            entry.model, entry.spec, entry.f, N, grid, n_reps=3000,
             master_seed=31,
         )
         all_ok &= rep.passed
@@ -250,7 +248,7 @@ def test_increasing_process_exponential_continuity():
     scale = entry.f.oscillation(5) ** 2 / 2.0
     grid = default_eps_grid(N, scale)
     rep = concentration_experiment(
-        entry.model, entry.spec, entry.f, 5, N, grid, n_reps=2000,
+        entry.model, entry.spec, entry.f, N, grid, n_reps=2000,
         master_seed=47, statistic="delta_c",
     )
     worst_gap = max(
@@ -267,7 +265,7 @@ def test_moment_bounds():
     ok_units = burkholder_d(2) == 1.0 and burkholder_d(4) == 3.0
     entry = zoo.build("binary_hmm")
     particle = lp_moment_experiment(
-        entry.model, entry.spec, entry.f, 5, 1000, 6, n_reps=2000, master_seed=53
+        entry.model, entry.spec, entry.f, 1000, 6, n_reps=2000, master_seed=53
     )
     iid = iid_moment_check([0.5, 0.5], [-0.5, 0.5], 1000, 6, 2000, master_seed=59)
     ok = ok_units and particle.passed and iid.passed
@@ -291,7 +289,7 @@ def test_smoothing_and_perturbation_inequalities():
         smoothing_ok &= bound >= true_dist
 
     entry = zoo.build("binary_hmm")
-    stein = stein_experiment(entry.model, entry.spec, entry.f, 5, 500, 10_000, 61)
+    stein = stein_experiment(entry.model, entry.spec, entry.f, 500, 10_000, 61)
     ok = smoothing_ok and stein.passed
     report(
         "smoothing and perturbation inequalities",

@@ -6,7 +6,10 @@ from numpy.testing import assert_allclose
 
 from fkbench import tolerances as tol
 from fkbench.bounds import (
-    McKeanGamma,
+    GAMMA,
+    GAMMA_COMBINED,
+    GAMMA_PRIME,
+    GAMMA_TILDE,
     a3_constant,
     burkholder_d,
     check_minorization,
@@ -40,11 +43,10 @@ class TestBurkholderD:
 
 class TestMcKeanGamma:
     def test_constant_eps_masses(self):
-        g = McKeanGamma()
-        assert g.gamma == 0.0
-        assert g.gamma_prime == 1.0
-        assert g.combined == 1.0
-        assert g.tilde == 2.0
+        assert GAMMA == 0.0
+        assert GAMMA_PRIME == 1.0
+        assert GAMMA_COMBINED == 1.0
+        assert GAMMA_TILDE == 2.0
 
     def test_a3_matches_formula(self, two_state):
         model, spec, f = two_state

@@ -276,10 +276,19 @@ def test_function_shorter_than_horizon(tmp_path, capsys):
         ["oracle", "--zoo", "binary_hmm", "--zoo-params", '{"horizon": -1}'],
         ["oracle", "--zoo", "path_genealogy", "--zoo-params", '{"horizon": -1}'],
         ["oracle", "--zoo", "plain_markov", "--zoo-params", '{"horizon": -1}'],
+        ["oracle", "--zoo", "binary_hmm", "--function", "three_states.json"],
+        ["verify", "stein", "--zoo", "binary_hmm", "--function", "three_states.json"],
+        ["oracle", "--zoo", "binary_hmm", "--out", "missing/report.json"],
+        ["simulate", "--zoo", "binary_hmm", "--out", "missing/runs.csv"],
+        ["verify", "stein", "--zoo", "binary_hmm", "--N", "50", "--reps", "20",
+         "--out", "missing/report.json"],
+        ["zoo", "export", "--name", "binary_hmm", "--out", "missing/m.json"],
     ],
 )
 def test_bad_input_is_config_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    # the right number of times for binary_hmm, but vectors over three states
+    (tmp_path / "three_states.json").write_text(json.dumps({"values": [[0.0, 0.5, 1.0]] * 6}))
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "config error" in err

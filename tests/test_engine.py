@@ -10,8 +10,10 @@ from scipy.stats import chi2, chisquare
 import fkbench.engine as engine
 from fkbench import tolerances as tol
 from fkbench.engine import (
+    DoobSeries,
     ReplicateStats,
     RunConfig,
+    RunTrace,
     doob_terms,
     increasing_increments,
     sampling_error,
@@ -35,6 +37,7 @@ from fkbench.model import (
     make_function,
     make_model,
     mixing_weights,
+    truncate,
     validate_model,
     validate_spec,
 )
@@ -96,8 +99,8 @@ class TestStep:
         f = make_function([[0.5]] * 4)
         trace = simulate(RunConfig(20, 5, 3), model, spec)
         assert all(c.tolist() == [[20]] for c in trace.counts)
-        flow = analyze(model, spec, f, terminal=3)
-        assert_allclose(doob_terms(trace, flow, model, f, 3).l, 0.0)
+        flow = analyze(model, spec, f)
+        assert_allclose(doob_terms(trace, flow, model).l, 0.0)
         assert_allclose(increasing_increments(trace, model, spec, f), 0.0)
 
     def test_conditional_mean_matches_exact_update(self, two_state):
@@ -215,7 +218,7 @@ class TestBatch:
     def test_mixing_weights_once_per_step(self, two_state, monkeypatch):
         # the replicates are one batch: the step's weights are derived once
         model, spec, f = two_state
-        flow = analyze(model, spec, f, terminal=2)
+        flow = analyze(model, spec, f)
         calls = Counter()
 
         def counted(model, spec, n):
@@ -229,7 +232,7 @@ class TestBatch:
     def test_step_phi_once_per_step(self, two_state, monkeypatch):
         # every row's resampling law comes from one call on the whole batch
         model, spec, f = two_state
-        flow = analyze(model, spec, f, terminal=2)
+        flow = analyze(model, spec, f)
         calls = Counter()
 
         def counted(model, mu, n):
@@ -371,7 +374,7 @@ class TestIncreasingProcess:
     def test_converges_to_limit(self, two_state):
         model, spec, f = two_state
         flow = exact_flow(model)
-        limit = limiting_increasing_process(model, spec, flow.etas, f, 2).sum()
+        limit = limiting_increasing_process(model, spec, flow.etas, f).sum()
         errs = []
         for N in (100, 10_000):
             stats = simulate_replicates(
@@ -388,7 +391,7 @@ class TestIncreasingProcess:
         assert max(spec.epsilons) > 0.0
         n = model.horizon
         flow = exact_flow(model)
-        limit = limiting_increasing_process(model, spec, flow.etas, f, n).sum()
+        limit = limiting_increasing_process(model, spec, flow.etas, f).sum()
         stats = simulate_replicates(RunConfig(20_000, 71, n), model, spec, f, 8)
         worst = np.abs(stats.c_total - limit).max()
         assert worst < 0.02 * limit
@@ -397,9 +400,9 @@ class TestIncreasingProcess:
 class TestDoob:
     def test_identities_per_run(self, two_state):
         model, spec, f = two_state
-        flow = analyze(model, spec, f, terminal=2)
+        flow = analyze(model, spec, f)
         trace = simulate(RunConfig(250, 101, 2), model, spec, range(25))
-        series = doob_terms(trace, flow, model, f, 2)
+        series = doob_terms(trace, flow, model)
         assert np.all(series.residual_mean <= tol.PRODUCT)
         assert np.all(series.residual_field <= tol.PRODUCT)
         # realized increasing process never decreases
@@ -407,32 +410,41 @@ class TestDoob:
 
     def test_terminal_field_is_plain_error(self, two_state):
         model, spec, f = two_state
-        flow = analyze(model, spec, f, terminal=2)
+        flow = analyze(model, spec, f)
         config = RunConfig(250, 77, 2)
         trace = simulate(config, model, spec)
-        series = doob_terms(trace, flow, model, f, 2)
+        series = doob_terms(trace, flow, model)
         expected = np.sqrt(250) * float(
             (trace.empirical(2)[0] - flow.etas[2]) @ f.values[2]
         )
         assert_allclose(series.w[0, 2], expected, atol=tol.PRODUCT)
 
-
-    def test_rejects_analytics_for_another_terminal(self, two_state):
+    def test_earlier_terminal_reads_a_prefix_of_the_runs(self, two_state):
         model, spec, f = two_state
-        flow = analyze(model, spec, f, terminal=1)
-        trace = simulate(RunConfig(50, 3, 2), model, spec)
+        flow = analyze(*truncate(model, spec, 1), f)
+        trace = simulate(RunConfig(50, 3, 2), model, spec, range(4))
+        prefix = RunTrace(trace.n_particles, trace.counts[:2])
+        whole, cut = doob_terms(trace, flow, model), doob_terms(prefix, flow, model)
+        for field in fields(DoobSeries):
+            assert np.array_equal(getattr(whole, field.name), getattr(cut, field.name))
+        assert whole.w.shape == (4, 2)
+
+    def test_runs_must_reach_the_terminal(self, two_state):
+        model, spec, f = two_state
+        flow = analyze(model, spec, f)
+        trace = simulate(RunConfig(50, 3, 1), model, spec)
         with pytest.raises(FlowConsistencyError):
-            doob_terms(trace, flow, model, f, 2)
+            doob_terms(trace, flow, model)
 
 
 class TestReplicates:
     def test_single_rep_matches_direct_run(self, two_state):
         model, spec, f = two_state
-        flow = analyze(model, spec, f, terminal=2)
+        flow = analyze(model, spec, f)
         config = RunConfig(100, 5, 2)
         stats = simulate_replicates(config, model, spec, f, 1, flow=flow)
         trace = simulate(config, model, spec, [0])
-        series = doob_terms(trace, flow, model, f, 2)
+        series = doob_terms(trace, flow, model)
         assert stats.w[0] == series.w[0, 2]
         assert stats.l_terminal[0] == series.l[0, 2]
 
@@ -453,13 +465,13 @@ class TestReplicates:
             entry = build(name, **params)
             model, spec, f = entry.model, entry.spec, entry.f
         n = model.horizon
-        flow = analyze(model, spec, f, terminal=n)
+        flow = analyze(model, spec, f)
         config = RunConfig(40, 19, n)
         stats = simulate_replicates(config, model, spec, f, 37, flow=flow)
         assert stats.w_steps.shape == stats.delta_c_steps.shape == (37, n + 1)
         for r in range(37):
             trace = simulate(config, model, spec, [r])
-            doob = doob_terms(trace, flow, model, f, n)
+            doob = doob_terms(trace, flow, model)
             dc = increasing_increments(trace, model, spec, f)
             pairs = [
                 (stats.w_steps[r], doob.w[0]),
@@ -481,7 +493,7 @@ class TestReplicates:
 
     def test_centering_over_replicates(self, two_state):
         model, spec, f = two_state
-        flow = analyze(model, spec, f, terminal=2)
+        flow = analyze(model, spec, f)
         stats = simulate_replicates(
             RunConfig(50, 23, 2), model, spec, f, 2000, flow=flow
         )
@@ -493,13 +505,13 @@ class TestReplicates:
         model, spec, _ = two_state
         f = make_function([np.ones(2)] * 3)
         with pytest.raises(DegenerateFunction):
-            stein_experiment(model, spec, f, 2, 50, 2, 1)
+            stein_experiment(model, spec, f, 50, 2, 1)
 
     def test_analytics_for_another_terminal_fail_before_any_draw(
         self, two_state, monkeypatch
     ):
         model, spec, f = two_state
-        flow = analyze(model, spec, f, terminal=1)
+        flow = analyze(*truncate(model, spec, 1), f)
 
         def no_draws(*args):
             raise AssertionError("drew replicates")
@@ -507,6 +519,15 @@ class TestReplicates:
         monkeypatch.setattr(engine, "stream", no_draws)
         with pytest.raises(FlowConsistencyError):
             simulate_replicates(RunConfig(50, 1, 2), model, spec, f, 5, flow=flow)
+
+    def test_shorter_config_horizon_is_the_truncated_model(self, two_state):
+        model, spec, f = two_state
+        config = RunConfig(40, 19, 1)
+        short = simulate_replicates(config, model, spec, f, 7)
+        cut = simulate_replicates(config, *truncate(model, spec, 1), f, 7)
+        assert short.w_steps.shape == (7, 2)
+        for field in fields(ReplicateStats):
+            assert np.array_equal(getattr(short, field.name), getattr(cut, field.name))
 
     def test_bad_rep_count(self, two_state):
         model, spec, f = two_state

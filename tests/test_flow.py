@@ -14,13 +14,15 @@ from fkbench.flow import (
     concentration_b,
     contraction_tables,
     dobrushin_beta,
+    _transport_step,
     exact_flow,
     limiting_increasing_process,
+    limiting_variance,
     mckean_kernel,
     step_phi,
     transport,
 )
-from fkbench.model import McKeanSpec, make_function, make_model
+from fkbench.model import McKeanSpec, make_function, make_model, truncate
 from fkbench.zoo import build
 
 from .oracles import variance_by_enumeration
@@ -222,8 +224,10 @@ class TestStreamedOracle:
     @pytest.mark.parametrize("terminal", [None, 2])
     def test_backward_sweep_matches_transport(self, terminal):
         entry = build("path_genealogy", horizon=4)
-        model, f = entry.model, entry.f
-        flow = analyze(model, entry.spec, f, terminal=terminal)
+        model, spec, f = entry.model, entry.spec, entry.f
+        if terminal is not None:
+            model, spec = truncate(model, spec, terminal)
+        flow = analyze(model, spec, f)
         n = flow.terminal
         centered = f.values[n] - flow.etas[n] @ f.values[n]
         for p in range(n + 1):
@@ -232,6 +236,32 @@ class TestStreamedOracle:
                 transport(model, flow.etas, p, n) @ centered,
                 atol=tol.PRODUCT,
             )
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [("path_genealogy", {"horizon": 4}), ("ring_walk", {"eps_scale": 1.0})],
+    )
+    def test_truncated_model_is_the_prefix(self, name, params):
+        # analyzing truncate(model, spec, n) gives, bit for bit, the sweep
+        # from terminal n over the longer model's own flow
+        entry = build(name, **params)
+        model, spec, f = entry.model, entry.spec, entry.f
+        full = exact_flow(model)
+        for n in range(model.horizon + 1):
+            cut = analyze(*truncate(model, spec, n), f)
+            fpn = [f.values[n] - float(full.etas[n] @ f.values[n])]
+            for p in range(n - 1, -1, -1):
+                fpn.insert(0, _transport_step(model, full.etas, p) @ fpn[0])
+            delta = limiting_variance(model, spec, full.etas, fpn)
+            assert cut.terminal == len(cut.etas) - 1 == n
+            for got, expected in [
+                *zip(cut.etas, full.etas),
+                *zip(cut.fpn, fpn, strict=True),
+                (cut.log_gamma1, full.log_gamma1[: n + 1]),
+                (cut.deltaC, delta),
+            ]:
+                assert np.array_equal(got, expected)
+            assert cut.sigma_sq == float(delta.sum())
 
     def test_analyze_memory_is_linear_in_horizon(self):
         # the stored (p, n) transport table would hold (H+1)(H+2)/2 dense
@@ -299,10 +329,13 @@ class TestLimitingVariance:
         # hand recursion: variance of the indicator under eta_p for eps = 0
         model, spec, f = two_state
         flow = exact_flow(model)
-        inc = limiting_increasing_process(model, spec, flow.etas, f, 2)
+        inc = limiting_increasing_process(model, spec, flow.etas, f)
         assert_allclose(
             inc, [0.25, 0.24, 0.23346938775510204], atol=tol.ALGEBRA
         )
+        # one term per time of etas: a prefix of the flow gives a prefix
+        prefix = limiting_increasing_process(model, spec, flow.etas[:2], f)
+        assert np.array_equal(prefix, inc[:2])
 
 
 class TestConcentrationB:

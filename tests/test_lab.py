@@ -9,11 +9,11 @@ from scipy.special import ndtr
 
 import fkbench.lab as lab
 from fkbench.bounds import burkholder_d, mixing_bounds
-from fkbench.engine import RunConfig, simulate_replicates
+from fkbench.engine import RunConfig, simulate, simulate_replicates
 from fkbench.errors import (
+    BadInitialLaw,
     ConfigError,
     DegenerateFunction,
-    DegenerateSigma,
     FkbenchError,
     InsufficientReplicates,
     OscillationTooLarge,
@@ -32,25 +32,26 @@ from fkbench.lab import (
     stein_check,
     stein_experiment,
 )
-from fkbench.model import make_function
+from fkbench.model import McKeanSpec, make_function, make_model
+from fkbench.rng import stream
 from fkbench.zoo import build
 
 
 class TestKolmogorovDistance:
     def test_single_point_at_zero(self):
-        assert_allclose(kolmogorov_distance([0.0], 1.0), 0.5)
+        assert_allclose(kolmogorov_distance([0.0]), 0.5)
 
     def test_distant_mass(self):
-        assert kolmogorov_distance(np.full(100, 10.0), 1.0) > 0.999
+        assert kolmogorov_distance(np.full(100, 10.0)) > 0.999
 
     def test_gaussian_sample_is_close(self):
         rng = np.random.default_rng(4)
-        assert kolmogorov_distance(rng.normal(0.0, 2.0, size=10_000), 2.0) < 0.02
+        assert kolmogorov_distance(rng.normal(0.0, 2.0, size=10_000) / 2.0) < 0.02
 
     def test_matches_dense_grid_bruteforce(self):
         rng = np.random.default_rng(8)
         values = rng.normal(size=40)
-        exact = kolmogorov_distance(values, 1.0)
+        exact = kolmogorov_distance(values)
         # dense grid plus points hugging each jump from the left
         jumps = np.sort(values)
         grid = np.concatenate([np.linspace(-5, 5, 200_001), jumps, jumps - 1e-9])
@@ -59,21 +60,17 @@ class TestKolmogorovDistance:
         assert brute <= exact + 1e-12
         assert_allclose(brute, exact, atol=1e-6)
 
-    def test_degenerate_sigma(self):
-        with pytest.raises(DegenerateSigma):
-            kolmogorov_distance([1.0], 0.0)
-
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            kolmogorov_distance([], 1.0)
+            kolmogorov_distance([])
 
 
 class TestCltRateExperiment:
     def test_smoke_run_and_determinism(self):
         entry = build("iid_reduction")
         kwargs = dict(n_grid=[50, 200], n_reps=400, master_seed=3, n_boot=50)
-        a = clt_rate_experiment(entry.model, entry.spec, entry.f, 0, **kwargs)
-        b = clt_rate_experiment(entry.model, entry.spec, entry.f, 0, **kwargs)
+        a = clt_rate_experiment(entry.model, entry.spec, entry.f, **kwargs)
+        b = clt_rate_experiment(entry.model, entry.spec, entry.f, **kwargs)
         assert a == b
         assert a.slope < 0.0
         assert a.slope_ci[0] <= a.slope <= a.slope_ci[1]
@@ -83,16 +80,14 @@ class TestCltRateExperiment:
         entry = build("iid_reduction")
         f = make_function([np.ones(2)])
         with pytest.raises(DegenerateFunction):
-            clt_rate_experiment(
-                entry.model, entry.spec, f, 0, [100], 100, master_seed=1
-            )
+            clt_rate_experiment(entry.model, entry.spec, f, [100], 100, master_seed=1)
 
     def test_noise_guard(self, monkeypatch):
         entry = build("iid_reduction")
-        monkeypatch.setattr(lab, "kolmogorov_distance", lambda s, sigma: 1e-9)
+        monkeypatch.setattr(lab, "kolmogorov_distance", lambda s: 1e-9)
         with pytest.raises(InsufficientReplicates):
             clt_rate_experiment(
-                entry.model, entry.spec, entry.f, 0, [50, 100], 50, master_seed=1
+                entry.model, entry.spec, entry.f, [50, 100], 50, master_seed=1
             )
 
 
@@ -142,7 +137,7 @@ class TestSteinCheck:
         x = rng.normal(size=2000)
         report = stein_check(x, np.zeros(2000))
         assert report.passed
-        assert_allclose(report.lhs, kolmogorov_distance(x, 1.0))
+        assert_allclose(report.lhs, kolmogorov_distance(x))
 
     def test_small_multiplicative_perturbation(self):
         rng = np.random.default_rng(7)
@@ -159,7 +154,7 @@ class TestConcentrationExperiment:
     def test_unit_eps_zero_and_pass(self):
         entry = build("iid_reduction", p=0.5)
         report = concentration_experiment(
-            entry.model, entry.spec, entry.f, 0, 100,
+            entry.model, entry.spec, entry.f, 100,
             [0.0, 0.1, 0.5, 1.0], 1500, master_seed=5,
         )
         assert report.empirical[0] == 1.0
@@ -170,7 +165,7 @@ class TestConcentrationExperiment:
     def test_delta_c_variant(self, two_state):
         model, spec, f = two_state
         report = concentration_experiment(
-            model, spec, f, 2, 200, [0.0, 0.05, 0.2], 800,
+            model, spec, f, 200, [0.0, 0.05, 0.2], 800,
             master_seed=5, statistic="delta_c",
         )
         assert report.passed
@@ -179,15 +174,13 @@ class TestConcentrationExperiment:
         model, spec, _ = two_state
         f = make_function([[0.0, 2.0]] * 3)
         with pytest.raises(OscillationTooLarge):
-            concentration_experiment(
-                model, spec, f, 2, 100, [0.1], 100, master_seed=1
-            )
+            concentration_experiment(model, spec, f, 100, [0.1], 100, master_seed=1)
 
     def test_stability_cap(self):
         entry = build("iid_reduction", p=0.5)
         with pytest.raises(ValueError):
             concentration_experiment(
-                entry.model, entry.spec, entry.f, 0, 10_000, [1.0], 100,
+                entry.model, entry.spec, entry.f, 10_000, [1.0], 100,
                 master_seed=1,
             )
 
@@ -195,7 +188,7 @@ class TestConcentrationExperiment:
         model, spec, f = two_state
         with pytest.raises(ValueError):
             concentration_experiment(
-                model, spec, f, 2, 100, [0.1], 100, master_seed=1,
+                model, spec, f, 100, [0.1], 100, master_seed=1,
                 statistic="nope",
             )
 
@@ -221,10 +214,26 @@ class TestMomentExperiments:
         )
         assert all(v == 0.0 for v in report.lhs)
 
+    def test_iid_draws_are_the_horizon_zero_particles(self):
+        # replicate r draws from (seed, r, 0), never the bootstrap's (seed, 999)
+        mu, h = [0.3, 0.7], np.array([-0.5, 0.5])
+        report = iid_moment_check(mu, h, 50, 1, 1001, master_seed=9, n_boot=20)
+        counts = simulate(RunConfig(50, 9, 0), make_model(mu, [], [np.ones(2)]),
+                          McKeanSpec.zero(0), range(1001)).counts[0]
+        assert_allclose(counts[999], stream(9, 999, 0).multinomial(50, mu))
+        w = np.sqrt(50) * np.abs(counts / 50 @ (h - 0.2))
+        assert_allclose(report.lhs[0], w.mean(), rtol=1e-12)
+
+    @pytest.mark.parametrize("mu", [[0.2, 0.2], [0.7, 0.7], [1.5, -0.5], [np.nan, 1.0]])
+    def test_iid_rejects_a_non_law(self, mu, monkeypatch):
+        monkeypatch.setattr(lab, "simulate", None)  # fails before any draw
+        with pytest.raises(BadInitialLaw):
+            iid_moment_check(mu, [0.0, 1.0], 100, 4, 100, 1)
+
     def test_particle_moments_pass(self, two_state):
         model, spec, f = two_state
         report = lp_moment_experiment(
-            model, spec, f, 2, 200, 4, 800, master_seed=13, n_boot=100
+            model, spec, f, 200, 4, 800, master_seed=13, n_boot=100
         )
         assert report.passed
         assert len(report.lhs) == 4
@@ -235,15 +244,13 @@ class TestMomentExperiments:
     def test_order_cap(self, two_state):
         model, spec, f = two_state
         with pytest.raises(ValueError):
-            lp_moment_experiment(
-                model, spec, f, 2, 100, 9, 100, master_seed=1
-            )
+            lp_moment_experiment(model, spec, f, 100, 9, 100, master_seed=1)
 
 
 def _ill_posed_calls():
     """Experiments whose verdict cannot mean anything, keyed by the reason."""
     entry = build("binary_hmm")
-    args = (entry.model, entry.spec, entry.f, 5)
+    args = (entry.model, entry.spec, entry.f)
     return {
         "empty N grid": lambda: clt_rate_experiment(*args, [], 100, 1),
         "one N": lambda: clt_rate_experiment(*args, [100], 100, 1),
@@ -262,6 +269,7 @@ def _ill_posed_calls():
         "iid p_max 9": lambda: iid_moment_check([0.5, 0.5], [0, 1], 100, 9, 100, 1),
         "iid no reps": lambda: iid_moment_check([0.5, 0.5], [0, 1], 100, 4, 0, 1),
         "iid no particles": lambda: iid_moment_check([0.5, 0.5], [0, 1], 0, 4, 100, 1),
+        "iid h length": lambda: iid_moment_check([0.5, 0.5], [0, 1, 2], 100, 4, 100, 1),
     }
 
 
@@ -274,6 +282,7 @@ def test_ill_posed_verdict_fails_before_any_draw(case, monkeypatch):
         raise AssertionError("an ill-posed experiment drew replicates")
 
     monkeypatch.setattr(lab, "simulate_replicates", no_draws)
+    monkeypatch.setattr(lab, "simulate", no_draws)
     monkeypatch.setattr(lab, "stream", no_draws)
     with pytest.raises(ConfigError):
         ILL_POSED[case]()
@@ -283,7 +292,7 @@ BAD_INPUT = {
     "smoothing cutoff": lambda: smoothing_bound(normal_cf(), normal_cf(), 0.0, 1.0),
     "burkholder order": lambda: burkholder_d(0),
     "mixing window": lambda: mixing_bounds(m=0, r=1.0, rho=0.5, n=1),
-    "empty sample": lambda: kolmogorov_distance([], 1.0),
+    "empty sample": lambda: kolmogorov_distance([]),
     "stein shapes": lambda: stein_check([0.0, 1.0], [0.0]),
 }
 
@@ -298,15 +307,15 @@ def test_negative_eps_has_its_own_message():
     entry = build("binary_hmm")
     with pytest.raises(ConfigError, match="must be >= 0"):
         concentration_experiment(
-            entry.model, entry.spec, entry.f, 5, 100, [0.1, -0.1], 100, 1
+            entry.model, entry.spec, entry.f, 100, [0.1, -0.1], 100, 1
         )
 
 
 class TestSteinExperiment:
     def test_is_stein_check_on_normalized_decomposition(self, two_state):
         model, spec, f = two_state
-        report = stein_experiment(model, spec, f, 2, 100, 300, 4)
-        flow = analyze(model, spec, f, terminal=2)
+        report = stein_experiment(model, spec, f, 100, 300, 4)
+        flow = analyze(model, spec, f)
         stats = simulate_replicates(RunConfig(100, 4, 2), model, spec, f, 300)
         scale = 1.0 / math.sqrt(flow.sigma_sq)
         assert report == stein_check(

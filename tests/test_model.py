@@ -47,7 +47,11 @@ def test_zero_potential_rejected():
 
 @pytest.mark.parametrize(
     "kernel",
-    [np.array([[0.5, 0.4], [0.3, 0.7]]), np.array([[1.1, -0.1], [0.3, 0.7]])],
+    [
+        np.array([[0.5, 0.4], [0.3, 0.7]]),
+        np.array([[1.1, -0.1], [0.3, 0.7]]),
+        np.array([[np.nan, 0.5], [0.3, 0.7]]),
+    ],
 )
 def test_bad_kernel_rejected(kernel):
     with pytest.raises(NonStochasticKernel):
@@ -57,6 +61,11 @@ def test_bad_kernel_rejected(kernel):
 def test_bad_initial_law_rejected():
     with pytest.raises(BadInitialLaw):
         validate_model(make_model([0.5, 0.6], [np.eye(2)], [np.ones(2)] * 2))
+
+
+def test_nan_initial_law_rejected():
+    with pytest.raises(BadInitialLaw):
+        validate_model(make_model([np.nan, 1.0], [np.eye(2)], [np.ones(2)] * 2))
 
 
 def test_kernel_shape_mismatch():
