@@ -37,6 +37,7 @@ from .model import (
     save_function,
     save_model,
     truncate,
+    validate_function,
 )
 from . import zoo
 
@@ -65,13 +66,7 @@ def _resolve_inputs(args):
         raise ConfigError("no test function: give --function FILE")
     horizon = args.horizon if args.horizon is not None else model.horizon
     model, spec = truncate(model, spec, horizon)
-    if len(f.values) < horizon + 1:
-        raise ConfigError(
-            f"function defines {len(f.values)} time indices, horizon needs "
-            f"{horizon + 1}"
-        )
-    if any(v.shape != (d,) for v, d in zip(f.values, model.dims)):
-        raise ConfigError(f"function vectors do not match the model's dims {model.dims}")
+    validate_function(f, model)
     return model, spec, f
 
 

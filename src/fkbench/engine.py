@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError, FlowConsistencyError
 from .flow import FlowAnalytics, analyze, boltzmann_gibbs, conditional_variance, step_phi
 from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights, truncate
+from .model import validate_model, validate_spec
 from .rng import stream
 
 
@@ -92,6 +93,7 @@ def simulate(
     Row i's time-0 counts are multinomial from the initial law, and its step
     n -> n+1 draws from the stream addressed (seed, replicates[i], n+1): any
     replicate r of a batch reruns alone as simulate(config, model, spec, [r]).
+    The model and spec are validated before any stream is opened.
     """
     if len(replicates) < 1 or min(replicates) < 0:
         raise ConfigError("replicates must list at least one index, each >= 0")
@@ -101,6 +103,8 @@ def simulate(
         raise ConfigError(
             f"config horizon {config.horizon} exceeds model horizon {model.horizon}"
         )
+    validate_model(model)
+    validate_spec(spec, model)
     N, seed = config.n_particles, config.seed
     counts = [np.array([stream(seed, r, 0).multinomial(N, model.eta0) for r in replicates])]
     for n in range(config.horizon):

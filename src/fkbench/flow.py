@@ -23,7 +23,8 @@ from scipy.spatial.distance import pdist
 
 from . import tolerances as tol
 from .errors import FlowConsistencyError, ZeroMass
-from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights, validate_model
+from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights
+from .model import validate_function, validate_model, validate_spec
 
 
 @dataclass(frozen=True)
@@ -262,9 +263,12 @@ def analyze(model: FeynmanKacModel, spec: McKeanSpec, f: TestFunction) -> FlowAn
     """Exact flow, transported family and limiting variance for f at the horizon.
 
     The family is built backward from the centered terminal function,
-    fpn[p] = step_p @ fpn[p+1], which is O(H d^2).
+    fpn[p] = step_p @ fpn[p+1], which is O(H d^2).  The model, spec and f are
+    validated first.
     """
     flow = exact_flow(model)
+    validate_spec(spec, model)
+    validate_function(f, model)
     n = model.horizon
     centered = f.values[n] - float(flow.etas[n] @ f.values[n])
     fpn = [centered]

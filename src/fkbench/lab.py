@@ -34,8 +34,9 @@ from .flow import (
     contraction_tables,
     limiting_increasing_process,
 )
-from .model import FeynmanKacModel, McKeanSpec, TestFunction, make_model, validate_model
-from .rng import derive_seed, stream
+from .model import FeynmanKacModel, McKeanSpec, TestFunction, make_function, make_model
+from .model import validate_function, validate_model
+from .rng import derive_seed
 
 DKW_SCALE = 0.5  # ECDF noise allowance is DKW_SCALE / sqrt(n_samples)
 SLOPE_WINDOW = (-0.65, -0.35)  # the rate verdict passes with its slope inside
@@ -52,14 +53,8 @@ def kolmogorov_distance(values) -> float:
     v = np.sort(np.asarray(values, dtype=float))
     if v.size < 1:
         raise ConfigError("need at least one sample value")
-    return _ks_from_sorted_uniforms(ndtr(v))
-
-
-def _ks_from_sorted_uniforms(u: np.ndarray) -> float:
-    """Jump-point sup distance between the ECDF of sorted u and the uniform CDF."""
-    R = len(u)
-    i = np.arange(1, R + 1)
-    return float(np.max(np.maximum(i / R - u, u - (i - 1) / R)))
+    u, i = ndtr(v), np.arange(1, v.size + 1)
+    return float(np.max(np.maximum(i / v.size - u, u - (i - 1) / v.size)))
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,6 @@ class RateReport:
     distances: tuple[float, ...]
     slope: float
     intercept: float
-    slope_ci: tuple[float, float]
     slope_window: tuple[float, float]
     n_reps: int
     master_seed: int
@@ -85,16 +79,14 @@ def clt_rate_experiment(
     n_grid,
     n_reps: int,
     master_seed: int,
-    n_boot: int = 1000,
 ) -> RateReport:
     """Fit the decay rate of the normalized fluctuation's Gaussian distance.
 
     For each population size, n_reps terminal fluctuations are simulated,
     normalized by the exact limiting standard deviation, and reduced to the
     exact ECDF sup-distance from the standard normal.  The log-log slope over
-    the grid is fitted by least squares, with a percentile bootstrap band
-    from resampling replicates within each grid point; the verdict is the
-    slope inside SLOPE_WINDOW.
+    the grid is fitted by least squares; the verdict is the slope inside
+    SLOPE_WINDOW.
 
     Raises:
         ConfigError: n_reps < 1, or n_grid lacks two distinct sizes >= 1.
@@ -104,6 +96,7 @@ def clt_rate_experiment(
     """
     if n_reps < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
+    validate_function(f, model)
     n = model.horizon
     if f.oscillation(n) == 0.0:
         raise DegenerateFunction(f"test function is constant at time {n}")
@@ -116,14 +109,11 @@ def clt_rate_experiment(
     sigma = math.sqrt(flow.sigma_sq)
 
     ecdf_allowance = DKW_SCALE / math.sqrt(n_reps)
-    phis = []
     distances = []
     for k, N in enumerate(n_grid):
         config = RunConfig(n_particles=N, seed=derive_seed(master_seed, k), horizon=n)
         stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
-        values = np.sort(stats.w / sigma)
-        distances.append(kolmogorov_distance(values))
-        phis.append(ndtr(values))
+        distances.append(kolmogorov_distance(stats.w / sigma))
     if min(distances) <= ecdf_allowance:
         raise InsufficientReplicates(
             f"min distance {min(distances):.4g} is within the ECDF noise scale "
@@ -132,33 +122,16 @@ def clt_rate_experiment(
 
     log_n = np.log(np.asarray(n_grid, dtype=float))
     slope, intercept = np.polyfit(log_n, np.log(distances), 1)
-
-    # bootstrap: resampling normal-CDF values is equivalent to resampling the
-    # sample itself, and avoids re-evaluating the normal CDF in the loop
-    boot_rng = stream(master_seed, len(n_grid))
-    boot_slopes = np.empty(n_boot)
-    for bi in range(n_boot):
-        ds = [
-            _ks_from_sorted_uniforms(np.sort(boot_rng.choice(u, size=len(u))))
-            for u in phis
-        ]
-        boot_slopes[bi] = np.polyfit(log_n, np.log(ds), 1)[0]
-    ci = (
-        float(np.percentile(boot_slopes, 2.5)),
-        float(np.percentile(boot_slopes, 97.5)),
-    )
-    passed = bool(SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1])
     return RateReport(
         n_grid=n_grid,
         distances=tuple(distances),
         slope=float(slope),
         intercept=float(intercept),
-        slope_ci=ci,
         slope_window=SLOPE_WINDOW,
         n_reps=n_reps,
         master_seed=master_seed,
         ecdf_allowance=ecdf_allowance,
-        passed=passed,
+        passed=bool(SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]),
     )
 
 
@@ -220,6 +193,7 @@ def concentration_experiment(
     """
     if statistic not in ("eta", "delta_c"):
         raise ConfigError(f"unknown statistic {statistic!r}")
+    validate_function(f, model)
     n = model.horizon
     osc = f.oscillation(n)
     if osc > 1.0 + 1e-12:
@@ -314,20 +288,24 @@ def _check_p_max(p_max: int) -> None:
 
 
 def _moment_table(
-    abs_values: np.ndarray, scale: float, p_max: int, n_particles: int,
-    master_seed: int, n_boot: int,
+    abs_values: np.ndarray, scale: float, p_max: int, n_particles: int, master_seed: int
 ) -> MomentReport:
-    """Bootstrap table of (mean |V|^p)^(1/p) against d(p)^(1/p) * scale."""
+    """Table of (mean |V|^p)^(1/p) against d(p)^(1/p) * scale.
+
+    The allowance is twice the delta-method standard error of the lhs,
+    sd(|V|^p) / (sqrt(R) * p * mean(|V|^p)^(1 - 1/p)), relative to the rhs;
+    it is 0 when R = 1 or every |V| is 0.
+    """
     orders = tuple(range(1, p_max + 1))
-    boot_rng = stream(master_seed, 999)
+    R = len(abs_values)
     lhs, rhs, allowances, ok = [], [], [], []
     for p in orders:
         powers = abs_values**p
-        point = float(powers.mean() ** (1.0 / p))
-        boot = np.empty(n_boot)
-        for bi in range(n_boot):
-            boot[bi] = boot_rng.choice(powers, size=len(powers)).mean() ** (1.0 / p)
-        se = float(boot.std(ddof=1))
+        mean = powers.mean()
+        point = float(mean ** (1.0 / p))
+        se = 0.0
+        if R > 1 and mean > 0.0:
+            se = float(powers.std(ddof=1) / (math.sqrt(R) * p * mean ** (1.0 - 1.0 / p)))
         right = float(burkholder_d(p) ** (1.0 / p) * scale)
         allow = 2.0 * se / right if right > 0 else 0.0
         lhs.append(point)
@@ -340,7 +318,7 @@ def _moment_table(
         rhs=tuple(rhs),
         allowances=tuple(allowances),
         n_particles=n_particles,
-        n_reps=len(abs_values),
+        n_reps=R,
         master_seed=master_seed,
         passed=all(ok),
     )
@@ -354,15 +332,15 @@ def lp_moment_experiment(
     p_max: int,
     n_reps: int,
     master_seed: int,
-    n_boot: int = 500,
 ) -> MomentReport:
     """Scaled moments of the terminal empirical-mean error vs d(p) bounds.
 
     lhs(p) = (mean |W|^p)^(1/p) with W the sqrt(N)-scaled terminal error of
-    f_n; rhs(p) = d(p)^(1/p) * b(n).  A bootstrap standard error of the lhs
-    sets the allowance.
+    f_n; rhs(p) = d(p)^(1/p) * b(n).  The closed-form standard error of the
+    lhs sets the allowance.
     """
     _check_p_max(p_max)
+    validate_function(f, model)
     n = model.horizon
     if f.oscillation(n) > 1.0 + 1e-12:
         raise OscillationTooLarge(
@@ -372,7 +350,7 @@ def lp_moment_experiment(
     b_n = concentration_b(contraction_tables(model, flow.etas), n)
     config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)
     stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
-    return _moment_table(np.abs(stats.w), b_n, p_max, n_particles, master_seed, n_boot)
+    return _moment_table(np.abs(stats.w), b_n, p_max, n_particles, master_seed)
 
 
 def iid_moment_check(
@@ -382,14 +360,14 @@ def iid_moment_check(
     p_max: int,
     n_reps: int,
     master_seed: int,
-    n_boot: int = 500,
 ) -> MomentReport:
     """Moment bounds for plain independent sampling from mu.
 
     The N independent variables of replicate r are the time-0 particles of
     the horizon-0 model with initial law mu (BadInitialLaw if mu is not a
-    probability vector), drawn by simulate; h is centered under mu, and the
-    check is sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
+    probability vector), drawn by simulate; h (ConfigError unless it holds
+    one finite value per state) is centered under mu, and the check is
+    sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
     """
     _check_p_max(p_max)
     if n_particles < 1 or n_reps < 1:
@@ -398,14 +376,13 @@ def iid_moment_check(
     h = np.asarray(h, dtype=float)
     model = make_model(mu, [], [np.ones_like(mu)])
     validate_model(model)
-    if h.shape != mu.shape:
-        raise ConfigError(f"h has shape {h.shape}, mu has shape {mu.shape}")
+    validate_function(make_function([h]), model)
     h = h - float(mu @ h)
     osc = float(h.max() - h.min())
     config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=0)
     trace = simulate(config, model, McKeanSpec.zero(0), range(n_reps))
     values = math.sqrt(n_particles) * np.abs((trace.empirical(0) * h).sum(-1))
-    return _moment_table(values, osc, p_max, n_particles, master_seed, n_boot)
+    return _moment_table(values, osc, p_max, n_particles, master_seed)
 
 
 def normal_cf(mean: float = 0.0, sd: float = 1.0):
@@ -506,7 +483,7 @@ def stein_experiment(
         DegenerateFunction: the terminal function has zero limiting variance.
     """
     n = model.horizon
-    flow = analyze(model, spec, f)
+    flow = analyze(model, spec, f)  # validates f before f.oscillation reads it
     if flow.sigma_sq <= 0.0 or f.oscillation(n) == 0.0:
         raise DegenerateFunction(f"limiting variance at time {n} is zero")
     config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)

@@ -139,6 +139,20 @@ def validate_model(model: FeynmanKacModel) -> np.ndarray:
     return ratios
 
 
+def validate_function(f: TestFunction, model: FeynmanKacModel) -> None:
+    """Check f has d_q finite values at every time q <= H, or raise ConfigError.
+
+    Later vectors are allowed and never read: truncate cuts the model, not f.
+    """
+    if len(f.values) < len(model.dims):
+        raise ConfigError(
+            f"function defines {len(f.values)} time indices, horizon needs {len(model.dims)}"
+        )
+    for q, (v, d) in enumerate(zip(f.values, model.dims)):
+        if v.shape != (d,) or not np.all(np.isfinite(v)):
+            raise ConfigError(f"function vector {q} must hold {d} finite values")
+
+
 def mixing_weights(model: FeynmanKacModel, spec: McKeanSpec, n: int) -> np.ndarray:
     """Own-row weights eps_n * G_n(x) of step n, clipped to [0, 1].
 

@@ -3,9 +3,10 @@
 Every stream is addressed by (master seed, *path); the same address always
 yields the same stream, independent of creation order, so replicates never
 couple and any subset of an experiment can be reproduced in isolation.
-The rule that keeps two kinds of stream apart: replicate draws use
-two-part paths (replicate, step), and experiment-level streams, such as a
-bootstrap's, use one-part paths, so no index of either can reach the other.
+The rule that keeps two kinds of address apart: replicate draws use
+two-part paths (replicate, step), and experiment-level addresses (a grid
+point's derived seed, a model builder's seed) use one-part paths, so no index
+of either can reach the other.
 """
 
 from __future__ import annotations

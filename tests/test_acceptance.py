@@ -163,7 +163,7 @@ def test_gaussian_rate_experiment():
     entry = zoo.build("binary_hmm")
     rep = clt_rate_experiment(
         entry.model, entry.spec, entry.f, [100, 400, 1600, 6400],
-        n_reps=2000, master_seed=1, n_boot=200,
+        n_reps=2000, master_seed=1,
     )
     ratio_ok = rep.distances[-1] < rep.distances[0] / 4.0
     ok = rep.passed and ratio_ok
@@ -179,7 +179,7 @@ def test_gaussian_rate_calibration_twin():
     entry = zoo.build("iid_reduction")
     rep = clt_rate_experiment(
         entry.model, entry.spec, entry.f, [100, 400, 1600, 6400],
-        n_reps=20000, master_seed=1, n_boot=200,
+        n_reps=20000, master_seed=1,
     )
     report(
         "normalized-fluctuation rate (independent calibration twin)",
