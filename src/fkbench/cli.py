@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import GAMMA, GAMMA_COMBINED, GAMMA_PRIME, GAMMA_TILDE, burkholder_d
-from .engine import RunConfig, simulate_replicates
+from .engine import simulate_replicates
 from .errors import ConfigError, FkbenchError
 from .flow import analyze, concentration_b, contraction_tables
 from .lab import (
@@ -130,8 +130,7 @@ def cmd_oracle(args) -> int:
 def cmd_simulate(args) -> int:
     model, spec, f = _resolve_inputs(args)
     horizon = model.horizon
-    config = RunConfig(n_particles=args.N, seed=args.seed, horizon=horizon)
-    stats = simulate_replicates(config, model, spec, f, args.reps)
+    stats = simulate_replicates(model, spec, f, args.N, args.reps, args.seed)
     lines = [
         f"# tool = fkbench {__version__}",
         f"# seed = {args.seed}",

@@ -10,12 +10,12 @@ sampler advances the batch a step at a time, and the bookkeeping evaluates it
 once per step, each row summed in flow's one order (never @, which rounds a
 row inside a batch differently than alone), so no row depends on the batch.
 The runs' bookkeeping reads the flow analytics of the model's horizon, the
-one terminal time; a run stopped earlier is paired with the analytics of
-the truncated model.
+one terminal time.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -23,14 +23,22 @@ import numpy as np
 
 from .errors import ConfigError, FlowConsistencyError
 from .flow import FlowAnalytics, analyze, boltzmann_gibbs, conditional_variance, step_phi
-from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights, truncate
+from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights
 from .model import validate_model, validate_spec
 from .rng import stream
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, numpy integers included; anything else is a ConfigError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Simulation parameters.
+    """Simulation parameters, checked on construction (ConfigError).
 
     Attributes:
         n_particles: population size N >= 1.
@@ -41,6 +49,12 @@ class RunConfig:
     n_particles: int
     seed: int
     horizon: int
+
+    def __post_init__(self):
+        for name in ("n_particles", "seed", "horizon"):
+            _integer(getattr(self, name), name)
+        if self.n_particles < 1:
+            raise ConfigError(f"n_particles must be >= 1, got {self.n_particles}")
 
 
 @dataclass(frozen=True)
@@ -93,12 +107,11 @@ def simulate(
     Row i's time-0 counts are multinomial from the initial law, and its step
     n -> n+1 draws from the stream addressed (seed, replicates[i], n+1): any
     replicate r of a batch reruns alone as simulate(config, model, spec, [r]).
-    The model and spec are validated before any stream is opened.
+    The replicates, model and spec are validated before any stream is opened.
     """
+    replicates = [_integer(r, "replicate") for r in replicates]
     if len(replicates) < 1 or min(replicates) < 0:
         raise ConfigError("replicates must list at least one index, each >= 0")
-    if config.n_particles < 1:
-        raise ConfigError(f"n_particles must be >= 1, got {config.n_particles}")
     if config.horizon > model.horizon:
         raise ConfigError(
             f"config horizon {config.horizon} exceeds model horizon {model.horizon}"
@@ -227,26 +240,22 @@ class ReplicateStats:
 
 
 def simulate_replicates(
-    config: RunConfig,
     model: FeynmanKacModel,
     spec: McKeanSpec,
     f: TestFunction,
+    n_particles: int,
     n_reps: int,
-    flow: FlowAnalytics | None = None,
+    seed: int,
 ) -> ReplicateStats:
-    """Simulate replicates 0..n_reps-1 as one batch and evaluate them in one pass.
+    """Run replicates 0..n_reps-1 to the model's horizon and evaluate them in one pass.
 
-    Args:
-        flow: analytics for f on the model truncated to config.horizon,
-            computed here when omitted; a flow with another terminal raises
-            FlowConsistencyError before a draw.
+    The analytics of f are computed here, so the model, spec and f are
+    validated before any stream is opened; a shorter run is the replicates of
+    truncate(model, spec, n).
     """
-    n = config.horizon
-    if flow is None:
-        flow = analyze(*truncate(model, spec, n), f)
-    elif flow.terminal != n:
-        raise FlowConsistencyError(f"flow analytics for terminal {flow.terminal}, not {n}")
-    trace = simulate(config, model, spec, range(n_reps))
+    flow = analyze(model, spec, f)
+    config = RunConfig(n_particles, seed, model.horizon)
+    trace = simulate(config, model, spec, range(_integer(n_reps, "n_reps")))
     doob = doob_terms(trace, flow, model)
     dc = increasing_increments(trace, model, spec, f)
     return ReplicateStats(

@@ -20,7 +20,7 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from .bounds import a3_constant, burkholder_d
-from .engine import RunConfig, simulate, simulate_replicates
+from .engine import simulate_replicates
 from .errors import (
     ConfigError,
     DegenerateFunction,
@@ -35,7 +35,6 @@ from .flow import (
     limiting_increasing_process,
 )
 from .model import FeynmanKacModel, McKeanSpec, TestFunction, make_function, make_model
-from .model import validate_function, validate_model
 from .rng import derive_seed
 
 DKW_SCALE = 0.5  # ECDF noise allowance is DKW_SCALE / sqrt(n_samples)
@@ -53,6 +52,8 @@ def kolmogorov_distance(values) -> float:
     v = np.sort(np.asarray(values, dtype=float))
     if v.size < 1:
         raise ConfigError("need at least one sample value")
+    if not np.all(np.isfinite(v)):
+        raise ConfigError("sample values must be finite")
     u, i = ndtr(v), np.arange(1, v.size + 1)
     return float(np.max(np.maximum(i / v.size - u, u - (i - 1) / v.size)))
 
@@ -94,16 +95,15 @@ def clt_rate_experiment(
         InsufficientReplicates: all measured distances sit at or below the
             ECDF noise scale, so no rate is identified.
     """
+    flow = analyze(model, spec, f)
     if n_reps < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
-    validate_function(f, model)
     n = model.horizon
     if f.oscillation(n) == 0.0:
         raise DegenerateFunction(f"test function is constant at time {n}")
     n_grid = tuple(int(N) for N in n_grid)
     if len(set(n_grid)) < 2 or min(n_grid) < 1:
         raise ConfigError(f"n_grid needs two distinct sizes >= 1, got {n_grid}")
-    flow = analyze(model, spec, f)
     if flow.sigma_sq <= 0.0:
         raise DegenerateFunction(f"limiting variance is zero at time {n}")
     sigma = math.sqrt(flow.sigma_sq)
@@ -111,8 +111,7 @@ def clt_rate_experiment(
     ecdf_allowance = DKW_SCALE / math.sqrt(n_reps)
     distances = []
     for k, N in enumerate(n_grid):
-        config = RunConfig(n_particles=N, seed=derive_seed(master_seed, k), horizon=n)
-        stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
+        stats = simulate_replicates(model, spec, f, N, n_reps, derive_seed(master_seed, k))
         distances.append(kolmogorov_distance(stats.w / sigma))
     if min(distances) <= ecdf_allowance:
         raise InsufficientReplicates(
@@ -164,6 +163,8 @@ def default_eps_grid(n_particles: int, scale: float) -> np.ndarray:
     """
     if n_particles < 1:
         raise ConfigError(f"n_particles must be >= 1, got {n_particles}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ConfigError(f"scale must be positive and finite, got {scale}")
     cap = 20.0 / (math.sqrt(n_particles) * scale)
     lo = min(0.01, cap / 2)
     return np.geomspace(lo, cap, EPS_GRID_POINTS)
@@ -191,9 +192,9 @@ def concentration_experiment(
     not exceed the bound by more than three standard errors.  The statistic
     and the grid are checked before any replicate is drawn.
     """
+    flow = analyze(model, spec, f)
     if statistic not in ("eta", "delta_c"):
         raise ConfigError(f"unknown statistic {statistic!r}")
-    validate_function(f, model)
     n = model.horizon
     osc = f.oscillation(n)
     if osc > 1.0 + 1e-12:
@@ -216,10 +217,8 @@ def concentration_experiment(
                 f"shrink the grid"
             )
 
-    flow = analyze(model, spec, f)
     tables = contraction_tables(model, flow.etas)
-    config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)
-    stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
+    stats = simulate_replicates(model, spec, f, n_particles, n_reps, master_seed)
     if statistic == "eta":
         values = np.abs(stats.w)  # already sqrt(N)-scaled
         const = concentration_b(tables, n)
@@ -339,17 +338,15 @@ def lp_moment_experiment(
     f_n; rhs(p) = d(p)^(1/p) * b(n).  The closed-form standard error of the
     lhs sets the allowance.
     """
+    flow = analyze(model, spec, f)
     _check_p_max(p_max)
-    validate_function(f, model)
     n = model.horizon
     if f.oscillation(n) > 1.0 + 1e-12:
         raise OscillationTooLarge(
             f"oscillation {f.oscillation(n)} at time {n} exceeds 1"
         )
-    flow = analyze(model, spec, f)
     b_n = concentration_b(contraction_tables(model, flow.etas), n)
-    config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)
-    stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
+    stats = simulate_replicates(model, spec, f, n_particles, n_reps, master_seed)
     return _moment_table(np.abs(stats.w), b_n, p_max, n_particles, master_seed)
 
 
@@ -365,24 +362,19 @@ def iid_moment_check(
 
     The N independent variables of replicate r are the time-0 particles of
     the horizon-0 model with initial law mu (BadInitialLaw if mu is not a
-    probability vector), drawn by simulate; h (ConfigError unless it holds
-    one finite value per state) is centered under mu, and the check is
-    sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
+    probability vector) and h its time-0 function (ConfigError unless it
+    holds one finite value per state), drawn by simulate_replicates; the
+    check is sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
     """
     _check_p_max(p_max)
     if n_particles < 1 or n_reps < 1:
         raise ConfigError(f"need n_particles, n_reps >= 1; got {n_particles}, {n_reps}")
     mu = np.asarray(mu, dtype=float)
-    h = np.asarray(h, dtype=float)
-    model = make_model(mu, [], [np.ones_like(mu)])
-    validate_model(model)
-    validate_function(make_function([h]), model)
-    h = h - float(mu @ h)
-    osc = float(h.max() - h.min())
-    config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=0)
-    trace = simulate(config, model, McKeanSpec.zero(0), range(n_reps))
-    values = math.sqrt(n_particles) * np.abs((trace.empirical(0) * h).sum(-1))
-    return _moment_table(values, osc, p_max, n_particles, master_seed)
+    model, f = make_model(mu, [], [np.ones_like(mu)]), make_function([h])
+    stats = simulate_replicates(
+        model, McKeanSpec.zero(0), f, n_particles, n_reps, master_seed
+    )
+    return _moment_table(np.abs(stats.w), f.oscillation(0), p_max, n_particles, master_seed)
 
 
 def normal_cf(mean: float = 0.0, sd: float = 1.0):
@@ -486,7 +478,6 @@ def stein_experiment(
     flow = analyze(model, spec, f)  # validates f before f.oscillation reads it
     if flow.sigma_sq <= 0.0 or f.oscillation(n) == 0.0:
         raise DegenerateFunction(f"limiting variance at time {n} is zero")
-    config = RunConfig(n_particles=n_particles, seed=master_seed, horizon=n)
-    stats = simulate_replicates(config, model, spec, f, n_reps, flow=flow)
+    stats = simulate_replicates(model, spec, f, n_particles, n_reps, master_seed)
     scale = 1.0 / math.sqrt(flow.sigma_sq)
     return stein_check(scale * stats.l_terminal, scale * stats.b_terminal)

@@ -195,9 +195,7 @@ def test_increasing_process_convergence():
     limit = limiting_increasing_process(entry.model, entry.spec, flow.etas, entry.f).sum()
     medians = {}
     for N in (100, 10_000):
-        stats = simulate_replicates(
-            RunConfig(N, 909, 5), entry.model, entry.spec, entry.f, 200, flow=flow
-        )
+        stats = simulate_replicates(entry.model, entry.spec, entry.f, N, 200, 909)
         medians[N] = float(np.median(np.abs(stats.c_total - limit)))
     shrink = medians[100] / medians[10_000]
     ok = shrink >= 5.0

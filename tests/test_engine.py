@@ -218,7 +218,6 @@ class TestBatch:
     def test_mixing_weights_once_per_step(self, two_state, monkeypatch):
         # the replicates are one batch: the step's weights are derived once
         model, spec, f = two_state
-        flow = analyze(model, spec, f)
         calls = Counter()
 
         def counted(model, spec, n):
@@ -226,13 +225,12 @@ class TestBatch:
             return mixing_weights(model, spec, n)
 
         monkeypatch.setattr(engine, "mixing_weights", counted)
-        simulate_replicates(RunConfig(10, 1, 2), model, spec, f, 6, flow=flow)
+        simulate_replicates(model, spec, f, 10, 6, 1)
         assert calls == {0: 1, 1: 1}
 
     def test_step_phi_once_per_step(self, two_state, monkeypatch):
         # every row's resampling law comes from one call on the whole batch
         model, spec, f = two_state
-        flow = analyze(model, spec, f)
         calls = Counter()
 
         def counted(model, mu, n):
@@ -240,7 +238,7 @@ class TestBatch:
             return step_phi(model, mu, n)
 
         monkeypatch.setattr(engine, "step_phi", counted)
-        simulate_replicates(RunConfig(10, 1, 2), model, spec, f, 6, flow=flow)
+        simulate_replicates(model, spec, f, 10, 6, 1)
         assert calls == {0: 1, 1: 1}
 
 
@@ -377,9 +375,7 @@ class TestIncreasingProcess:
         limit = limiting_increasing_process(model, spec, flow.etas, f).sum()
         errs = []
         for N in (100, 10_000):
-            stats = simulate_replicates(
-                RunConfig(N, 29, 2), model, spec, f, 50
-            )
+            stats = simulate_replicates(model, spec, f, N, 50, 29)
             errs.append(np.median(np.abs(stats.c_total - limit)))
         assert errs[1] < errs[0]
 
@@ -392,7 +388,7 @@ class TestIncreasingProcess:
         n = model.horizon
         flow = exact_flow(model)
         limit = limiting_increasing_process(model, spec, flow.etas, f).sum()
-        stats = simulate_replicates(RunConfig(20_000, 71, n), model, spec, f, 8)
+        stats = simulate_replicates(model, spec, f, 20_000, 8, 71)
         worst = np.abs(stats.c_total - limit).max()
         assert worst < 0.02 * limit
 
@@ -441,9 +437,8 @@ class TestReplicates:
     def test_single_rep_matches_direct_run(self, two_state):
         model, spec, f = two_state
         flow = analyze(model, spec, f)
-        config = RunConfig(100, 5, 2)
-        stats = simulate_replicates(config, model, spec, f, 1, flow=flow)
-        trace = simulate(config, model, spec, [0])
+        stats = simulate_replicates(model, spec, f, 100, 1, 5)
+        trace = simulate(RunConfig(100, 5, 2), model, spec, [0])
         series = doob_terms(trace, flow, model)
         assert stats.w[0] == series.w[0, 2]
         assert stats.l_terminal[0] == series.l[0, 2]
@@ -467,7 +462,7 @@ class TestReplicates:
         n = model.horizon
         flow = analyze(model, spec, f)
         config = RunConfig(40, 19, n)
-        stats = simulate_replicates(config, model, spec, f, 37, flow=flow)
+        stats = simulate_replicates(model, spec, f, 40, 37, 19)
         assert stats.w_steps.shape == stats.delta_c_steps.shape == (37, n + 1)
         for r in range(37):
             trace = simulate(config, model, spec, [r])
@@ -486,17 +481,14 @@ class TestReplicates:
 
     def test_deterministic_output(self, two_state):
         model, spec, f = two_state
-        a = simulate_replicates(RunConfig(100, 5, 2), model, spec, f, 10)
-        b = simulate_replicates(RunConfig(100, 5, 2), model, spec, f, 10)
+        a = simulate_replicates(model, spec, f, 100, 10, 5)
+        b = simulate_replicates(model, spec, f, 100, 10, 5)
         for field in fields(ReplicateStats):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
     def test_centering_over_replicates(self, two_state):
         model, spec, f = two_state
-        flow = analyze(model, spec, f)
-        stats = simulate_replicates(
-            RunConfig(50, 23, 2), model, spec, f, 2000, flow=flow
-        )
+        stats = simulate_replicates(model, spec, f, 50, 2000, 23)
         w = stats.w
         se = w.std(ddof=1) / np.sqrt(len(w))
         assert abs(w.mean()) <= 5 * se
@@ -507,29 +499,7 @@ class TestReplicates:
         with pytest.raises(DegenerateFunction):
             stein_experiment(model, spec, f, 50, 2, 1)
 
-    def test_analytics_for_another_terminal_fail_before_any_draw(
-        self, two_state, monkeypatch
-    ):
-        model, spec, f = two_state
-        flow = analyze(*truncate(model, spec, 1), f)
-
-        def no_draws(*args):
-            raise AssertionError("drew replicates")
-
-        monkeypatch.setattr(engine, "stream", no_draws)
-        with pytest.raises(FlowConsistencyError):
-            simulate_replicates(RunConfig(50, 1, 2), model, spec, f, 5, flow=flow)
-
-    def test_shorter_config_horizon_is_the_truncated_model(self, two_state):
-        model, spec, f = two_state
-        config = RunConfig(40, 19, 1)
-        short = simulate_replicates(config, model, spec, f, 7)
-        cut = simulate_replicates(config, *truncate(model, spec, 1), f, 7)
-        assert short.w_steps.shape == (7, 2)
-        for field in fields(ReplicateStats):
-            assert np.array_equal(getattr(short, field.name), getattr(cut, field.name))
-
     def test_bad_rep_count(self, two_state):
         model, spec, f = two_state
         with pytest.raises(ValueError):
-            simulate_replicates(RunConfig(50, 1, 2), model, spec, f, 0)
+            simulate_replicates(model, spec, f, 50, 0, 1)

@@ -245,7 +245,7 @@ class TestMomentExperiments:
 
     @pytest.mark.parametrize("mu", [[0.2, 0.2], [0.7, 0.7], [1.5, -0.5], [np.nan, 1.0]])
     def test_iid_rejects_a_non_law(self, mu, monkeypatch):
-        monkeypatch.setattr(lab, "simulate", None)  # fails before any draw
+        monkeypatch.setattr(engine, "simulate", None)  # fails before any draw
         with pytest.raises(BadInitialLaw):
             iid_moment_check(mu, [0.0, 1.0], 100, 4, 100, 1)
 
@@ -287,12 +287,16 @@ def _ill_posed_calls():
         "f short: stein": lambda: stein_experiment(model, spec, short_f, 100, 100, 1),
         "f 3 states: analyze": lambda: analyze(model, spec, wide_f),
         "f 3 states: stein": lambda: stein_experiment(model, spec, wide_f, 100, 100, 1),
-        "f 3 states: replicates": lambda: simulate_replicates(config, model, spec, wide_f, 10),
+        "f 3 states: replicates": lambda: simulate_replicates(model, spec, wide_f, 100, 10, 1),
+        "2.5 replicates": lambda: simulate_replicates(model, spec, entry.f, 100, 2.5, 1),
         "f nan: clt": lambda: clt_rate_experiment(model, spec, nan_f, [50, 100], 100, 1),
         "f nan: stein": lambda: stein_experiment(model, spec, nan_f, 100, 100, 1),
         "spec short: analyze": lambda: analyze(model, short_spec, entry.f),
         "spec short: simulate": lambda: simulate(config, model, short_spec),
         "kernel row short: simulate": lambda: simulate(config, leaky, spec),
+        "N 2.7: simulate": lambda: simulate(RunConfig(2.7, 1, 5), model, spec),
+        "seed 1.5: simulate": lambda: simulate(RunConfig(100, 1.5, 5), model, spec),
+        "replicate 0.5: simulate": lambda: simulate(config, model, spec, [0.5]),
         "empty N grid": lambda: clt_rate_experiment(*args, [], 100, 1),
         "one N": lambda: clt_rate_experiment(*args, [100], 100, 1),
         "repeated N": lambda: clt_rate_experiment(*args, [100, 100], 100, 1),
@@ -312,6 +316,7 @@ def _ill_posed_calls():
         "iid no particles": lambda: iid_moment_check([0.5, 0.5], [0, 1], 0, 4, 100, 1),
         "iid h length": lambda: iid_moment_check([0.5, 0.5], [0, 1, 2], 100, 4, 100, 1),
         "iid h nan": lambda: iid_moment_check([0.5, 0.5], [np.nan, 1], 100, 4, 100, 1),
+        "iid N 1.5": lambda: iid_moment_check([0.5, 0.5], [0, 1], 1.5, 4, 100, 1),
     }
 
 
@@ -329,32 +334,51 @@ def test_ill_posed_verdict_fails_before_any_draw(case, monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("an ill-posed experiment drew replicates")
 
-    monkeypatch.setattr(lab, "simulate_replicates", no_draws)
-    monkeypatch.setattr(lab, "simulate", no_draws)
+    monkeypatch.setattr(engine, "simulate", no_draws)
     monkeypatch.setattr(engine, "stream", no_draws)
     with pytest.raises(ILL_POSED_ERROR.get(case, ConfigError)):
         ILL_POSED[case]()
 
 
 def test_experiments_draw_only_at_replicate_step_addresses(monkeypatch):
-    """Every draw of an experiment comes from a (seed, replicate, step) address."""
+    """Every draw of an experiment comes from a (seed, replicate, step) address.
+
+    The draws are one simulate batch per population size, which lab reaches
+    only through simulate_replicates.
+    """
     entry = build("binary_hmm")  # the builder's own seed is opened here, unrecorded
     args = (entry.model, entry.spec, entry.f)
-    addresses = []
+    addresses, batches = [], []
 
     def recording(seed, *path):
         addresses.append(path)
         return stream(seed, *path)
 
+    def counting(*call_args):
+        batches.append(call_args)
+        return simulate(*call_args)
+
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "fkbench" and getattr(module, "stream", None) is stream:
             monkeypatch.setattr(module, "stream", recording)
-    clt_rate_experiment(*args, [20, 80], 50, 1)
-    concentration_experiment(*args, 50, [0.1], 20, 2)
-    lp_moment_experiment(*args, 50, 2, 20, 3)
-    iid_moment_check([0.5, 0.5], [-0.5, 0.5], 50, 2, 20, 4)
-    stein_experiment(*args, 50, 20, 5)
+    monkeypatch.setattr(engine, "simulate", counting)
+    experiments = [
+        (2, lambda: clt_rate_experiment(*args, [20, 80], 50, 1)),
+        (1, lambda: concentration_experiment(*args, 50, [0.1], 20, 2)),
+        (1, lambda: lp_moment_experiment(*args, 50, 2, 20, 3)),
+        (1, lambda: iid_moment_check([0.5, 0.5], [-0.5, 0.5], 50, 2, 20, 4)),
+        (1, lambda: stein_experiment(*args, 50, 20, 5)),
+    ]
+    for n_batches, run in experiments:
+        batches.clear()
+        run()
+        assert len(batches) == n_batches
     assert addresses and all(len(path) == 2 for path in addresses)
+    bound = [
+        name for name in vars(lab)
+        if name in ("simulate", "RunConfig") or name.startswith("validate_")
+    ]
+    assert bound == []
 
 
 BAD_INPUT = {
@@ -362,7 +386,12 @@ BAD_INPUT = {
     "burkholder order": lambda: burkholder_d(0),
     "mixing window": lambda: mixing_bounds(m=0, r=1.0, rho=0.5, n=1),
     "empty sample": lambda: kolmogorov_distance([]),
+    "nan sample": lambda: kolmogorov_distance([0.0, np.nan]),
     "stein shapes": lambda: stein_check([0.0, 1.0], [0.0]),
+    "stein nan": lambda: stein_check([0.0, np.nan], [0.0, 0.0]),
+    "eps grid scale 0": lambda: default_eps_grid(100, 0.0),
+    "eps grid scale nan": lambda: default_eps_grid(100, np.nan),
+    "eps grid scale negative": lambda: default_eps_grid(100, -1.0),
 }
 
 
@@ -385,7 +414,7 @@ class TestSteinExperiment:
         model, spec, f = two_state
         report = stein_experiment(model, spec, f, 100, 300, 4)
         flow = analyze(model, spec, f)
-        stats = simulate_replicates(RunConfig(100, 4, 2), model, spec, f, 300)
+        stats = simulate_replicates(model, spec, f, 100, 300, 4)
         scale = 1.0 / math.sqrt(flow.sigma_sq)
         assert report == stein_check(
             scale * stats.l_terminal, scale * stats.b_terminal
