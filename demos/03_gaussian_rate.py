@@ -2,11 +2,11 @@
 Rate of the Gaussian approximation
 ==================================
 
-For a grid of population sizes, measure the exact ECDF sup-distance between
-the normalized terminal fluctuation and the standard normal, then fit the
-log-log decay rate.  The classical square-root rate shows up as a slope
-near -1/2.  (This demo uses a reduced replicate count; the acceptance suite
-runs the full experiment.)
+For each population size of the fixed grid lab.N_GRID, measure the exact
+ECDF sup-distance between the normalized terminal fluctuation and the
+standard normal, then fit the log-log decay rate.  The classical square-root
+rate shows up as a slope near -1/2.  (This demo uses a reduced replicate
+count; the acceptance suite runs the full experiment.)
 """
 
 import fkbench as fk
@@ -14,8 +14,7 @@ from fkbench import zoo
 
 entry = zoo.build("binary_hmm")
 report = fk.clt_rate_experiment(
-    entry.model, entry.spec, entry.f,
-    n_grid=[100, 400, 1600, 6400], n_reps=500, master_seed=42,
+    entry.model, entry.spec, entry.f, n_reps=500, master_seed=42
 )
 print("population sizes:", report.n_grid)
 print("distances to the normal:", [round(d, 4) for d in report.distances])
@@ -26,8 +25,7 @@ print(f"slope window {report.slope_window}: passed = {report.passed}")
 # independent-draw twin: same harness, horizon zero, binomial fluctuation
 twin = zoo.build("iid_reduction")
 calibration = fk.clt_rate_experiment(
-    twin.model, twin.spec, twin.f,
-    n_grid=[100, 400, 1600, 6400], n_reps=4000, master_seed=42,
+    twin.model, twin.spec, twin.f, n_reps=4000, master_seed=42
 )
 print("\ncalibration twin distances:", [round(d, 4) for d in calibration.distances])
 print(f"calibration twin slope: {calibration.slope:.3f}")

@@ -10,7 +10,6 @@ explicit sampling-error allowance.
 
 import fkbench as fk
 from fkbench import zoo
-from fkbench.lab import default_eps_grid
 
 entry = zoo.build("ring_walk")
 model, spec, f = entry.model, entry.spec, entry.f
@@ -19,10 +18,7 @@ n = model.horizon
 print(f"model: {entry.name}, b({n}) = {fk.concentration_b(tables, n):.3f}")
 
 N = 400
-grid = default_eps_grid(N, f.oscillation(n))
-report = fk.concentration_experiment(
-    model, spec, f, N, grid, n_reps=2000, master_seed=8,
-)
+report = fk.concentration_experiment(model, spec, f, N, n_reps=2000, master_seed=8)
 print("\neps      empirical MGF   bound          pass")
 for eps, emp, bnd, allow in zip(
     report.eps_grid, report.empirical, report.bounds, report.allowances
@@ -31,16 +27,14 @@ for eps, emp, bnd, allow in zip(
           f"{emp <= bnd * (1 + allow)}")
 print(f"overall: {report.passed}")
 
-moments = fk.lp_moment_experiment(
-    model, spec, f, N, p_max=6, n_reps=2000, master_seed=8
-)
+moments = fk.lp_moment_experiment(model, spec, f, N, n_reps=2000, master_seed=8)
 print("\np   scaled moment   bound        pass")
 for p, lhs, rhs, allow, ok in moments.rows():
     print(f"{p}   {lhs:12.5f}  {rhs:10.5f}   {ok}")
 print(f"overall: {moments.passed}")
 
 # the independent-sampling analogue with an exactly computable second moment
-iid = fk.iid_moment_check([0.5, 0.5], [-0.5, 0.5], 400, 4, 3000, master_seed=8)
+iid = fk.iid_moment_check([0.5, 0.5], [-0.5, 0.5], 400, 3000, master_seed=8)
 print("\nindependent draws, centered coin, osc = 1:")
 for p, lhs, rhs, allow, ok in iid.rows():
     note = "   (exact value 1/2)" if p == 2 else ""

@@ -15,7 +15,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import ConfigError, HypothesisNotSatisfied
 from .flow import ContractionTables, concentration_b
-from .model import FeynmanKacModel, validate_model
+from .model import FeynmanKacModel, integer, validate_model
 
 
 def burkholder_d(p: int) -> float:
@@ -25,7 +25,7 @@ def burkholder_d(p: int) -> float:
     * 2^-(n-1/2), with the falling-factorial reading (m)_k = m!/(m-k)!.
     d(2) = 1 and d(4) = 3, matching the Gaussian moments.
     """
-    if p < 1:
+    if integer(p, "p") < 1:
         raise ConfigError(f"p must be >= 1, got {p}")
     if p % 2 == 0:
         n = p // 2

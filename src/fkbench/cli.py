@@ -26,7 +26,6 @@ from .flow import analyze, concentration_b, contraction_tables
 from .lab import (
     clt_rate_experiment,
     concentration_experiment,
-    default_eps_grid,
     lp_moment_experiment,
     stein_experiment,
 )
@@ -163,31 +162,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_grid(raw: str, cast) -> list:
-    try:
-        return [cast(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad grid {raw!r}: {exc}") from exc
-
-
 def cmd_verify(args) -> int:
     model, spec, f = _resolve_inputs(args)
     if args.which == "clt":
-        n_grid = _parse_grid(args.N_grid, int) if args.N_grid else [100, 400, 1600, 6400]
-        report = clt_rate_experiment(model, spec, f, n_grid, args.reps, args.seed)
+        report = clt_rate_experiment(model, spec, f, args.reps, args.seed)
     elif args.which == "concentration":
-        if args.eps_grid:
-            eps_grid = _parse_grid(args.eps_grid, float)
-        else:
-            eps_grid = default_eps_grid(args.N, max(f.oscillation(model.horizon), 1e-9))
         report = concentration_experiment(
-            model, spec, f, args.N, eps_grid, args.reps, args.seed,
-            statistic=args.statistic,
+            model, spec, f, args.N, args.reps, args.seed, statistic=args.statistic
         )
     elif args.which == "moments":
-        report = lp_moment_experiment(
-            model, spec, f, args.N, args.p_max, args.reps, args.seed
-        )
+        report = lp_moment_experiment(model, spec, f, args.N, args.reps, args.seed)
     elif args.which == "stein":
         report = stein_experiment(model, spec, f, args.N, args.reps, args.seed)
     else:  # pragma: no cover - argparse restricts choices
@@ -246,10 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["clt", "concentration", "moments", "stein"])
     _add_common(p)
     p.add_argument("--N", type=int, default=1000)
-    p.add_argument("--N-grid", dest="N_grid", help="comma list, e.g. 100,400,1600")
     p.add_argument("--reps", type=int, default=2000)
-    p.add_argument("--eps-grid", dest="eps_grid", help="comma list of eps values")
-    p.add_argument("--p-max", dest="p_max", type=int, default=6)
     p.add_argument("--statistic", choices=["eta", "delta_c"], default="eta")
     p.set_defaults(func=cmd_verify)
 

@@ -15,7 +15,6 @@ one terminal time.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -24,16 +23,8 @@ import numpy as np
 from .errors import ConfigError, FlowConsistencyError
 from .flow import FlowAnalytics, analyze, boltzmann_gibbs, conditional_variance, step_phi
 from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights
-from .model import validate_model, validate_spec
+from .model import integer, validate_model, validate_spec
 from .rng import stream
-
-
-def _integer(value, name: str) -> int:
-    """value as an int, numpy integers included; anything else is a ConfigError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -52,7 +43,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("n_particles", "seed", "horizon"):
-            _integer(getattr(self, name), name)
+            integer(getattr(self, name), name)
         if self.n_particles < 1:
             raise ConfigError(f"n_particles must be >= 1, got {self.n_particles}")
 
@@ -109,7 +100,7 @@ def simulate(
     replicate r of a batch reruns alone as simulate(config, model, spec, [r]).
     The replicates, model and spec are validated before any stream is opened.
     """
-    replicates = [_integer(r, "replicate") for r in replicates]
+    replicates = [integer(r, "replicate") for r in replicates]
     if len(replicates) < 1 or min(replicates) < 0:
         raise ConfigError("replicates must list at least one index, each >= 0")
     if config.horizon > model.horizon:
@@ -255,7 +246,7 @@ def simulate_replicates(
     """
     flow = analyze(model, spec, f)
     config = RunConfig(n_particles, seed, model.horizon)
-    trace = simulate(config, model, spec, range(_integer(n_reps, "n_reps")))
+    trace = simulate(config, model, spec, range(integer(n_reps, "n_reps")))
     doob = doob_terms(trace, flow, model)
     dc = increasing_increments(trace, model, spec, f)
     return ReplicateStats(

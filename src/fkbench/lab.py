@@ -39,7 +39,9 @@ from .rng import derive_seed
 
 DKW_SCALE = 0.5  # ECDF noise allowance is DKW_SCALE / sqrt(n_samples)
 SLOPE_WINDOW = (-0.65, -0.35)  # the rate verdict passes with its slope inside
+N_GRID = (100, 400, 1600, 6400)  # the rate verdict's population sizes
 EPS_GRID_POINTS = 8
+MOMENT_ORDERS = (1, 2, 3, 4, 5, 6)  # the moment verdicts' orders p
 
 
 def kolmogorov_distance(values) -> float:
@@ -77,20 +79,19 @@ def clt_rate_experiment(
     model: FeynmanKacModel,
     spec: McKeanSpec,
     f: TestFunction,
-    n_grid,
     n_reps: int,
     master_seed: int,
 ) -> RateReport:
     """Fit the decay rate of the normalized fluctuation's Gaussian distance.
 
-    For each population size, n_reps terminal fluctuations are simulated,
-    normalized by the exact limiting standard deviation, and reduced to the
-    exact ECDF sup-distance from the standard normal.  The log-log slope over
-    the grid is fitted by least squares; the verdict is the slope inside
-    SLOPE_WINDOW.
+    For each population size in N_GRID, n_reps terminal fluctuations are
+    simulated, normalized by the exact limiting standard deviation, and
+    reduced to the exact ECDF sup-distance from the standard normal.  The
+    log-log slope over the grid is fitted by least squares; the verdict is
+    the slope inside SLOPE_WINDOW.
 
     Raises:
-        ConfigError: n_reps < 1, or n_grid lacks two distinct sizes >= 1.
+        ConfigError: n_reps < 1.
         DegenerateFunction: the terminal function has zero variance.
         InsufficientReplicates: all measured distances sit at or below the
             ECDF noise scale, so no rate is identified.
@@ -101,16 +102,13 @@ def clt_rate_experiment(
     n = model.horizon
     if f.oscillation(n) == 0.0:
         raise DegenerateFunction(f"test function is constant at time {n}")
-    n_grid = tuple(int(N) for N in n_grid)
-    if len(set(n_grid)) < 2 or min(n_grid) < 1:
-        raise ConfigError(f"n_grid needs two distinct sizes >= 1, got {n_grid}")
     if flow.sigma_sq <= 0.0:
         raise DegenerateFunction(f"limiting variance is zero at time {n}")
     sigma = math.sqrt(flow.sigma_sq)
 
     ecdf_allowance = DKW_SCALE / math.sqrt(n_reps)
     distances = []
-    for k, N in enumerate(n_grid):
+    for k, N in enumerate(N_GRID):
         stats = simulate_replicates(model, spec, f, N, n_reps, derive_seed(master_seed, k))
         distances.append(kolmogorov_distance(stats.w / sigma))
     if min(distances) <= ecdf_allowance:
@@ -119,10 +117,10 @@ def clt_rate_experiment(
             f"{ecdf_allowance:.4g}; increase n_reps"
         )
 
-    log_n = np.log(np.asarray(n_grid, dtype=float))
+    log_n = np.log(np.asarray(N_GRID, dtype=float))
     slope, intercept = np.polyfit(log_n, np.log(distances), 1)
     return RateReport(
-        n_grid=n_grid,
+        n_grid=N_GRID,
         distances=tuple(distances),
         slope=float(slope),
         intercept=float(intercept),
@@ -155,6 +153,18 @@ class ConcentrationReport:
     passed: bool
 
 
+def _terminal_oscillation(f: TestFunction, n: int) -> float:
+    """osc(f_n), which the concentration and moment bounds need in (0, 1]."""
+    osc = f.oscillation(n)
+    if osc > 1.0 + 1e-12:
+        raise OscillationTooLarge(
+            f"oscillation {osc} at time {n} exceeds 1; rescale the function"
+        )
+    if osc == 0.0:
+        raise DegenerateFunction(f"test function is constant at time {n}")
+    return osc
+
+
 def default_eps_grid(n_particles: int, scale: float) -> np.ndarray:
     """Geometric grid of EPS_GRID_POINTS from 0.01 up to the stability cap.
 
@@ -175,7 +185,6 @@ def concentration_experiment(
     spec: McKeanSpec,
     f: TestFunction,
     n_particles: int,
-    eps_grid,
     n_reps: int,
     master_seed: int,
     statistic: str = "eta",
@@ -188,34 +197,24 @@ def concentration_experiment(
     increment of the increasing process, bounded by
     (1 + eps*a3) * exp(eps^2 * a3^2).
 
+    The eps grid is default_eps_grid(N, scale), with the statistic's own
+    scale: the oscillation of f_n for "eta", half its square for "delta_c".
     The bound is one-sided; a grid point passes when the empirical mean does
-    not exceed the bound by more than three standard errors.  The statistic
-    and the grid are checked before any replicate is drawn.
+    not exceed the bound by more than three standard errors.
+
+    Raises (before any replicate is drawn):
+        ConfigError: an unknown statistic, or N < 1.
+        OscillationTooLarge: the terminal function's oscillation exceeds 1.
+        DegenerateFunction: the terminal function is constant.
     """
     flow = analyze(model, spec, f)
     if statistic not in ("eta", "delta_c"):
         raise ConfigError(f"unknown statistic {statistic!r}")
     n = model.horizon
-    osc = f.oscillation(n)
-    if osc > 1.0 + 1e-12:
-        raise OscillationTooLarge(
-            f"oscillation {osc} at time {n} exceeds 1; rescale the function"
-        )
-    if n_particles < 1:
-        raise ConfigError(f"n_particles must be >= 1, got {n_particles}")
-    root_n = math.sqrt(n_particles)
+    osc = _terminal_oscillation(f, n)
     stat_scale = osc if statistic == "eta" else osc**2 / 2.0
-    eps_grid = tuple(float(e) for e in eps_grid)
-    if not eps_grid:
-        raise ConfigError("eps_grid is empty")
-    for eps in eps_grid:
-        if not eps >= 0.0:
-            raise ConfigError(f"eps={eps} must be >= 0")
-        if eps * root_n * stat_scale > 20.0 + 1e-9:
-            raise ConfigError(
-                f"eps={eps} exceeds the stability cap 20/(sqrt(N)*scale); "
-                f"shrink the grid"
-            )
+    eps_grid = tuple(float(e) for e in default_eps_grid(n_particles, stat_scale))
+    root_n = math.sqrt(n_particles)
 
     tables = contraction_tables(model, flow.etas)
     stats = simulate_replicates(model, spec, f, n_particles, n_reps, master_seed)
@@ -281,24 +280,18 @@ class MomentReport:
             yield p, left, right, allow, left <= right * (1.0 + allow)
 
 
-def _check_p_max(p_max: int) -> None:
-    if not 1 <= p_max <= 8:
-        raise ConfigError(f"p_max must be in [1, 8] at desk scale, got {p_max}")
-
-
 def _moment_table(
-    abs_values: np.ndarray, scale: float, p_max: int, n_particles: int, master_seed: int
+    abs_values: np.ndarray, scale: float, n_particles: int, master_seed: int
 ) -> MomentReport:
-    """Table of (mean |V|^p)^(1/p) against d(p)^(1/p) * scale.
+    """Table of (mean |V|^p)^(1/p) against d(p)^(1/p) * scale, p in MOMENT_ORDERS.
 
     The allowance is twice the delta-method standard error of the lhs,
     sd(|V|^p) / (sqrt(R) * p * mean(|V|^p)^(1 - 1/p)), relative to the rhs;
     it is 0 when R = 1 or every |V| is 0.
     """
-    orders = tuple(range(1, p_max + 1))
     R = len(abs_values)
     lhs, rhs, allowances, ok = [], [], [], []
-    for p in orders:
+    for p in MOMENT_ORDERS:
         powers = abs_values**p
         mean = powers.mean()
         point = float(mean ** (1.0 / p))
@@ -312,7 +305,7 @@ def _moment_table(
         allowances.append(allow)
         ok.append(point <= right * (1.0 + allow))
     return MomentReport(
-        orders=orders,
+        orders=MOMENT_ORDERS,
         lhs=tuple(lhs),
         rhs=tuple(rhs),
         allowances=tuple(allowances),
@@ -328,33 +321,29 @@ def lp_moment_experiment(
     spec: McKeanSpec,
     f: TestFunction,
     n_particles: int,
-    p_max: int,
     n_reps: int,
     master_seed: int,
 ) -> MomentReport:
     """Scaled moments of the terminal empirical-mean error vs d(p) bounds.
 
     lhs(p) = (mean |W|^p)^(1/p) with W the sqrt(N)-scaled terminal error of
-    f_n; rhs(p) = d(p)^(1/p) * b(n).  The closed-form standard error of the
-    lhs sets the allowance.
+    f_n; rhs(p) = d(p)^(1/p) * b(n), for p in MOMENT_ORDERS.  The closed-form
+    standard error of the lhs sets the allowance.  A terminal function whose
+    oscillation exceeds 1 (OscillationTooLarge) or is 0 (DegenerateFunction)
+    fails before any replicate is drawn.
     """
     flow = analyze(model, spec, f)
-    _check_p_max(p_max)
     n = model.horizon
-    if f.oscillation(n) > 1.0 + 1e-12:
-        raise OscillationTooLarge(
-            f"oscillation {f.oscillation(n)} at time {n} exceeds 1"
-        )
+    _terminal_oscillation(f, n)
     b_n = concentration_b(contraction_tables(model, flow.etas), n)
     stats = simulate_replicates(model, spec, f, n_particles, n_reps, master_seed)
-    return _moment_table(np.abs(stats.w), b_n, p_max, n_particles, master_seed)
+    return _moment_table(np.abs(stats.w), b_n, n_particles, master_seed)
 
 
 def iid_moment_check(
     mu,
     h,
     n_particles: int,
-    p_max: int,
     n_reps: int,
     master_seed: int,
 ) -> MomentReport:
@@ -366,7 +355,6 @@ def iid_moment_check(
     holds one finite value per state), drawn by simulate_replicates; the
     check is sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
     """
-    _check_p_max(p_max)
     if n_particles < 1 or n_reps < 1:
         raise ConfigError(f"need n_particles, n_reps >= 1; got {n_particles}, {n_reps}")
     mu = np.asarray(mu, dtype=float)
@@ -374,7 +362,7 @@ def iid_moment_check(
     stats = simulate_replicates(
         model, McKeanSpec.zero(0), f, n_particles, n_reps, master_seed
     )
-    return _moment_table(np.abs(stats.w), f.oscillation(0), p_max, n_particles, master_seed)
+    return _moment_table(np.abs(stats.w), f.oscillation(0), n_particles, master_seed)
 
 
 def normal_cf(mean: float = 0.0, sd: float = 1.0):

@@ -8,6 +8,7 @@ quantity of the theory can be evaluated exactly by matrix recursions.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,14 @@ from .errors import (
     NonPositivePotential,
     NonStochasticKernel,
 )
+
+
+def integer(value, name: str) -> int:
+    """value as an int, numpy integers included; anything else is a ConfigError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -182,7 +191,7 @@ def validate_spec(spec: McKeanSpec, model: FeynmanKacModel) -> None:
 
 def truncate(model: FeynmanKacModel, spec: McKeanSpec, horizon: int):
     """Restrict a model/spec pair to a shorter horizon."""
-    if not 0 <= horizon <= model.horizon:
+    if not 0 <= integer(horizon, "horizon") <= model.horizon:
         raise ConfigError(f"horizon {horizon} outside [0, {model.horizon}]")
     cut = FeynmanKacModel(
         dims=model.dims[: horizon + 1],

@@ -162,8 +162,7 @@ def test_path_space_consistency():
 def test_gaussian_rate_experiment():
     entry = zoo.build("binary_hmm")
     rep = clt_rate_experiment(
-        entry.model, entry.spec, entry.f, [100, 400, 1600, 6400],
-        n_reps=2000, master_seed=1,
+        entry.model, entry.spec, entry.f, n_reps=2000, master_seed=1,
     )
     ratio_ok = rep.distances[-1] < rep.distances[0] / 4.0
     ok = rep.passed and ratio_ok
@@ -178,8 +177,7 @@ def test_gaussian_rate_experiment():
 def test_gaussian_rate_calibration_twin():
     entry = zoo.build("iid_reduction")
     rep = clt_rate_experiment(
-        entry.model, entry.spec, entry.f, [100, 400, 1600, 6400],
-        n_reps=20000, master_seed=1,
+        entry.model, entry.spec, entry.f, n_reps=20000, master_seed=1,
     )
     report(
         "normalized-fluctuation rate (independent calibration twin)",
@@ -212,10 +210,8 @@ def test_concentration_bound():
     all_ok = True
     details = []
     for N in (100, 1000):
-        grid = default_eps_grid(N, 1.0)
         rep = concentration_experiment(
-            entry.model, entry.spec, entry.f, N, grid, n_reps=3000,
-            master_seed=31,
+            entry.model, entry.spec, entry.f, N, n_reps=3000, master_seed=31
         )
         all_ok &= rep.passed
         worst_gap = max(
@@ -243,10 +239,8 @@ def test_concentration_bound():
 def test_increasing_process_exponential_continuity():
     entry = zoo.build("binary_hmm")
     N = 1000
-    scale = entry.f.oscillation(5) ** 2 / 2.0
-    grid = default_eps_grid(N, scale)
     rep = concentration_experiment(
-        entry.model, entry.spec, entry.f, N, grid, n_reps=2000,
+        entry.model, entry.spec, entry.f, N, n_reps=2000,
         master_seed=47, statistic="delta_c",
     )
     worst_gap = max(
@@ -263,9 +257,9 @@ def test_moment_bounds():
     ok_units = burkholder_d(2) == 1.0 and burkholder_d(4) == 3.0
     entry = zoo.build("binary_hmm")
     particle = lp_moment_experiment(
-        entry.model, entry.spec, entry.f, 1000, 6, n_reps=2000, master_seed=53
+        entry.model, entry.spec, entry.f, 1000, n_reps=2000, master_seed=53
     )
-    iid = iid_moment_check([0.5, 0.5], [-0.5, 0.5], 1000, 6, 2000, master_seed=59)
+    iid = iid_moment_check([0.5, 0.5], [-0.5, 0.5], 1000, 2000, master_seed=59)
     ok = ok_units and particle.passed and iid.passed
     report(
         "scaled moment bounds",

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fkbench
-from fkbench.cli import main
+from fkbench.cli import build_parser, main
 from fkbench.zoo import build
 
 
@@ -192,9 +194,23 @@ def test_verify_clt_degenerate_function(tmp_path, capsys):
     fn_file.write_text(json.dumps({"values": [[1.0, 1.0]] * 6}))
     code, _, err = run(
         capsys, "verify", "clt", "--zoo", "binary_hmm",
-        "--function", str(fn_file), "--reps", "50", "--N-grid", "50,100",
+        "--function", str(fn_file), "--reps", "50",
     )
     assert code == 1
+    assert "DegenerateFunction" in err
+
+
+@pytest.mark.parametrize("which", ["concentration", "moments"])
+def test_verify_constant_function_is_degenerate(which, tmp_path, capsys):
+    # every empirical MGF would be 1 and every moment 0: a vacuous pass
+    fn_file = tmp_path / "ones.json"
+    fn_file.write_text(json.dumps({"values": [[1.0, 1.0]] * 6}))
+    code, out, err = run(
+        capsys, "verify", which, "--zoo", "binary_hmm", "--function", str(fn_file),
+        "--N", "100", "--reps", "50",
+    )
+    assert code == 1
+    assert out == ""
     assert "DegenerateFunction" in err
 
 
@@ -202,13 +218,13 @@ def test_verify_moments_small_run(tmp_path, capsys):
     report_file = tmp_path / "moments.json"
     code, _, _ = run(
         capsys, "verify", "moments", "--zoo", "binary_hmm", "--N", "100",
-        "--reps", "300", "--p-max", "3", "--seed", "5",
+        "--reps", "300", "--seed", "5",
         "--out", str(report_file),
     )
     assert code == 0
     report = json.loads(report_file.read_text())
     assert report["passed"] is True
-    assert report["orders"] == [1, 2, 3]
+    assert report["orders"] == [1, 2, 3, 4, 5, 6]
 
 
 def test_verify_stein_small_run(capsys):
@@ -235,7 +251,7 @@ def test_verify_concentration_overflowing_bounds_are_null(capsys):
 def test_verify_concentration_small_run(capsys):
     code, out, _ = run(
         capsys, "verify", "concentration", "--zoo", "ring_walk", "--N", "100",
-        "--reps", "400", "--seed", "5", "--eps-grid", "0.0,0.05,0.2",
+        "--reps", "400", "--seed", "5",
     )
     assert code == 0
     report = json.loads(out)
@@ -258,17 +274,10 @@ def test_function_shorter_than_horizon(tmp_path, capsys):
         ["simulate", "--zoo", "binary_hmm", "--N", "0"],
         ["simulate", "--zoo", "binary_hmm", "--reps", "0"],
         ["verify", "clt", "--zoo", "binary_hmm", "--reps", "0"],
-        ["verify", "moments", "--zoo", "binary_hmm", "--p-max", "9"],
         ["oracle", "--zoo", "binary_hmm", "--zoo-params", "{bad"],
         ["oracle", "--zoo", "binary_hmm", "--zoo-params", '{"nope": 1}'],
-        ["verify", "concentration", "--zoo", "binary_hmm", "--eps-grid", "5"],
         ["zoo", "export", "--name", "binary_hmm", "--zoo-params", "{bad",
          "--out", "m.json"],
-        ["verify", "clt", "--zoo", "binary_hmm", "--N-grid", ","],
-        ["verify", "clt", "--zoo", "binary_hmm", "--N-grid", "100"],
-        ["verify", "clt", "--zoo", "binary_hmm", "--N-grid", "100,100"],
-        ["verify", "concentration", "--zoo", "binary_hmm", "--eps-grid", ","],
-        ["verify", "moments", "--zoo", "binary_hmm", "--p-max", "0"],
         ["verify", "concentration", "--zoo", "binary_hmm", "--N", "0"],
         ["oracle", "--zoo", "ring_walk", "--zoo-params", '{"d": -3}'],
         ["oracle", "--zoo", "ring_walk", "--zoo-params", '{"d": 0}'],
@@ -293,3 +302,20 @@ def test_bad_input_is_config_error(argv, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "config error" in err
     assert "Traceback" not in err
+
+
+def _documented_commands():
+    """Every `fkbench ...` line of the command blocks in README.md and PAPER.md."""
+    root = Path(__file__).resolve().parent.parent
+    for doc in ("README.md", "PAPER.md"):
+        for block in re.findall(r"```bash\n(.*?)```", (root / doc).read_text(), re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                argv = shlex.split(line, comments=True)
+                if argv[:1] == ["fkbench"]:
+                    yield pytest.param(argv[1:], id=f"{doc}: {' '.join(argv[1:3])}")
+
+
+@pytest.mark.parametrize("argv", list(_documented_commands()))
+def test_documented_command_parses(argv):
+    # parses only: a documented flag that the parser no longer has exits 2
+    build_parser().parse_args(argv)

@@ -36,7 +36,7 @@ from fkbench.lab import (
     stein_check,
     stein_experiment,
 )
-from fkbench.model import McKeanSpec, make_function, make_model
+from fkbench.model import McKeanSpec, make_function, make_model, truncate
 from fkbench.rng import stream
 from fkbench.zoo import build
 
@@ -72,7 +72,7 @@ class TestKolmogorovDistance:
 class TestCltRateExperiment:
     def test_smoke_run_and_determinism(self):
         entry = build("iid_reduction")
-        kwargs = dict(n_grid=[50, 200], n_reps=400, master_seed=3)
+        kwargs = dict(n_reps=400, master_seed=3)
         a = clt_rate_experiment(entry.model, entry.spec, entry.f, **kwargs)
         b = clt_rate_experiment(entry.model, entry.spec, entry.f, **kwargs)
         assert a == b
@@ -83,15 +83,13 @@ class TestCltRateExperiment:
         entry = build("iid_reduction")
         f = make_function([np.ones(2)])
         with pytest.raises(DegenerateFunction):
-            clt_rate_experiment(entry.model, entry.spec, f, [100], 100, master_seed=1)
+            clt_rate_experiment(entry.model, entry.spec, f, 100, master_seed=1)
 
     def test_noise_guard(self, monkeypatch):
         entry = build("iid_reduction")
         monkeypatch.setattr(lab, "kolmogorov_distance", lambda s: 1e-9)
         with pytest.raises(InsufficientReplicates):
-            clt_rate_experiment(
-                entry.model, entry.spec, entry.f, [50, 100], 50, master_seed=1
-            )
+            clt_rate_experiment(entry.model, entry.spec, entry.f, 50, master_seed=1)
 
 
 class TestSmoothingBound:
@@ -155,44 +153,43 @@ class TestSteinCheck:
 
 class TestConcentrationExperiment:
     def test_unit_eps_zero_and_pass(self):
+        # every exp(eps * |V|) and every bound is at least 1, the eps = 0 value
         entry = build("iid_reduction", p=0.5)
         report = concentration_experiment(
-            entry.model, entry.spec, entry.f, 100,
-            [0.0, 0.1, 0.5, 1.0], 1500, master_seed=5,
+            entry.model, entry.spec, entry.f, 100, 1500, master_seed=5
         )
-        assert report.empirical[0] == 1.0
-        assert report.bounds[0] == 1.0
+        assert min(report.empirical) >= 1.0
+        assert min(report.bounds) >= 1.0
         assert report.passed
         json.dumps(asdict(report), allow_nan=False)
 
     def test_delta_c_variant(self, two_state):
         model, spec, f = two_state
         report = concentration_experiment(
-            model, spec, f, 200, [0.0, 0.05, 0.2], 800,
-            master_seed=5, statistic="delta_c",
+            model, spec, f, 200, 800, master_seed=5, statistic="delta_c"
         )
         assert report.passed
+
+    def test_eps_grid_has_the_statistics_own_scale(self):
+        entry = build("binary_hmm")
+        osc = entry.f.oscillation(entry.model.horizon)
+        for statistic, scale in (("eta", osc), ("delta_c", osc**2 / 2.0)):
+            report = concentration_experiment(
+                entry.model, entry.spec, entry.f, 500, 20, 1, statistic=statistic
+            )
+            assert report.eps_grid == tuple(default_eps_grid(500, scale))
 
     def test_oscillation_gate(self, two_state):
         model, spec, _ = two_state
         f = make_function([[0.0, 2.0]] * 3)
         with pytest.raises(OscillationTooLarge):
-            concentration_experiment(model, spec, f, 100, [0.1], 100, master_seed=1)
-
-    def test_stability_cap(self):
-        entry = build("iid_reduction", p=0.5)
-        with pytest.raises(ValueError):
-            concentration_experiment(
-                entry.model, entry.spec, entry.f, 10_000, [1.0], 100,
-                master_seed=1,
-            )
+            concentration_experiment(model, spec, f, 100, 100, master_seed=1)
 
     def test_unknown_statistic(self, two_state):
         model, spec, f = two_state
         with pytest.raises(ValueError):
             concentration_experiment(
-                model, spec, f, 100, [0.1], 100, master_seed=1,
-                statistic="nope",
+                model, spec, f, 100, 100, master_seed=1, statistic="nope"
             )
 
     def test_default_grid_respects_cap(self):
@@ -203,30 +200,26 @@ class TestConcentrationExperiment:
 
 class TestMomentExperiments:
     def test_iid_second_moment_near_half(self):
-        report = iid_moment_check(
-            [0.5, 0.5], [-0.5, 0.5], 400, 2, 3000, master_seed=9
-        )
+        report = iid_moment_check([0.5, 0.5], [-0.5, 0.5], 400, 3000, master_seed=9)
         lhs_p2 = report.lhs[1]
         assert 0.45 <= lhs_p2 <= 0.55
         assert report.rhs[1] == 1.0
         assert report.passed
 
     def test_constant_h_gives_zero(self):
-        report = iid_moment_check(
-            [0.5, 0.5], [2.0, 2.0], 100, 3, 200, master_seed=9
-        )
+        report = iid_moment_check([0.5, 0.5], [2.0, 2.0], 100, 200, master_seed=9)
         assert all(v == 0.0 for v in report.lhs)
-        assert report.allowances == (0.0,) * 3
+        assert report.allowances == (0.0,) * len(lab.MOMENT_ORDERS)
 
     def test_one_replicate_has_no_allowance(self):
-        report = iid_moment_check([0.5, 0.5], [-0.5, 0.5], 100, 6, 1, master_seed=9)
-        assert report.allowances == (0.0,) * 6
+        report = iid_moment_check([0.5, 0.5], [-0.5, 0.5], 100, 1, master_seed=9)
+        assert report.allowances == (0.0,) * len(lab.MOMENT_ORDERS)
 
     def test_allowance_is_the_closed_form_standard_error(self):
         # reference: a seeded bootstrap of the lhs, whose own noise at 2,000
         # resamples is about 2%
         v = np.abs(np.random.default_rng(1).normal(size=800))
-        report = lab._moment_table(v, 1.0, 6, 1, 0)
+        report = lab._moment_table(v, 1.0, 1, 0)
         se = np.array(report.allowances) * np.array(report.rhs) / 2.0
         idx = np.random.default_rng(101).integers(0, v.size, size=(2000, v.size))
         for p, closed_form in zip(report.orders, se):
@@ -236,7 +229,7 @@ class TestMomentExperiments:
     def test_iid_draws_are_the_horizon_zero_particles(self):
         # replicate r draws from (seed, r, 0), whatever the number of replicates
         mu, h = [0.3, 0.7], np.array([-0.5, 0.5])
-        report = iid_moment_check(mu, h, 50, 1, 1001, master_seed=9)
+        report = iid_moment_check(mu, h, 50, 1001, master_seed=9)
         counts = simulate(RunConfig(50, 9, 0), make_model(mu, [], [np.ones(2)]),
                           McKeanSpec.zero(0), range(1001)).counts[0]
         assert_allclose(counts[999], stream(9, 999, 0).multinomial(50, mu))
@@ -247,23 +240,16 @@ class TestMomentExperiments:
     def test_iid_rejects_a_non_law(self, mu, monkeypatch):
         monkeypatch.setattr(engine, "simulate", None)  # fails before any draw
         with pytest.raises(BadInitialLaw):
-            iid_moment_check(mu, [0.0, 1.0], 100, 4, 100, 1)
+            iid_moment_check(mu, [0.0, 1.0], 100, 100, 1)
 
     def test_particle_moments_pass(self, two_state):
         model, spec, f = two_state
-        report = lp_moment_experiment(
-            model, spec, f, 200, 4, 800, master_seed=13
-        )
+        report = lp_moment_experiment(model, spec, f, 200, 800, master_seed=13)
         assert report.passed
-        assert len(report.lhs) == 4
+        assert report.orders == lab.MOMENT_ORDERS
         # rhs(p) = d(p)^(1/p) * b(n), so p=4 against p=2 isolates d(4) = 3
         assert_allclose(report.rhs[3] / report.rhs[1], 3.0**0.25)
         json.dumps(asdict(report), allow_nan=False)
-
-    def test_order_cap(self, two_state):
-        model, spec, f = two_state
-        with pytest.raises(ValueError):
-            lp_moment_experiment(model, spec, f, 100, 9, 100, master_seed=1)
 
 
 def _ill_posed_calls():
@@ -274,22 +260,23 @@ def _ill_posed_calls():
     short_f = make_function(entry.f.values[:3])
     wide_f = make_function([[0.0, 1.0, 0.0]] * 6)
     nan_f = make_function([[np.nan, 1.0]] * 6)
+    ones_f = make_function([[1.0, 1.0]] * 6)
     short_spec = McKeanSpec.zero(3)
     leaky = make_model(model.eta0, [[[0.9, 0.0], [0.3, 0.7]]] * 5, model.potentials)
     config = RunConfig(100, 1, 5)
     return {
         "f short: analyze": lambda: analyze(model, spec, short_f),
-        "f short: clt": lambda: clt_rate_experiment(model, spec, short_f, [50, 100], 100, 1),
+        "f short: clt": lambda: clt_rate_experiment(model, spec, short_f, 100, 1),
         "f short: concentration": lambda: concentration_experiment(
-            model, spec, short_f, 100, [0.1], 100, 1
+            model, spec, short_f, 100, 100, 1
         ),
-        "f short: moments": lambda: lp_moment_experiment(model, spec, short_f, 100, 2, 100, 1),
+        "f short: moments": lambda: lp_moment_experiment(model, spec, short_f, 100, 100, 1),
         "f short: stein": lambda: stein_experiment(model, spec, short_f, 100, 100, 1),
         "f 3 states: analyze": lambda: analyze(model, spec, wide_f),
         "f 3 states: stein": lambda: stein_experiment(model, spec, wide_f, 100, 100, 1),
         "f 3 states: replicates": lambda: simulate_replicates(model, spec, wide_f, 100, 10, 1),
         "2.5 replicates": lambda: simulate_replicates(model, spec, entry.f, 100, 2.5, 1),
-        "f nan: clt": lambda: clt_rate_experiment(model, spec, nan_f, [50, 100], 100, 1),
+        "f nan: clt": lambda: clt_rate_experiment(model, spec, nan_f, 100, 1),
         "f nan: stein": lambda: stein_experiment(model, spec, nan_f, 100, 100, 1),
         "spec short: analyze": lambda: analyze(model, short_spec, entry.f),
         "spec short: simulate": lambda: simulate(config, model, short_spec),
@@ -297,26 +284,19 @@ def _ill_posed_calls():
         "N 2.7: simulate": lambda: simulate(RunConfig(2.7, 1, 5), model, spec),
         "seed 1.5: simulate": lambda: simulate(RunConfig(100, 1.5, 5), model, spec),
         "replicate 0.5: simulate": lambda: simulate(config, model, spec, [0.5]),
-        "empty N grid": lambda: clt_rate_experiment(*args, [], 100, 1),
-        "one N": lambda: clt_rate_experiment(*args, [100], 100, 1),
-        "repeated N": lambda: clt_rate_experiment(*args, [100, 100], 100, 1),
-        "zero N": lambda: clt_rate_experiment(*args, [100, 0], 100, 1),
-        "empty eps grid": lambda: concentration_experiment(*args, 100, [], 100, 1),
-        "negative eps": lambda: concentration_experiment(*args, 100, [-0.1], 100, 1),
-        "eps over cap": lambda: concentration_experiment(*args, 100, [5.0], 100, 1),
         "unknown statistic": lambda: concentration_experiment(
-            *args, 100, [0.1], 100, 1, statistic="nope"
+            *args, 100, 100, 1, statistic="nope"
         ),
-        "no particles": lambda: concentration_experiment(*args, 0, [0.1], 100, 1),
-        "p_max 0": lambda: lp_moment_experiment(*args, 100, 0, 100, 1),
-        "p_max 9": lambda: lp_moment_experiment(*args, 100, 9, 100, 1),
-        "iid p_max 0": lambda: iid_moment_check([0.5, 0.5], [0, 1], 100, 0, 100, 1),
-        "iid p_max 9": lambda: iid_moment_check([0.5, 0.5], [0, 1], 100, 9, 100, 1),
-        "iid no reps": lambda: iid_moment_check([0.5, 0.5], [0, 1], 100, 4, 0, 1),
-        "iid no particles": lambda: iid_moment_check([0.5, 0.5], [0, 1], 0, 4, 100, 1),
-        "iid h length": lambda: iid_moment_check([0.5, 0.5], [0, 1, 2], 100, 4, 100, 1),
-        "iid h nan": lambda: iid_moment_check([0.5, 0.5], [np.nan, 1], 100, 4, 100, 1),
-        "iid N 1.5": lambda: iid_moment_check([0.5, 0.5], [0, 1], 1.5, 4, 100, 1),
+        "no particles": lambda: concentration_experiment(*args, 0, 100, 1),
+        "f constant: concentration": lambda: concentration_experiment(
+            model, spec, ones_f, 100, 100, 1
+        ),
+        "f constant: moments": lambda: lp_moment_experiment(model, spec, ones_f, 100, 100, 1),
+        "iid no reps": lambda: iid_moment_check([0.5, 0.5], [0, 1], 100, 0, 1),
+        "iid no particles": lambda: iid_moment_check([0.5, 0.5], [0, 1], 0, 100, 1),
+        "iid h length": lambda: iid_moment_check([0.5, 0.5], [0, 1, 2], 100, 100, 1),
+        "iid h nan": lambda: iid_moment_check([0.5, 0.5], [np.nan, 1], 100, 100, 1),
+        "iid N 1.5": lambda: iid_moment_check([0.5, 0.5], [0, 1], 1.5, 100, 1),
     }
 
 
@@ -326,6 +306,9 @@ ILL_POSED_ERROR = {
     "spec short: analyze": EpsilonOutOfRange,
     "spec short: simulate": EpsilonOutOfRange,
     "kernel row short: simulate": NonStochasticKernel,
+    # a constant f makes every empirical MGF 1 and every moment 0: no verdict
+    "f constant: concentration": DegenerateFunction,
+    "f constant: moments": DegenerateFunction,
 }
 
 
@@ -363,10 +346,10 @@ def test_experiments_draw_only_at_replicate_step_addresses(monkeypatch):
             monkeypatch.setattr(module, "stream", recording)
     monkeypatch.setattr(engine, "simulate", counting)
     experiments = [
-        (2, lambda: clt_rate_experiment(*args, [20, 80], 50, 1)),
-        (1, lambda: concentration_experiment(*args, 50, [0.1], 20, 2)),
-        (1, lambda: lp_moment_experiment(*args, 50, 2, 20, 3)),
-        (1, lambda: iid_moment_check([0.5, 0.5], [-0.5, 0.5], 50, 2, 20, 4)),
+        (len(lab.N_GRID), lambda: clt_rate_experiment(*args, 50, 1)),
+        (1, lambda: concentration_experiment(*args, 50, 20, 2)),
+        (1, lambda: lp_moment_experiment(*args, 50, 20, 3)),
+        (1, lambda: iid_moment_check([0.5, 0.5], [-0.5, 0.5], 50, 20, 4)),
         (1, lambda: stein_experiment(*args, 50, 20, 5)),
     ]
     for n_batches, run in experiments:
@@ -384,6 +367,10 @@ def test_experiments_draw_only_at_replicate_step_addresses(monkeypatch):
 BAD_INPUT = {
     "smoothing cutoff": lambda: smoothing_bound(normal_cf(), normal_cf(), 0.0, 1.0),
     "burkholder order": lambda: burkholder_d(0),
+    "burkholder order 2.5": lambda: burkholder_d(2.5),
+    "truncate horizon 1.5": lambda: truncate(
+        build("binary_hmm").model, McKeanSpec.zero(5), 1.5
+    ),
     "mixing window": lambda: mixing_bounds(m=0, r=1.0, rho=0.5, n=1),
     "empty sample": lambda: kolmogorov_distance([]),
     "nan sample": lambda: kolmogorov_distance([0.0, np.nan]),
@@ -399,14 +386,6 @@ BAD_INPUT = {
 def test_bad_input_raises_typed_error(case):
     with pytest.raises(FkbenchError):
         BAD_INPUT[case]()
-
-
-def test_negative_eps_has_its_own_message():
-    entry = build("binary_hmm")
-    with pytest.raises(ConfigError, match="must be >= 0"):
-        concentration_experiment(
-            entry.model, entry.spec, entry.f, 100, [0.1, -0.1], 100, 1
-        )
 
 
 class TestSteinExperiment:
