@@ -8,8 +8,11 @@ decompositions of the fluctuation field.  The decomposition residuals are
 pure floating-point error on every run; no averaging is involved.
 
 simulate runs any list of replicates as one batch: a trace holds the counts
-of R runs, one row per listed replicate, and every bookkeeping function
-returns one row per run.  The list here is [0], so each result below is row 0.
+of R runs, one row per listed replicate.  doob_terms is the one bookkeeping
+pass over a trace: it returns the decompositions and the increasing-process
+increments of every run, one row each, in one DoobSeries (the result that
+simulate_replicates returns for its batch).  The list here is [0], so each
+result below is row 0.
 """
 
 import numpy as np
@@ -21,7 +24,6 @@ np.set_printoptions(precision=5, suppress=True)
 
 entry = zoo.build("binary_hmm")
 model, spec, f = entry.model, entry.spec, entry.f
-flow = fk.analyze(model, spec, f)
 
 config = fk.RunConfig(n_particles=500, seed=2024, horizon=5)
 trace = fk.simulate(config, model, spec, [0])
@@ -36,14 +38,14 @@ inc_m = np.concatenate(
     [fk.sampling_error(model, mu, emp[n], n, f.values[n])
      for n, mu in enumerate([model.eta0, *emp[:-1]])]
 )
-inc_c = fk.increasing_increments(trace, model, spec, f)[0]
+series = fk.doob_terms(trace, model, spec, f)
+inc_c = series.delta_c[0]
 print("\nsampling-error increments:", inc_m)
 print("increasing-process increments:", inc_c)
 print("realized increasing process:", np.cumsum(inc_c))
-limit = fk.limiting_increasing_process(model, spec, flow.etas, f)
+limit = fk.limiting_variance(model, spec, fk.exact_flow(model).etas, f.values[:6])
 print("limiting increments:        ", limit)
 
-series = fk.doob_terms(trace, flow, model)
 print("\nfluctuation field w_p:", series.w[0])
 print("predictable part b_p: ", series.b[0])
 print("martingale part l_p:  ", series.l[0])

@@ -14,7 +14,6 @@ from .engine import (
     RunConfig,
     RunTrace,
     doob_terms,
-    increasing_increments,
     sampling_error,
     simulate,
     simulate_replicates,
@@ -32,7 +31,6 @@ from .flow import (
     contraction_tables,
     dobrushin_beta,
     exact_flow,
-    limiting_increasing_process,
     limiting_variance,
     mckean_kernel,
     step_phi,

@@ -136,7 +136,7 @@ def cmd_simulate(args) -> int:
         f"# config = {json.dumps(_config(args))}",
     ]
     header = ["replicate_id", "N", "n", "W", "L_terminal", "C_N"]
-    columns = [stats.w, stats.l_terminal, stats.c_total]
+    columns = [stats.w[:, -1], stats.l[:, -1], stats.delta_c.sum(axis=1)]
     if args.check_doob:
         header += ["doob_residual"]
         columns.append(np.maximum(stats.residual_mean, stats.residual_field))
@@ -144,7 +144,7 @@ def cmd_simulate(args) -> int:
     if args.record_steps:
         header += [f"W_{p}" for p in range(horizon + 1)]
         header += [f"C_{p}" for p in range(horizon + 1)]
-        table = np.hstack([table, stats.w_steps, stats.delta_c_steps.cumsum(axis=1)])
+        table = np.hstack([table, stats.w, stats.delta_c.cumsum(axis=1)])
     rows = [
         [r, args.N, horizon, *(repr(float(x)) for x in values)]
         for r, values in enumerate(table)
@@ -200,7 +200,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--zoo-params", dest="zoo_params", help="JSON dict of builder params")
     p.add_argument("--function", help="test-function JSON file")
     p.add_argument("--horizon", type=int, default=None, help="truncate to this horizon")
-    p.add_argument("--seed", type=int, default=7, help="master seed")
     p.add_argument("--out", help="output file (default stdout)")
 
 
@@ -219,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run replicates, write a CSV")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=7, help="master seed")
     p.add_argument("--N", type=int, default=100, help="particles per replicate")
     p.add_argument("--reps", type=int, default=1, help="number of replicates")
     p.add_argument("--check-doob", action="store_true", dest="check_doob",
@@ -229,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification experiment")
     p.add_argument("which", choices=["clt", "concentration", "moments", "stein"])
     _add_common(p)
+    p.add_argument("--seed", type=int, default=7, help="master seed")
     p.add_argument("--N", type=int, default=1000)
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--statistic", choices=["eta", "delta_c"], default="eta")

@@ -9,8 +9,10 @@ RunTrace holds R runs as (R, d) count arrays, one row per replicate; the
 sampler advances the batch a step at a time, and the bookkeeping evaluates it
 once per step, each row summed in flow's one order (never @, which rounds a
 row inside a batch differently than alone), so no row depends on the batch.
-The runs' bookkeeping reads the flow analytics of the model's horizon, the
-one terminal time.
+doob_terms is the one bookkeeping pass: from the flow analytics of the
+model's horizon, the one terminal time, it returns the decompositions of the
+fluctuation field and the increasing process of every run in one DoobSeries,
+which simulate_replicates returns for its batch.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FlowConsistencyError
-from .flow import FlowAnalytics, analyze, boltzmann_gibbs, conditional_variance, step_phi
+from .flow import analyze, boltzmann_gibbs, conditional_variance, step_phi
 from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights
-from .model import integer, validate_model, validate_spec
+from .model import integer, validate_function, validate_model, validate_spec
 from .rng import stream
 
 
@@ -132,29 +134,14 @@ def sampling_error(model: FeynmanKacModel, mu, emp: np.ndarray, n: int, v: np.nd
     return (emp * v).sum(-1) - (bg * (model.kernels[n - 1] @ v)).sum(-1)
 
 
-def increasing_increments(
-    trace: RunTrace, model: FeynmanKacModel, spec: McKeanSpec, f: TestFunction
-) -> np.ndarray:
-    """Increments of the realized increasing process, (R, steps), one row per run.
-
-    The step into time 0 starts from eta0, each later step from the runs'
-    empirical measures one step earlier.
-    """
-    out = np.empty((len(trace.counts[0]), len(trace.counts)))
-    start = model.eta0
-    for q in range(len(trace.counts)):
-        out[:, q] = conditional_variance(model, spec, start, q, f.values[q])
-        start = trace.empirical(q)
-    return out
-
-
 @dataclass(frozen=True)
 class DoobSeries:
-    """Per-index decomposition of the realized fluctuation fields of R runs.
+    """Per-index bookkeeping of the realized fluctuation fields of R runs.
 
     w is the fluctuation field and b and l its predictable and martingale
-    parts, each (R, n + 1) with n the flow's terminal time.  residual_mean
-    and residual_field, one per run, are the worst gaps of the exact
+    parts, and delta_c the increments of the realized increasing process,
+    each (R, H + 1) with H the model's horizon.  residual_mean and
+    residual_field, one per run, are the worst gaps of the exact
     decompositions of the empirical mean of the transported functions and of
     w: floating-point error on every run.
     """
@@ -162,17 +149,24 @@ class DoobSeries:
     b: np.ndarray
     l: np.ndarray
     w: np.ndarray
+    delta_c: np.ndarray
     residual_mean: np.ndarray
     residual_field: np.ndarray
 
 
-def doob_terms(trace: RunTrace, flow: FlowAnalytics, model: FeynmanKacModel) -> DoobSeries:
-    """Evaluate the predictable/martingale decompositions on realized runs.
+def doob_terms(
+    trace: RunTrace, model: FeynmanKacModel, spec: McKeanSpec, f: TestFunction
+) -> DoobSeries:
+    """Evaluate the decompositions and the increasing process on realized runs.
 
-    The series run over times 0..flow.terminal, which the runs must reach;
-    later steps of a longer trace are not read.  All series are exact
-    functions of the recorded empirical measures; no sampling is involved.
+    The series run over times 0..model.horizon, which the runs must reach;
+    later steps of a longer trace are not read, so a prefix is
+    doob_terms(trace, *truncate(model, spec, n), f).  The step into time 0
+    starts from eta0, each later step from the runs' empirical measures one
+    step earlier.  All series are exact functions of the recorded empirical
+    measures and of analyze(model, spec, f); no sampling is involved.
     """
+    flow = analyze(model, spec, f)
     n = flow.terminal
     if len(trace.counts) <= n:
         raise FlowConsistencyError(
@@ -181,13 +175,14 @@ def doob_terms(trace: RunTrace, flow: FlowAnalytics, model: FeynmanKacModel) -> 
     root_n = np.sqrt(trace.n_particles)
     fpn, etas = flow.fpn, flow.etas
     shape = (len(trace.counts[0]), n + 1)
-    means, field, a_inc, m_inc, b_inc = (np.zeros(shape) for _ in range(5))
+    means, field, a_inc, m_inc, b_inc, delta_c = (np.zeros(shape) for _ in range(6))
     start = etas[0]  # the step into time q starts from here
     for q in range(n + 1):
         emp = trace.empirical(q)
         means[:, q] = (emp * fpn[q]).sum(-1)
         field[:, q] = ((emp - etas[q]) * fpn[q]).sum(-1)
         m_inc[:, q] = sampling_error(model, start, emp, q, fpn[q])
+        delta_c[:, q] = conditional_variance(model, spec, start, q, f.values[q])
         if q > 0:
             g = model.potentials[q - 1]
             mass_ratio = (start * g).sum(-1) / float(etas[q - 1] @ g)
@@ -199,35 +194,10 @@ def doob_terms(trace: RunTrace, flow: FlowAnalytics, model: FeynmanKacModel) -> 
     a, m, b = (np.cumsum(inc, axis=1) for inc in (a_inc, m_inc, b_inc))
     l, w = root_n * m, root_n * field
     return DoobSeries(
-        b=b, l=l, w=w,
+        b=b, l=l, w=w, delta_c=delta_c,
         residual_mean=np.max(np.abs(means - (a + m)), axis=1),
         residual_field=np.max(np.abs(w - (b + l)), axis=1),
     )
-
-
-@dataclass(frozen=True)
-class ReplicateStats:
-    """Statistics of R replicates, one row (or entry) per replicate.
-
-    w_steps[r, p] is the fluctuation field and delta_c_steps[r, p] the realized
-    increasing-process increment at p = 0..horizon; l_terminal, b_terminal and
-    the residuals are DoobSeries' terminal l and b and its residuals.
-    """
-
-    w_steps: np.ndarray
-    delta_c_steps: np.ndarray
-    l_terminal: np.ndarray
-    b_terminal: np.ndarray
-    residual_mean: np.ndarray
-    residual_field: np.ndarray
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.w_steps[:, -1]
-
-    @property
-    def c_total(self) -> np.ndarray:
-        return self.delta_c_steps.sum(axis=1)
 
 
 def simulate_replicates(
@@ -237,18 +207,15 @@ def simulate_replicates(
     n_particles: int,
     n_reps: int,
     seed: int,
-) -> ReplicateStats:
+) -> DoobSeries:
     """Run replicates 0..n_reps-1 to the model's horizon and evaluate them in one pass.
 
-    The analytics of f are computed here, so the model, spec and f are
-    validated before any stream is opened; a shorter run is the replicates of
-    truncate(model, spec, n).
+    The model, spec and f are validated before simulate is called; a shorter
+    run is the replicates of truncate(model, spec, n).
     """
-    flow = analyze(model, spec, f)
+    validate_model(model)
+    validate_spec(spec, model)
+    validate_function(f, model)
     config = RunConfig(n_particles, seed, model.horizon)
     trace = simulate(config, model, spec, range(integer(n_reps, "n_reps")))
-    doob = doob_terms(trace, flow, model)
-    dc = increasing_increments(trace, model, spec, f)
-    return ReplicateStats(
-        doob.w, dc, doob.l[:, -1], doob.b[:, -1], doob.residual_mean, doob.residual_field
-    )
+    return doob_terms(trace, model, spec, f)

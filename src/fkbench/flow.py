@@ -7,11 +7,12 @@ O(H d^2) backward sweep) and its limiting variance; contraction_tables the
 Dobrushin coefficients and mass ratios of every normalized transport;
 transport one of them on demand.  The horizon is the only terminal time: an
 earlier one is the horizon of truncate(model, spec, n).
-conditional_variance, the one-step variance shared by the limiting variances
-and the engine's increasing process, never forms the d x d kernel.  Products
-of a measure, or of an (R, d) batch of them, sum each row in one order:
-(mu * v).sum(-1) or np.einsum("...d,de->...e", mu, M), never @, whose BLAS
-call rounds a row inside a batch differently than alone.
+conditional_variance, the one-step variance shared by limiting_variance and
+the engine's doob_terms, never forms the d x d kernel; the limit of the
+increasing process of f itself is limiting_variance of f's own values.
+Products of a measure, or of an (R, d) batch of them, sum each row in one
+order: (mu * v).sum(-1) or np.einsum("...d,de->...e", mu, M), never @, whose
+BLAS call rounds a row inside a batch differently than alone.
 """
 
 from __future__ import annotations
@@ -232,21 +233,6 @@ def limiting_variance(
                 f"variance increment forms disagree at p={p}: {out[p]} vs {form2}"
             )
     return out
-
-
-def limiting_increasing_process(
-    model: FeynmanKacModel,
-    spec: McKeanSpec,
-    etas: list[np.ndarray],
-    f: TestFunction,
-) -> np.ndarray:
-    """Increments of the deterministic increasing process of f itself.
-
-    Uses the raw per-time values f_p (not the transported family), one term
-    per time of etas; their sum is the large-population limit of the
-    particle increasing process.
-    """
-    return limiting_variance(model, spec, etas, list(f.values[: len(etas)]))
 
 
 def concentration_b(tables: ContractionTables, n: int) -> float:

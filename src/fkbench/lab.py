@@ -28,12 +28,7 @@ from .errors import (
     OscillationTooLarge,
     QuadratureFailure,
 )
-from .flow import (
-    analyze,
-    concentration_b,
-    contraction_tables,
-    limiting_increasing_process,
-)
+from .flow import analyze, concentration_b, contraction_tables, limiting_variance
 from .model import FeynmanKacModel, McKeanSpec, TestFunction, make_function, make_model
 from .rng import derive_seed
 
@@ -110,7 +105,7 @@ def clt_rate_experiment(
     distances = []
     for k, N in enumerate(N_GRID):
         stats = simulate_replicates(model, spec, f, N, n_reps, derive_seed(master_seed, k))
-        distances.append(kolmogorov_distance(stats.w / sigma))
+        distances.append(kolmogorov_distance(stats.w[:, -1] / sigma))
     if min(distances) <= ecdf_allowance:
         raise InsufficientReplicates(
             f"min distance {min(distances):.4g} is within the ECDF noise scale "
@@ -219,13 +214,13 @@ def concentration_experiment(
     tables = contraction_tables(model, flow.etas)
     stats = simulate_replicates(model, spec, f, n_particles, n_reps, master_seed)
     if statistic == "eta":
-        values = np.abs(stats.w)  # already sqrt(N)-scaled
+        values = np.abs(stats.w[:, -1])  # already sqrt(N)-scaled
         const = concentration_b(tables, n)
         def log_bound(eps):
             return math.log1p(eps * const / math.sqrt(2.0)) + (eps * const) ** 2 / 2.0
     else:
-        limit_inc = limiting_increasing_process(model, spec, flow.etas, f)
-        values = root_n * np.abs(stats.delta_c_steps[:, -1] - limit_inc[n])
+        limit_inc = limiting_variance(model, spec, flow.etas, f.values[: n + 1])
+        values = root_n * np.abs(stats.delta_c[:, -1] - limit_inc[n])
         const = a3_constant(tables, n)
         def log_bound(eps):
             return math.log1p(eps * const) + (eps * const) ** 2
@@ -337,7 +332,7 @@ def lp_moment_experiment(
     _terminal_oscillation(f, n)
     b_n = concentration_b(contraction_tables(model, flow.etas), n)
     stats = simulate_replicates(model, spec, f, n_particles, n_reps, master_seed)
-    return _moment_table(np.abs(stats.w), b_n, n_particles, master_seed)
+    return _moment_table(np.abs(stats.w[:, -1]), b_n, n_particles, master_seed)
 
 
 def iid_moment_check(
@@ -352,17 +347,21 @@ def iid_moment_check(
     The N independent variables of replicate r are the time-0 particles of
     the horizon-0 model with initial law mu (BadInitialLaw if mu is not a
     probability vector) and h its time-0 function (ConfigError unless it
-    holds one finite value per state), drawn by simulate_replicates; the
-    check is sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
+    holds one finite value per state, DegenerateFunction if it is constant),
+    drawn by simulate_replicates; the check is
+    sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
     """
     if n_particles < 1 or n_reps < 1:
         raise ConfigError(f"need n_particles, n_reps >= 1; got {n_particles}, {n_reps}")
     mu = np.asarray(mu, dtype=float)
     model, f = make_model(mu, [], [np.ones_like(mu)]), make_function([h])
+    osc = f.oscillation(0)
+    if osc == 0.0 and f.values[0].shape == mu.shape:  # every moment is 0: no verdict
+        raise DegenerateFunction("iid h is constant")
     stats = simulate_replicates(
         model, McKeanSpec.zero(0), f, n_particles, n_reps, master_seed
     )
-    return _moment_table(np.abs(stats.w), f.oscillation(0), n_particles, master_seed)
+    return _moment_table(np.abs(stats.w[:, -1]), osc, n_particles, master_seed)
 
 
 def normal_cf(mean: float = 0.0, sd: float = 1.0):
@@ -468,4 +467,4 @@ def stein_experiment(
         raise DegenerateFunction(f"limiting variance at time {n} is zero")
     stats = simulate_replicates(model, spec, f, n_particles, n_reps, master_seed)
     scale = 1.0 / math.sqrt(flow.sigma_sq)
-    return stein_check(scale * stats.l_terminal, scale * stats.b_terminal)
+    return stein_check(scale * stats.l[:, -1], scale * stats.b[:, -1])

@@ -21,7 +21,7 @@ from fkbench.flow import (
     analyze,
     compatibility_residual,
     exact_flow,
-    limiting_increasing_process,
+    limiting_variance,
     mckean_kernel,
     step_phi,
     transport,
@@ -122,10 +122,9 @@ def test_exact_algebra_suite():
 def test_per_run_decomposition_identities():
     t0 = time.time()
     entry = zoo.build("binary_hmm")
-    flow = analyze(entry.model, entry.spec, entry.f)
     config = RunConfig(n_particles=500, seed=77, horizon=5)
     trace = simulate(config, entry.model, entry.spec, range(200))
-    series = doob_terms(trace, flow, entry.model)
+    series = doob_terms(trace, entry.model, entry.spec, entry.f)
     worst = float(max(series.residual_mean.max(), series.residual_field.max()))
     elapsed = time.time() - t0
     ok = worst <= tol.PRODUCT and elapsed < 30.0
@@ -190,11 +189,12 @@ def test_gaussian_rate_calibration_twin():
 def test_increasing_process_convergence():
     entry = zoo.build("binary_hmm")
     flow = analyze(entry.model, entry.spec, entry.f)
-    limit = limiting_increasing_process(entry.model, entry.spec, flow.etas, entry.f).sum()
+    values = entry.f.values[: entry.model.horizon + 1]
+    limit = limiting_variance(entry.model, entry.spec, flow.etas, values).sum()
     medians = {}
     for N in (100, 10_000):
         stats = simulate_replicates(entry.model, entry.spec, entry.f, N, 200, 909)
-        medians[N] = float(np.median(np.abs(stats.c_total - limit)))
+        medians[N] = float(np.median(np.abs(stats.delta_c.sum(axis=1) - limit)))
     shrink = medians[100] / medians[10_000]
     ok = shrink >= 5.0
     report(

@@ -44,7 +44,7 @@ def test_zoo_export_then_oracle(tmp_path, capsys):
     assert code == 0
     report = json.loads(report_file.read_text())
     assert report["tool"] == "fkbench"
-    assert report["config"]["seed"] == 7
+    assert "seed" not in report["config"]  # the oracle draws nothing
 
     # unit potentials: the flow is the bare chain law
     entry = build("plain_markov")
@@ -302,6 +302,14 @@ def test_bad_input_is_config_error(argv, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "config error" in err
     assert "Traceback" not in err
+
+
+def test_oracle_takes_no_seed(capsys):
+    # the oracle draws nothing: --seed is a usage error, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--zoo", "binary_hmm", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _documented_commands():

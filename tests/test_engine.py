@@ -11,11 +11,9 @@ import fkbench.engine as engine
 from fkbench import tolerances as tol
 from fkbench.engine import (
     DoobSeries,
-    ReplicateStats,
     RunConfig,
     RunTrace,
     doob_terms,
-    increasing_increments,
     sampling_error,
     simulate,
     simulate_replicates,
@@ -27,7 +25,7 @@ from fkbench.flow import (
     boltzmann_gibbs,
     conditional_variance,
     exact_flow,
-    limiting_increasing_process,
+    limiting_variance,
     mckean_kernel,
     step_phi,
 )
@@ -99,9 +97,9 @@ class TestStep:
         f = make_function([[0.5]] * 4)
         trace = simulate(RunConfig(20, 5, 3), model, spec)
         assert all(c.tolist() == [[20]] for c in trace.counts)
-        flow = analyze(model, spec, f)
-        assert_allclose(doob_terms(trace, flow, model).l, 0.0)
-        assert_allclose(increasing_increments(trace, model, spec, f), 0.0)
+        series = doob_terms(trace, model, spec, f)
+        assert_allclose(series.l, 0.0)
+        assert_allclose(series.delta_c, 0.0)
 
     def test_conditional_mean_matches_exact_update(self, two_state):
         # freeze a cloud, redraw the next step many times: the average
@@ -372,11 +370,11 @@ class TestIncreasingProcess:
     def test_converges_to_limit(self, two_state):
         model, spec, f = two_state
         flow = exact_flow(model)
-        limit = limiting_increasing_process(model, spec, flow.etas, f).sum()
+        limit = limiting_variance(model, spec, flow.etas, f.values).sum()
         errs = []
         for N in (100, 10_000):
             stats = simulate_replicates(model, spec, f, N, 50, 29)
-            errs.append(np.median(np.abs(stats.c_total - limit)))
+            errs.append(np.median(np.abs(stats.delta_c.sum(axis=1) - limit)))
         assert errs[1] < errs[0]
 
     def test_converges_to_limit_with_mixed_kernel(self):
@@ -387,29 +385,28 @@ class TestIncreasingProcess:
         assert max(spec.epsilons) > 0.0
         n = model.horizon
         flow = exact_flow(model)
-        limit = limiting_increasing_process(model, spec, flow.etas, f).sum()
+        limit = limiting_variance(model, spec, flow.etas, f.values[: n + 1]).sum()
         stats = simulate_replicates(model, spec, f, 20_000, 8, 71)
-        worst = np.abs(stats.c_total - limit).max()
+        worst = np.abs(stats.delta_c.sum(axis=1) - limit).max()
         assert worst < 0.02 * limit
 
 
 class TestDoob:
     def test_identities_per_run(self, two_state):
         model, spec, f = two_state
-        flow = analyze(model, spec, f)
         trace = simulate(RunConfig(250, 101, 2), model, spec, range(25))
-        series = doob_terms(trace, flow, model)
+        series = doob_terms(trace, model, spec, f)
         assert np.all(series.residual_mean <= tol.PRODUCT)
         assert np.all(series.residual_field <= tol.PRODUCT)
         # realized increasing process never decreases
-        assert np.all(increasing_increments(trace, model, spec, f) >= -1e-15)
+        assert np.all(series.delta_c >= -1e-15)
 
     def test_terminal_field_is_plain_error(self, two_state):
         model, spec, f = two_state
         flow = analyze(model, spec, f)
         config = RunConfig(250, 77, 2)
         trace = simulate(config, model, spec)
-        series = doob_terms(trace, flow, model)
+        series = doob_terms(trace, model, spec, f)
         expected = np.sqrt(250) * float(
             (trace.empirical(2)[0] - flow.etas[2]) @ f.values[2]
         )
@@ -417,31 +414,29 @@ class TestDoob:
 
     def test_earlier_terminal_reads_a_prefix_of_the_runs(self, two_state):
         model, spec, f = two_state
-        flow = analyze(*truncate(model, spec, 1), f)
+        short = truncate(model, spec, 1)
         trace = simulate(RunConfig(50, 3, 2), model, spec, range(4))
         prefix = RunTrace(trace.n_particles, trace.counts[:2])
-        whole, cut = doob_terms(trace, flow, model), doob_terms(prefix, flow, model)
+        whole, cut = doob_terms(trace, *short, f), doob_terms(prefix, *short, f)
         for field in fields(DoobSeries):
             assert np.array_equal(getattr(whole, field.name), getattr(cut, field.name))
         assert whole.w.shape == (4, 2)
 
     def test_runs_must_reach_the_terminal(self, two_state):
         model, spec, f = two_state
-        flow = analyze(model, spec, f)
         trace = simulate(RunConfig(50, 3, 1), model, spec)
         with pytest.raises(FlowConsistencyError):
-            doob_terms(trace, flow, model)
+            doob_terms(trace, model, spec, f)
 
 
 class TestReplicates:
     def test_single_rep_matches_direct_run(self, two_state):
         model, spec, f = two_state
-        flow = analyze(model, spec, f)
         stats = simulate_replicates(model, spec, f, 100, 1, 5)
         trace = simulate(RunConfig(100, 5, 2), model, spec, [0])
-        series = doob_terms(trace, flow, model)
-        assert stats.w[0] == series.w[0, 2]
-        assert stats.l_terminal[0] == series.l[0, 2]
+        series = doob_terms(trace, model, spec, f)
+        assert stats.w[0, -1] == series.w[0, 2]
+        assert stats.l[0, -1] == series.l[0, 2]
 
     @pytest.mark.parametrize(
         "name, params",
@@ -460,36 +455,41 @@ class TestReplicates:
             entry = build(name, **params)
             model, spec, f = entry.model, entry.spec, entry.f
         n = model.horizon
-        flow = analyze(model, spec, f)
         config = RunConfig(40, 19, n)
         stats = simulate_replicates(model, spec, f, 40, 37, 19)
-        assert stats.w_steps.shape == stats.delta_c_steps.shape == (37, n + 1)
+        assert stats.w.shape == stats.delta_c.shape == (37, n + 1)
         for r in range(37):
-            trace = simulate(config, model, spec, [r])
-            doob = doob_terms(trace, flow, model)
-            dc = increasing_increments(trace, model, spec, f)
-            pairs = [
-                (stats.w_steps[r], doob.w[0]),
-                (stats.delta_c_steps[r], dc[0]),
-                (stats.l_terminal[r], doob.l[0, n]),
-                (stats.b_terminal[r], doob.b[0, n]),
-                (stats.residual_mean[r], doob.residual_mean[0]),
-                (stats.residual_field[r], doob.residual_field[0]),
-            ]
-            for got, expected in pairs:
+            doob = doob_terms(simulate(config, model, spec, [r]), model, spec, f)
+            for field in fields(DoobSeries):
+                got, expected = getattr(stats, field.name)[r], getattr(doob, field.name)[0]
                 assert np.array_equal(got, expected)
 
     def test_deterministic_output(self, two_state):
         model, spec, f = two_state
         a = simulate_replicates(model, spec, f, 100, 10, 5)
         b = simulate_replicates(model, spec, f, 100, 10, 5)
-        for field in fields(ReplicateStats):
+        for field in fields(DoobSeries):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+
+    def test_one_analyze_and_one_simulate_per_batch(self, two_state, monkeypatch):
+        model, spec, f = two_state
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(engine, "analyze", counted("analyze", analyze))
+        monkeypatch.setattr(engine, "simulate", counted("simulate", simulate))
+        simulate_replicates(model, spec, f, 20, 5, 3)
+        assert calls == {"analyze": 1, "simulate": 1}
 
     def test_centering_over_replicates(self, two_state):
         model, spec, f = two_state
         stats = simulate_replicates(model, spec, f, 50, 2000, 23)
-        w = stats.w
+        w = stats.w[:, -1]
         se = w.std(ddof=1) / np.sqrt(len(w))
         assert abs(w.mean()) <= 5 * se
 

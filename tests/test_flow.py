@@ -16,7 +16,6 @@ from fkbench.flow import (
     dobrushin_beta,
     _transport_step,
     exact_flow,
-    limiting_increasing_process,
     limiting_variance,
     mckean_kernel,
     step_phi,
@@ -329,12 +328,12 @@ class TestLimitingVariance:
         # hand recursion: variance of the indicator under eta_p for eps = 0
         model, spec, f = two_state
         flow = exact_flow(model)
-        inc = limiting_increasing_process(model, spec, flow.etas, f)
+        inc = limiting_variance(model, spec, flow.etas, f.values)
         assert_allclose(
             inc, [0.25, 0.24, 0.23346938775510204], atol=tol.ALGEBRA
         )
-        # one term per time of etas: a prefix of the flow gives a prefix
-        prefix = limiting_increasing_process(model, spec, flow.etas[:2], f)
+        # one term per time: a prefix of the flow gives a prefix
+        prefix = limiting_variance(model, spec, flow.etas[:2], f.values[:2])
         assert np.array_equal(prefix, inc[:2])
 
 
