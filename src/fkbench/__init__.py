@@ -25,14 +25,12 @@ from .flow import (
     FlowAnalytics,
     analyze,
     boltzmann_gibbs,
-    compatibility_residual,
     concentration_b,
     conditional_variance,
     contraction_tables,
     dobrushin_beta,
     exact_flow,
     limiting_variance,
-    mckean_kernel,
     step_phi,
     transport,
 )

@@ -36,7 +36,6 @@ from .model import (
     save_function,
     save_model,
     truncate,
-    validate_function,
 )
 from . import zoo
 
@@ -50,7 +49,10 @@ def _zoo_entry(name: str, raw_params: str | None) -> zoo.ZooEntry:
 
 
 def _resolve_inputs(args):
-    """Model cut to --horizon, spec and function from --zoo or files."""
+    """Model cut to --horizon, spec and function from --zoo or files.
+
+    Each command's library entry point validates them before it computes.
+    """
     if args.zoo:
         entry = _zoo_entry(args.zoo, args.zoo_params)
         model, spec, f = entry.model, entry.spec, entry.f
@@ -64,9 +66,7 @@ def _resolve_inputs(args):
     if f is None:
         raise ConfigError("no test function: give --function FILE")
     horizon = args.horizon if args.horizon is not None else model.horizon
-    model, spec = truncate(model, spec, horizon)
-    validate_function(f, model)
-    return model, spec, f
+    return (*truncate(model, spec, horizon), f)
 
 
 def _config(args) -> dict:

@@ -167,7 +167,7 @@ def doob_terms(
     measures and of analyze(model, spec, f); no sampling is involved.
     """
     flow = analyze(model, spec, f)
-    n = flow.terminal
+    n = model.horizon
     if len(trace.counts) <= n:
         raise FlowConsistencyError(
             f"runs stop at time {len(trace.counts) - 1}, before the terminal {n}"
@@ -210,12 +210,14 @@ def simulate_replicates(
 ) -> DoobSeries:
     """Run replicates 0..n_reps-1 to the model's horizon and evaluate them in one pass.
 
-    The model, spec and f are validated before simulate is called; a shorter
-    run is the replicates of truncate(model, spec, n).
+    The model, spec, f and sizes are validated before simulate is called; a
+    shorter run is the replicates of truncate(model, spec, n).
     """
     validate_model(model)
     validate_spec(spec, model)
     validate_function(f, model)
+    if integer(n_reps, "n_reps") < 1:
+        raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
     config = RunConfig(n_particles, seed, model.horizon)
-    trace = simulate(config, model, spec, range(integer(n_reps, "n_reps")))
+    trace = simulate(config, model, spec, range(n_reps))
     return doob_terms(trace, model, spec, f)

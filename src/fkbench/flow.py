@@ -7,9 +7,12 @@ O(H d^2) backward sweep) and its limiting variance; contraction_tables the
 Dobrushin coefficients and mass ratios of every normalized transport;
 transport one of them on demand.  The horizon is the only terminal time: an
 earlier one is the horizon of truncate(model, spec, n).
+The step law has one form: step_phi, the updated law Phi_n(mu).  The McKean
+kernel K = w M_n + (1 - w) Phi_n(mu), with w = eps_n G_n, is used only
+through its action on functions, never formed as a d x d matrix; on it rests
 conditional_variance, the one-step variance shared by limiting_variance and
-the engine's doob_terms, never forms the d x d kernel; the limit of the
-increasing process of f itself is limiting_variance of f's own values.
+the engine's doob_terms.  The limit of the increasing process of f itself is
+limiting_variance of f's own values.
 Products of a measure, or of an (R, d) batch of them, sum each row in one
 order: (mu * v).sum(-1) or np.einsum("...d,de->...e", mu, M), never @, whose
 BLAS call rounds a row inside a batch differently than alone.
@@ -48,10 +51,6 @@ class FlowAnalytics(ExactFlow):
     fpn: list[np.ndarray]
     deltaC: np.ndarray
     sigma_sq: float
-
-    @property
-    def terminal(self) -> int:
-        return len(self.fpn) - 1
 
 
 @dataclass(frozen=True)
@@ -95,30 +94,6 @@ def exact_flow(model: FeynmanKacModel) -> ExactFlow:
         log_g[n + 1] = log_g[n] + np.log(float(etas[n] @ model.potentials[n]))
         etas.append(step_phi(model, etas[n], n))
     return ExactFlow(etas=etas, log_gamma1=log_g)
-
-
-def mckean_kernel(model: FeynmanKacModel, spec: McKeanSpec, mu, n: int) -> np.ndarray:
-    """Row-stochastic selection/mutation kernel for step n -> n+1 at measure mu.
-
-    Row x mixes kernel row x (weight eps_n*G_n(x)) with the updated law of mu
-    (complementary weight); mixing_weights checks eps_n*G_n lies in [0, 1].
-    """
-    w = mixing_weights(model, spec, n)
-    target = step_phi(model, mu, n)
-    return w[:, None] * model.kernels[n] + (1.0 - w)[:, None] * target
-
-
-def compatibility_residual(model: FeynmanKacModel, spec: McKeanSpec, mu, n: int) -> float:
-    """Max-norm gap between mu applied to its own kernel and the direct update.
-
-    Zero in exact arithmetic for every valid (mu, eps); the contract is
-    <= 1e-12 in floating point.
-    """
-    mu = np.asarray(mu, dtype=float)
-    kernel = mckean_kernel(model, spec, mu, n)
-    target = step_phi(model, mu, n)
-    # row-wise difference first: the zero-eps rows cancel exactly
-    return float(np.max(np.abs(mu @ (kernel - target[None, :]))))
 
 
 def dobrushin_beta(P: np.ndarray) -> float:

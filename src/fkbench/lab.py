@@ -348,11 +348,9 @@ def iid_moment_check(
     the horizon-0 model with initial law mu (BadInitialLaw if mu is not a
     probability vector) and h its time-0 function (ConfigError unless it
     holds one finite value per state, DegenerateFunction if it is constant),
-    drawn by simulate_replicates; the check is
+    drawn by simulate_replicates (ConfigError on bad sizes); the check is
     sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
     """
-    if n_particles < 1 or n_reps < 1:
-        raise ConfigError(f"need n_particles, n_reps >= 1; got {n_particles}, {n_reps}")
     mu = np.asarray(mu, dtype=float)
     model, f = make_model(mu, [], [np.ones_like(mu)]), make_function([h])
     osc = f.oscillation(0)

@@ -17,6 +17,7 @@ from .model import (
     McKeanSpec,
     TestFunction,
     indicator_function,
+    integer,
     make_function,
     make_model,
     validate_model,
@@ -270,7 +271,8 @@ def build(name: str, **params) -> ZooEntry:
         builder = _BUILDERS[name]
     except KeyError:
         raise UnknownEntry(f"unknown zoo entry {name!r}; know {names()}") from None
-    if params.get("horizon", 0) < 0 or params.get("d", 1) < 1:
+    sizes = {k: integer(params[k], k) for k in ("horizon", "d") if k in params}
+    if sizes.get("horizon", 0) < 0 or sizes.get("d", 1) < 1:
         raise ConfigError(f"{name} needs horizon >= 0 and d >= 1, got {params}")
     entry = builder(**params)
     validate_model(entry.model)

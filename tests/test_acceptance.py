@@ -19,10 +19,8 @@ from fkbench.bounds import burkholder_d
 from fkbench.engine import RunConfig, doob_terms, simulate, simulate_replicates
 from fkbench.flow import (
     analyze,
-    compatibility_residual,
     exact_flow,
     limiting_variance,
-    mckean_kernel,
     step_phi,
     transport,
 )
@@ -38,6 +36,8 @@ from fkbench.lab import (
 )
 from fkbench.model import McKeanSpec
 from fkbench.zoo import path_last_state
+
+from .oracles import compatibility_residual, mckean_kernel
 
 ALL_ENTRIES = ["binary_hmm", "ring_walk", "path_genealogy", "plain_markov",
                "iid_reduction"]

@@ -20,11 +20,12 @@ from fkbench.flow import (
     concentration_b,
     contraction_tables,
     exact_flow,
-    mckean_kernel,
     step_phi,
 )
 from fkbench.model import McKeanSpec, make_model
 from fkbench.zoo import build
+
+from .oracles import mckean_kernel
 
 
 class TestBurkholderD:

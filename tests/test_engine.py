@@ -26,7 +26,6 @@ from fkbench.flow import (
     conditional_variance,
     exact_flow,
     limiting_variance,
-    mckean_kernel,
     step_phi,
 )
 from fkbench.lab import stein_experiment
@@ -41,6 +40,8 @@ from fkbench.model import (
 )
 from fkbench.rng import stream
 from fkbench.zoo import build
+
+from .oracles import mckean_kernel
 
 
 def _redraw(model, spec, counts, n, seed, reps):

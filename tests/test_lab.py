@@ -271,6 +271,7 @@ def _ill_posed_calls():
         "f 3 states: stein": lambda: stein_experiment(model, spec, wide_f, 100, 100, 1),
         "f 3 states: replicates": lambda: simulate_replicates(model, spec, wide_f, 100, 10, 1),
         "2.5 replicates": lambda: simulate_replicates(model, spec, entry.f, 100, 2.5, 1),
+        "-1 replicates": lambda: simulate_replicates(model, spec, entry.f, 100, -1, 1),
         "spec short: replicates": lambda: simulate_replicates(
             model, short_spec, entry.f, 100, 10, 1
         ),
@@ -289,6 +290,9 @@ def _ill_posed_calls():
             *args, 100, 100, 1, statistic="nope"
         ),
         "no particles": lambda: concentration_experiment(*args, 0, 100, 1),
+        "no reps: concentration": lambda: concentration_experiment(*args, 100, 0, 1),
+        "no reps: moments": lambda: lp_moment_experiment(*args, 100, 0, 1),
+        "no reps: stein": lambda: stein_experiment(*args, 100, 0, 1),
         "f constant: concentration": lambda: concentration_experiment(
             model, spec, ones_f, 100, 100, 1
         ),
@@ -385,6 +389,8 @@ BAD_INPUT = {
     "eps grid scale 0": lambda: default_eps_grid(100, 0.0),
     "eps grid scale nan": lambda: default_eps_grid(100, np.nan),
     "eps grid scale negative": lambda: default_eps_grid(100, -1.0),
+    "zoo d 2.5": lambda: build("ring_walk", d=2.5),
+    "zoo horizon 2.5": lambda: build("binary_hmm", horizon=2.5),
 }
 
 
