@@ -2,9 +2,12 @@
 
 A run is addressed by (master seed, replicate index); each time step consumes
 its own counter-based stream, so traces are reproducible byte for byte and
-replicates stay independent under any execution order.  A run is its integer
-count vectors, a sufficient statistic on a finite space: step_counts draws the
-next counts directly (binomial, then multinomial) at a cost free of N.  A
+replicates stay independent under any execution order.  A batch keys the
+streams of all its rows for a step in one pass and reseats one generator to
+each row in turn, so row r draws exactly what stream(seed, r, step) would.
+A run is its integer count vectors, a sufficient statistic on a finite
+space: step_counts draws the next counts directly (binomial, then
+multinomial) at a cost free of N, and draws no binomial of weight 0.  A
 RunTrace holds R runs as (R, d) count arrays, one row per replicate; the
 sampler advances the batch a step at a time, and the bookkeeping evaluates it
 once per step, each row summed in flow's one order (never @, which rounds a
@@ -26,7 +29,7 @@ from .errors import ConfigError, FlowConsistencyError
 from .flow import analyze, boltzmann_gibbs, conditional_variance, step_phi
 from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights
 from .model import integer, validate_function, validate_model, validate_spec
-from .rng import stream
+from .rng import replicate_streams
 
 
 @dataclass(frozen=True)
@@ -74,18 +77,27 @@ def step_counts(
     with probability eps_n*G_n(x) and otherwise draws from the updated law of
     row i's empirical measure.  A row's draws are, in order: the own-row
     numbers per state, the resampled particles, and the own-row moves of the
-    occupied rows.  The cost does not depend on the population size.
+    occupied rows.  Own-row numbers are drawn only at states of positive
+    weight, and not at all when every weight is 0: a binomial with p = 0 (or
+    n = 0, an empty state) is 0 and consumes nothing from the stream, so the
+    skipped draws leave every row's stream and counts unchanged.  The cost
+    does not depend on the population size.
     """
     weights = mixing_weights(model, spec, n)
+    moves = weights > 0
+    weights, kernel = weights[moves], model.kernels[n][moves]
     sizes = counts.sum(axis=1)
     targets = step_phi(model, counts / sizes[:, None], n)
     nxt = np.empty((len(counts), model.dims[n + 1]), dtype=int)
     for row, c, N, target, rng in zip(nxt, counts, sizes, targets, rngs, strict=True):
-        own = rng.binomial(c, weights)
+        if not weights.size:  # every particle resamples
+            row[:] = rng.multinomial(N, target)
+            continue
+        own = rng.binomial(c[moves], weights)
         row[:] = rng.multinomial(N - own.sum(), target)
         occ = own > 0
         if occ.any():  # skipping an empty multinomial leaves the stream unchanged
-            row += rng.multinomial(own[occ], model.kernels[n][occ]).sum(axis=0)
+            row += rng.multinomial(own[occ], kernel[occ]).sum(axis=0)
     return nxt
 
 
@@ -97,14 +109,17 @@ def simulate(
 ) -> RunTrace:
     """Run the listed replicates to the configured horizon, one row each, in order.
 
-    Row i's time-0 counts are multinomial from the initial law, and its step
-    n -> n+1 draws from the stream addressed (seed, replicates[i], n+1): any
+    Row i's time-0 counts are multinomial from the initial law, drawn from
+    the stream addressed (seed, replicates[i], 0), and its step n -> n+1
+    draws from the stream addressed (seed, replicates[i], n+1): any
     replicate r of a batch reruns alone as simulate(config, model, spec, [r]).
-    The replicates, model and spec are validated before any stream is opened.
+    For each time, the rows' stream keys are computed in one pass and one
+    generator is reseated to each row in turn (rng.replicate_streams).
+    The replicates, model and spec are validated before any stream is keyed.
     """
     replicates = [integer(r, "replicate") for r in replicates]
-    if len(replicates) < 1 or min(replicates) < 0:
-        raise ConfigError("replicates must list at least one index, each >= 0")
+    if len(replicates) < 1 or min(replicates) < 0 or max(replicates) >= 1 << 64:
+        raise ConfigError("replicates must list at least one index, each in [0, 2**64)")
     if config.horizon > model.horizon:
         raise ConfigError(
             f"config horizon {config.horizon} exceeds model horizon {model.horizon}"
@@ -112,10 +127,10 @@ def simulate(
     validate_model(model)
     validate_spec(spec, model)
     N, seed = config.n_particles, config.seed
-    counts = [np.array([stream(seed, r, 0).multinomial(N, model.eta0) for r in replicates])]
+    time0 = replicate_streams(seed, replicates, 0)
+    counts = [np.array([rng.multinomial(N, model.eta0) for rng in time0])]
     for n in range(config.horizon):
-        # opened lazily: one generator is alive at a time, not R of them
-        rngs = (stream(seed, r, n + 1) for r in replicates)
+        rngs = replicate_streams(seed, replicates, n + 1)
         counts.append(step_counts(model, spec, counts[n], n, rngs))
     return RunTrace(n_particles=N, counts=counts)
 

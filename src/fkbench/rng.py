@@ -7,13 +7,28 @@ The rule that keeps two kinds of address apart: replicate draws use
 two-part paths (replicate, step), and experiment-level addresses (a grid
 point's derived seed, a model builder's seed) use one-part paths, so no index
 of either can reach the other.
+
+A stream is a Philox generator whose key numpy's SeedSequence hashes from
+the address.  A batch's replicate-step streams are keyed in one vectorised
+pass (replicate_keys runs the same hash over every row at once), and
+replicate_streams reseats one generator to each key in turn: row r's draws
+are those of stream(seed, r, step), at a fraction of the cost of opening it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
+
 import numpy as np
 
 _SEED_MASK = (1 << 64) - 1  # seeds are 64-bit unsigned
+_WORD = (1 << 32) - 1
+
+# numpy.random.SeedSequence's hash-mix constants (numpy/random/bit_generator.pyx)
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def stream(master_seed: int, *path: int) -> np.random.Generator:
@@ -27,3 +42,95 @@ def derive_seed(master_seed: int, *path: int) -> int:
     ss = np.random.SeedSequence(int(master_seed) & _SEED_MASK, spawn_key=tuple(path))
     return int(ss.generate_state(1, np.uint64)[0])
 
+
+def _words(value: int) -> list[int]:
+    """value as SeedSequence reads an int: little-endian 32-bit words, at least one."""
+    words = [value & _WORD]
+    while value := value >> 32:
+        words.append(value & _WORD)
+    return words
+
+
+def _hash_constants(start: int, mult: int, count: int) -> list[int]:
+    """The first count + 1 values of SeedSequence's running hash constant."""
+    consts = [start]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _WORD)
+    return consts
+
+
+# Each works on Python ints and, wrapping, on uint32 arrays alike.
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult & _WORD
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _WORD
+    return value ^ (value >> 16)
+
+
+def replicate_keys(master_seed: int, replicates: Sequence[int], step: int) -> np.ndarray:
+    """Philox keys of the streams (master_seed, r, step) for r in replicates, (R, 2) uint64.
+
+    Row i equals SeedSequence(master_seed mod 2**64, spawn_key=(replicates[i],
+    step)).generate_state(2, np.uint64), the key stream() gives that address.
+    The entropy is the seed's words padded to the pool size, then the
+    replicate's words, then the step's.  The pool mixed from the seed is the
+    same for every row, so it is computed once; each spawn-key word is then
+    mixed into every row's pool at once.  Replicates lie in [0, 2**64).
+    """
+    reps = np.asarray(replicates, dtype=np.uint64)
+    step_words = _words(int(step))
+    # hash calls: the pool, its cross-mix, then one per pool word for each of
+    # at most two replicate words and the step's words
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * (2 + len(step_words)))
+    pool = (_words(int(master_seed) & _SEED_MASK) + [0] * _POOL)[:_POOL]
+    pool = [_hashmix(word, a[i], a[i + 1]) for i, word in enumerate(pool)]
+    call = _POOL
+    for src in range(_POOL):  # mix all bits together so late bits affect earlier ones
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[call], a[call + 1]))
+                call += 1
+    a = np.array(a, dtype=np.uint32)
+    b = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL), dtype=np.uint32)
+    low, high = (reps & _WORD).astype(np.uint32), (reps >> 32).astype(np.uint32)
+    wide = high > 0  # an index of 2**32 or more is two words of entropy
+    keys = np.empty((len(reps), 2), dtype=np.uint64)
+    for rows, rep_words in ((~wide, (low,)), (wide, (low, high))):
+        if not rows.any():
+            continue
+        mixer, at = np.array(pool, dtype=np.uint32), call
+        for word in [w[rows, None] for w in rep_words] + step_words:
+            # the word is mixed into each pool word, one hash call apiece
+            mixer = _mix(mixer, _hashmix(word, a[at : at + _POOL], a[at + 1 : at + _POOL + 1]))
+            at += _POOL
+        state = _hashmix(mixer, b[:-1], b[1:]).astype(np.uint64)  # generate_state(2, uint64)
+        keys[rows] = state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+    return keys
+
+
+def replicate_streams(
+    master_seed: int, replicates: Sequence[int], step: int
+) -> Iterator[np.random.Generator]:
+    """stream(master_seed, r, step) for each r in replicates, in order, as one generator.
+
+    The generator is reseated to row r's key at the start of its stream
+    (counter 0, no buffered words), so its draws are those of a fresh
+    stream(master_seed, r, step); each yield is valid until the next row is
+    taken.
+    """
+    rng = np.random.Generator(np.random.Philox(0))
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for key in replicate_keys(master_seed, replicates, step):
+        state["state"]["key"] = key
+        rng.bit_generator.state = state
+        yield rng

@@ -7,7 +7,9 @@ selection/mutation kernel that the package uses only through its action on
 functions; it is the reference law of one particle step.  It and
 compatibility_residual are built on the library's step_phi and
 mixing_weights on purpose: the compatibility tests then check step_phi
-itself, and a zero-eps residual stays exactly 0.0.
+itself, and a zero-eps residual stays exactly 0.0.  reference_step is the
+count step as a full draw, the reference for the engine's skipped
+zero-weight binomials.
 """
 
 import itertools
@@ -40,6 +42,27 @@ def compatibility_residual(model: FeynmanKacModel, spec: McKeanSpec, mu, n: int)
     target = step_phi(model, mu, n)
     # row-wise difference first: the zero-eps rows cancel exactly
     return float(np.max(np.abs(mu @ (kernel - target[None, :]))))
+
+
+def reference_step(model: FeynmanKacModel, spec: McKeanSpec, counts, n: int, rngs):
+    """The count step drawn in full: every row draws the own-row binomial at every state.
+
+    The same draws, in the same order, as engine.step_counts, which skips
+    the own-row numbers of weight-0 states; this one draws
+    rng.binomial(c, weights) over all of them, zero weights and empty states
+    included.
+    """
+    weights = mixing_weights(model, spec, n)
+    sizes = counts.sum(axis=1)
+    targets = step_phi(model, counts / sizes[:, None], n)
+    nxt = np.empty((len(counts), model.dims[n + 1]), dtype=int)
+    for row, c, size, target, rng in zip(nxt, counts, sizes, targets, rngs, strict=True):
+        own = rng.binomial(c, weights)
+        row[:] = rng.multinomial(size - own.sum(), target)
+        occ = own > 0
+        if occ.any():
+            row += rng.multinomial(own[occ], model.kernels[n][occ]).sum(axis=0)
+    return nxt
 
 
 def path_weight(model, path):

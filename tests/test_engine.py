@@ -41,7 +41,7 @@ from fkbench.model import (
 from fkbench.rng import stream
 from fkbench.zoo import build
 
-from .oracles import mckean_kernel
+from .oracles import mckean_kernel, reference_step
 
 
 def _redraw(model, spec, counts, n, seed, reps):
@@ -144,6 +144,23 @@ class TestStep:
         sq = (stay - stay.mean()) ** 2
         se_var = sq.std(ddof=1) / np.sqrt(len(sq))
         assert abs(stay.var(ddof=1) - 18.5) <= 5 * se_var
+
+    def test_partly_zero_own_row_weights_draw_as_the_full_binomial(self):
+        # one zero potential (own-row weight 0) beside positive weights, and
+        # an empty state of positive weight: skipping their binomials must
+        # leave every row's counts as the full draw leaves them.  A zero
+        # potential fails validate_model, so the model is stepped directly.
+        kernel = [[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], [0.25] * 4, [0.7, 0.1, 0.1, 0.1]]
+        model = make_model([0.25] * 4, [kernel], [np.array([0.0, 1.0, 2.0, 1.5]), np.ones(4)])
+        spec = McKeanSpec(epsilons=(0.4,))
+        weights = mixing_weights(model, spec, 0)
+        assert weights[0] == 0.0 and np.all(weights[1:] > 0.0)
+        frozen, reps, seed = np.array([40, 0, 35, 25]), 200, 23
+        drawn = _redraw(model, spec, frozen, 0, seed, reps)
+        rngs = (stream(seed, r, 1) for r in range(reps))
+        full = reference_step(model, spec, np.tile(frozen, (reps, 1)), 0, rngs)
+        assert np.array_equal(drawn, full)
+        assert len(np.unique(drawn, axis=0)) > 1
 
     def test_weight_rounded_above_one_steps(self):
         model = make_model([0.5, 0.5], [[[0.8, 0.2], [0.3, 0.7]]], [np.ones(2)] * 2)

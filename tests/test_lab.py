@@ -10,6 +10,7 @@ from scipy.special import ndtr
 
 import fkbench.engine as engine
 import fkbench.lab as lab
+import fkbench.rng as rng
 from fkbench.bounds import burkholder_d, mixing_bounds
 from fkbench.engine import RunConfig, simulate, simulate_replicates
 from fkbench.errors import (
@@ -37,7 +38,7 @@ from fkbench.lab import (
     stein_experiment,
 )
 from fkbench.model import McKeanSpec, make_function, make_model, truncate
-from fkbench.rng import stream
+from fkbench.rng import replicate_keys, stream
 from fkbench.zoo import build
 
 
@@ -286,6 +287,7 @@ def _ill_posed_calls():
         "N 2.7: simulate": lambda: simulate(RunConfig(2.7, 1, 5), model, spec),
         "seed 1.5: simulate": lambda: simulate(RunConfig(100, 1.5, 5), model, spec),
         "replicate 0.5: simulate": lambda: simulate(config, model, spec, [0.5]),
+        "replicate 2**64: simulate": lambda: simulate(config, model, spec, [0, 1 << 64]),
         "unknown statistic": lambda: concentration_experiment(
             *args, 100, 100, 1, statistic="nope"
         ),
@@ -322,13 +324,25 @@ ILL_POSED_ERROR = {
 }
 
 
+def _replace_stream_openers(monkeypatch, stream_fn, keys_fn):
+    """Replace stream and replicate_keys at every fkbench module that binds them."""
+    fakes = {"stream": (stream, stream_fn), "replicate_keys": (replicate_keys, keys_fn)}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "fkbench":
+            continue
+        for attr, (real, fake) in fakes.items():
+            if getattr(module, attr, None) is real:
+                monkeypatch.setattr(module, attr, fake)
+    assert rng.stream is stream_fn and rng.replicate_keys is keys_fn
+
+
 @pytest.mark.parametrize("case", list(ILL_POSED))
 def test_ill_posed_verdict_fails_before_any_draw(case, monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("an ill-posed experiment drew replicates")
 
     monkeypatch.setattr(engine, "simulate", no_draws)
-    monkeypatch.setattr(engine, "stream", no_draws)
+    _replace_stream_openers(monkeypatch, no_draws, no_draws)
     with pytest.raises(ILL_POSED_ERROR.get(case, ConfigError)):
         ILL_POSED[case]()
 
@@ -337,36 +351,45 @@ def test_experiments_draw_only_at_replicate_step_addresses(monkeypatch):
     """Every draw of an experiment comes from a (seed, replicate, step) address.
 
     The draws are one simulate batch per population size, which lab reaches
-    only through simulate_replicates.
+    only through simulate_replicates; each batch keys replicates 0..reps-1
+    at every step 0..H once.  A stream opened any other way is recorded
+    with its own path.
     """
     entry = build("binary_hmm")  # the builder's own seed is opened here, unrecorded
     args = (entry.model, entry.spec, entry.f)
     addresses, batches = [], []
 
-    def recording(seed, *path):
+    def recording_stream(seed, *path):
         addresses.append(path)
         return stream(seed, *path)
+
+    def recording_keys(seed, replicates, step):
+        replicates = list(replicates)
+        addresses.extend((r, step) for r in replicates)
+        return replicate_keys(seed, replicates, step)
 
     def counting(*call_args):
         batches.append(call_args)
         return simulate(*call_args)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "fkbench" and getattr(module, "stream", None) is stream:
-            monkeypatch.setattr(module, "stream", recording)
+    _replace_stream_openers(monkeypatch, recording_stream, recording_keys)
     monkeypatch.setattr(engine, "simulate", counting)
-    experiments = [
-        (len(lab.N_GRID), lambda: clt_rate_experiment(*args, 50, 1)),
-        (1, lambda: concentration_experiment(*args, 50, 20, 2)),
-        (1, lambda: lp_moment_experiment(*args, 50, 20, 3)),
-        (1, lambda: iid_moment_check([0.5, 0.5], [-0.5, 0.5], 50, 20, 4)),
-        (1, lambda: stein_experiment(*args, 50, 20, 5)),
+    horizon = entry.model.horizon
+    experiments = [  # (batches, replicates per batch, horizon, run)
+        (len(lab.N_GRID), 50, horizon, lambda: clt_rate_experiment(*args, 50, 1)),
+        (1, 20, horizon, lambda: concentration_experiment(*args, 50, 20, 2)),
+        (1, 20, horizon, lambda: lp_moment_experiment(*args, 50, 20, 3)),
+        (1, 20, 0, lambda: iid_moment_check([0.5, 0.5], [-0.5, 0.5], 50, 20, 4)),
+        (1, 20, horizon, lambda: stein_experiment(*args, 50, 20, 5)),
     ]
-    for n_batches, run in experiments:
+    for n_batches, reps, steps, run in experiments:
         batches.clear()
+        addresses.clear()
         run()
         assert len(batches) == n_batches
-    assert addresses and all(len(path) == 2 for path in addresses)
+        assert addresses and all(len(path) == 2 for path in addresses)
+        expected = [(r, q) for q in range(steps + 1) for r in range(reps)]
+        assert addresses == expected * n_batches
     bound = [
         name for name in vars(lab)
         if name in ("simulate", "RunConfig") or name.startswith("validate_")
