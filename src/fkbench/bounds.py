@@ -113,15 +113,19 @@ def mixing_bounds(
     (1 - r**(m-1)*rho**2)**floor(gap/m) is reported only when its base lies
     in (0, 1); it is never asserted.
 
-    When a model is given, the minorization hypothesis is checked by
-    enumeration (raising HypothesisNotSatisfied on failure, also when the
-    supplied r does not dominate the model's potential ratios).  When the
+    When a model is given, the window must fit its horizon (m <= H, else
+    ConfigError) and the minorization hypothesis is checked by enumeration
+    (raising HypothesisNotSatisfied on failure, also when the supplied r
+    does not dominate the model's potential ratios).  When the
     model's contraction tables are given as well (flow: anything with betas
     and ratios, as from contraction_tables), the window ratios, b(n) and
     a3(n) are compared against the bounds.
     """
-    if m < 1 or r < 1.0 or not 0.0 < rho <= 1.0:
-        raise ConfigError(f"need m >= 1, r >= 1, rho in (0, 1]; got {(m, r, rho)}")
+    m, n = integer(m, "m"), integer(n, "n")
+    if m < 1 or n < 0 or r < 1.0 or not 0.0 < rho <= 1.0:
+        raise ConfigError(f"need m >= 1, n >= 0, r >= 1, rho in (0, 1]; got {(m, n, r, rho)}")
+    if model is not None and m > model.horizon:
+        raise ConfigError(f"window m={m} exceeds the model's horizon {model.horizon}")
     r_bound = r**m / rho
     b_bound = 2.0 * m * r ** (2 * m - 1) / rho**3
     a3_bound = 8.0 * math.sqrt(2.0) * m * r ** (2 * m - 1) * GAMMA_TILDE / rho**3

@@ -29,7 +29,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .flow import analyze, concentration_b, contraction_tables, limiting_variance
-from .model import FeynmanKacModel, McKeanSpec, TestFunction, make_function, make_model
+from .model import FeynmanKacModel, McKeanSpec, TestFunction, integer, make_function, make_model
 from .rng import derive_seed
 
 DKW_SCALE = 0.5  # ECDF noise allowance is DKW_SCALE / sqrt(n_samples)
@@ -46,7 +46,11 @@ def kolmogorov_distance(values) -> float:
     ECDF must be compared from both sides:
     max_i max(i/R - Phi(x_i), Phi(x_i) - (i-1)/R).
     """
-    v = np.sort(np.asarray(values, dtype=float))
+    try:
+        v = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("sample values must be numeric") from None
+    v = np.sort(v)
     if v.size < 1:
         raise ConfigError("need at least one sample value")
     if not np.all(np.isfinite(v)):
@@ -86,13 +90,13 @@ def clt_rate_experiment(
     the slope inside SLOPE_WINDOW.
 
     Raises:
-        ConfigError: n_reps < 1.
+        ConfigError: n_reps is not an integer >= 1.
         DegenerateFunction: the terminal function has zero variance.
         InsufficientReplicates: all measured distances sit at or below the
             ECDF noise scale, so no rate is identified.
     """
     flow = analyze(model, spec, f)
-    if n_reps < 1:
+    if integer(n_reps, "n_reps") < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
     n = model.horizon
     if f.oscillation(n) == 0.0:
@@ -166,7 +170,7 @@ def default_eps_grid(n_particles: int, scale: float) -> np.ndarray:
     The cap keeps the largest possible exponent eps*sqrt(N)*scale at 20, past
     which a single extreme replicate dominates the empirical mean.
     """
-    if n_particles < 1:
+    if integer(n_particles, "n_particles") < 1:
         raise ConfigError(f"n_particles must be >= 1, got {n_particles}")
     if not (math.isfinite(scale) and scale > 0.0):
         raise ConfigError(f"scale must be positive and finite, got {scale}")
@@ -198,7 +202,7 @@ def concentration_experiment(
     not exceed the bound by more than three standard errors.
 
     Raises (before any replicate is drawn):
-        ConfigError: an unknown statistic, or N < 1.
+        ConfigError: an unknown statistic, or N not an integer >= 1.
         OscillationTooLarge: the terminal function's oscillation exceeds 1.
         DegenerateFunction: the terminal function is constant.
     """

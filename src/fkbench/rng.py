@@ -9,10 +9,11 @@ point's derived seed, a model builder's seed) use one-part paths, so no index
 of either can reach the other.
 
 A stream is a Philox generator whose key numpy's SeedSequence hashes from
-the address.  A batch's replicate-step streams are keyed in one vectorised
-pass (replicate_keys runs the same hash over every row at once), and
-replicate_streams reseats one generator to each key in turn: row r's draws
-are those of stream(seed, r, step), at a fraction of the cost of opening it.
+the address.  For a batch of replicate-step streams, numpy hashes the seed
+once and replicate_keys mixes the replicate and step words into that pool
+for every row at once; replicate_streams reseats one generator to each key
+in turn, so row r's draws are those of stream(seed, r, step) at a fraction
+of the cost of opening it.
 """
 
 from __future__ import annotations
@@ -51,15 +52,15 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _hash_constants(start: int, mult: int, count: int) -> list[int]:
+def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
     """The first count + 1 values of SeedSequence's running hash constant."""
     consts = [start]
     for _ in range(count):
         consts.append(consts[-1] * mult & _WORD)
-    return consts
+    return np.array(consts, dtype=np.uint32)
 
 
-# Each works on Python ints and, wrapping, on uint32 arrays alike.
+# uint32 arrays, wrapping on overflow
 def _hashmix(value, xor, mult):
     value = (value ^ xor) * mult & _WORD
     return value ^ (value >> 16)
@@ -75,39 +76,29 @@ def replicate_keys(master_seed: int, replicates: Sequence[int], step: int) -> np
 
     Row i equals SeedSequence(master_seed mod 2**64, spawn_key=(replicates[i],
     step)).generate_state(2, np.uint64), the key stream() gives that address.
-    The entropy is the seed's words padded to the pool size, then the
-    replicate's words, then the step's.  The pool mixed from the seed is the
-    same for every row, so it is computed once; each spawn-key word is then
-    mixed into every row's pool at once.  Replicates lie in [0, 2**64).
+    numpy hashes the seed: every row starts from SeedSequence(seed).pool,
+    after its first _POOL**2 hash calls.  The replicate word, then the step's
+    words, are mixed into all rows' pools at once, one hash call per pool
+    word each.  A replicate of 2**32 or more is two words; numpy keys those
+    rows one at a time.  Replicates lie in [0, 2**64).
     """
+    seed = int(master_seed) & _SEED_MASK
     reps = np.asarray(replicates, dtype=np.uint64)
     step_words = _words(int(step))
-    # hash calls: the pool, its cross-mix, then one per pool word for each of
-    # at most two replicate words and the step's words
-    a = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * (2 + len(step_words)))
-    pool = (_words(int(master_seed) & _SEED_MASK) + [0] * _POOL)[:_POOL]
-    pool = [_hashmix(word, a[i], a[i + 1]) for i, word in enumerate(pool)]
-    call = _POOL
-    for src in range(_POOL):  # mix all bits together so late bits affect earlier ones
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[call], a[call + 1]))
-                call += 1
-    a = np.array(a, dtype=np.uint32)
-    b = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL), dtype=np.uint32)
-    low, high = (reps & _WORD).astype(np.uint32), (reps >> 32).astype(np.uint32)
-    wide = high > 0  # an index of 2**32 or more is two words of entropy
+    calls = _POOL * _POOL  # hash calls SeedSequence(seed).pool has made
+    a = _hash_constants(_INIT_A, _MULT_A, calls + _POOL * (1 + len(step_words)))[calls:]
+    b = _hash_constants(_INIT_B, _MULT_B, _POOL)
+    narrow = reps <= _WORD
+    mixer = np.random.SeedSequence(seed).pool
+    for i, word in enumerate([reps[narrow, None].astype(np.uint32)] + step_words):
+        at = i * _POOL
+        mixer = _mix(mixer, _hashmix(word, a[at : at + _POOL], a[at + 1 : at + _POOL + 1]))
+    state = _hashmix(mixer, b[:-1], b[1:]).astype(np.uint64)  # generate_state(2, uint64)
     keys = np.empty((len(reps), 2), dtype=np.uint64)
-    for rows, rep_words in ((~wide, (low,)), (wide, (low, high))):
-        if not rows.any():
-            continue
-        mixer, at = np.array(pool, dtype=np.uint32), call
-        for word in [w[rows, None] for w in rep_words] + step_words:
-            # the word is mixed into each pool word, one hash call apiece
-            mixer = _mix(mixer, _hashmix(word, a[at : at + _POOL], a[at + 1 : at + _POOL + 1]))
-            at += _POOL
-        state = _hashmix(mixer, b[:-1], b[1:]).astype(np.uint64)  # generate_state(2, uint64)
-        keys[rows] = state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+    keys[narrow] = state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+    for i in np.flatnonzero(~narrow):
+        spawn_key = (int(reps[i]), int(step))
+        keys[i] = np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
     return keys
 
 
@@ -116,20 +107,13 @@ def replicate_streams(
 ) -> Iterator[np.random.Generator]:
     """stream(master_seed, r, step) for each r in replicates, in order, as one generator.
 
-    The generator is reseated to row r's key at the start of its stream
-    (counter 0, no buffered words), so its draws are those of a fresh
-    stream(master_seed, r, step); each yield is valid until the next row is
-    taken.
+    The generator is reseated to row r's key with the state it had when it
+    was opened (counter 0, no buffered words), so its draws are those of a
+    fresh stream(master_seed, r, step); each yield is valid until the next
+    row is taken.
     """
     rng = np.random.Generator(np.random.Philox(0))
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    state = rng.bit_generator.state
     for key in replicate_keys(master_seed, replicates, step):
         state["state"]["key"] = key
         rng.bit_generator.state = state

@@ -164,20 +164,17 @@ def path_genealogy(
             f"cap is {MAX_PATH_HORIZON}"
         )
     M, obs, flat_potentials = _hmm_parts(horizon, stay0, stay1, accuracy, obs_seed)
-    kernels = []
-    for n in range(horizon):
-        d_from, d_to = 2 ** (n + 1), 2 ** (n + 2)
-        K = np.zeros((d_from, d_to))
-        for code in range(d_from):
-            last = path_last_state(code, n)
-            for nxt in range(2):
-                K[code, code + (nxt << (n + 1))] = M[last, nxt]
-        kernels.append(K)
-    potentials, values = [], []
+    kernels, potentials, values = [], [], []
     for n in range(horizon + 1):
-        last = np.array([path_last_state(c, n) for c in range(2 ** (n + 1))])
+        codes = np.arange(2 ** (n + 1))
+        last = path_last_state(codes, n)
         potentials.append(flat_potentials[n][last])
         values.append(last.astype(float))
+        if n < horizon:  # x_{n+1} = nxt moves code to code + nxt * 2**(n+1)
+            K = np.zeros((codes.size, 2 * codes.size))
+            K[codes, codes] = M[last, 0]
+            K[codes, codes + codes.size] = M[last, 1]
+            kernels.append(K)
     model = make_model(eta0=[0.5, 0.5], kernels=kernels, potentials=potentials)
     return ZooEntry(
         name="path_genealogy",
@@ -196,8 +193,8 @@ def path_genealogy(
     )
 
 
-def path_last_state(code: int, n: int) -> int:
-    """Terminal coordinate of a base-2 path code of length n+1."""
+def path_last_state(code, n: int):
+    """Terminal coordinate of a base-2 path code of length n+1 (an int or an int array)."""
     return (code >> n) & 1
 
 

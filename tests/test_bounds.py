@@ -15,7 +15,7 @@ from fkbench.bounds import (
     check_minorization,
     mixing_bounds,
 )
-from fkbench.errors import HypothesisNotSatisfied
+from fkbench.errors import ConfigError, HypothesisNotSatisfied
 from fkbench.flow import (
     concentration_b,
     contraction_tables,
@@ -115,6 +115,15 @@ class TestMixingBounds:
             m=2, r=2.0, rho=1.0 / 3.0, n=5, model=entry.model, flow=tables
         )
         assert mb.r_check and mb.b_check and mb.a3_check
+
+    def test_window_longer_than_horizon(self):
+        model = build("ring_walk", d=16, horizon=1).model
+        tables = contraction_tables(model, exact_flow(model).etas)
+        with pytest.raises(ConfigError):  # no window to check: not a vacuous pass
+            mixing_bounds(m=2, r=2.0, rho=0.5, n=1, model=model, flow=tables)
+        longer = build("ring_walk", d=16, horizon=2).model
+        with pytest.raises(HypothesisNotSatisfied):
+            mixing_bounds(m=2, r=2.0, rho=0.5, n=2, model=longer)
 
     def test_minorization_failure(self):
         model = make_model(

@@ -280,6 +280,7 @@ def _ill_posed_calls():
             leaky, spec, entry.f, 100, 10, 1
         ),
         "f nan: clt": lambda: clt_rate_experiment(model, spec, nan_f, 100, 1),
+        "n_reps '10': clt": lambda: clt_rate_experiment(*args, "10", 1),
         "f nan: stein": lambda: stein_experiment(model, spec, nan_f, 100, 100, 1),
         "spec short: analyze": lambda: analyze(model, short_spec, entry.f),
         "spec short: simulate": lambda: simulate(config, model, short_spec),
@@ -292,6 +293,7 @@ def _ill_posed_calls():
             *args, 100, 100, 1, statistic="nope"
         ),
         "no particles": lambda: concentration_experiment(*args, 0, 100, 1),
+        "N '10': concentration": lambda: concentration_experiment(*args, "10", 100, 1),
         "no reps: concentration": lambda: concentration_experiment(*args, 100, 0, 1),
         "no reps: moments": lambda: lp_moment_experiment(*args, 100, 0, 1),
         "no reps: stein": lambda: stein_experiment(*args, 100, 0, 1),
@@ -405,13 +407,20 @@ BAD_INPUT = {
         build("binary_hmm").model, McKeanSpec.zero(5), 1.5
     ),
     "mixing window": lambda: mixing_bounds(m=0, r=1.0, rho=0.5, n=1),
+    "mixing window 1.5": lambda: mixing_bounds(m=1.5, r=1.0, rho=0.5, n=1),
+    "mixing n 'x'": lambda: mixing_bounds(m=1, r=1.0, rho=0.5, n="x"),
+    "mixing window past horizon": lambda: mixing_bounds(
+        m=2, r=2.0, rho=0.5, n=1, model=build("ring_walk", d=16, horizon=1).model
+    ),
     "empty sample": lambda: kolmogorov_distance([]),
     "nan sample": lambda: kolmogorov_distance([0.0, np.nan]),
+    "non-numeric sample": lambda: kolmogorov_distance(["a"]),
     "stein shapes": lambda: stein_check([0.0, 1.0], [0.0]),
     "stein nan": lambda: stein_check([0.0, np.nan], [0.0, 0.0]),
     "eps grid scale 0": lambda: default_eps_grid(100, 0.0),
     "eps grid scale nan": lambda: default_eps_grid(100, np.nan),
     "eps grid scale negative": lambda: default_eps_grid(100, -1.0),
+    "eps grid N 2.5": lambda: default_eps_grid(2.5, 1.0),
     "zoo d 2.5": lambda: build("ring_walk", d=2.5),
     "zoo horizon 2.5": lambda: build("binary_hmm", horizon=2.5),
 }

@@ -24,14 +24,15 @@ def test_derive_seed_distinct_paths():
     assert len(seeds) == 100
 
 
-SEEDS = (0, 1, 2005, 2**32 - 1, 2**32, 2**64 - 1, -1)
+SEEDS = (0, 1, 2005, 2**32 - 1, 2**32, 2**64 - 1, -1, 2**64 + 5, 2**70)
 STEPS = (0, 1, 2**32 + 3)
 
 
 def _replicates():
-    """0..49, random one-word indices, and indices of two words of entropy."""
+    """0..49 and random one-word indices, between indices of two words of entropy."""
     drawn = np.random.default_rng(22).integers(0, 2**32, size=30, dtype=np.uint64)
-    return list(range(50)) + [int(r) for r in drawn] + [2**32, 2**40 + 7, 2**64 - 1]
+    wide = [2**33 + 1], [2**32, 2**40 + 7, 2**64 - 1]
+    return wide[0] + list(range(50)) + [int(r) for r in drawn] + wide[1]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
