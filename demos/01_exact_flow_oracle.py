@@ -19,13 +19,13 @@ from fkbench import zoo
 np.set_printoptions(precision=5, suppress=True)
 
 entry = zoo.build("binary_hmm")
-model, spec, f = entry.model, entry.spec, entry.f
+model, f = entry.model, entry.f
 print(f"model: {entry.name}, horizon {model.horizon}")
 print(f"observation record: {entry.params['observations']}")
 print(f"oscillation ratios r_n: {fk.validate_model(model)}")
 
 # the flow recursion: reweight by the potential, then move through the kernel
-flow = fk.analyze(model, spec, f)
+flow = fk.analyze(model, f)
 for n, eta in enumerate(flow.etas):
     print(f"eta_{n} = {eta}   log-normalizer = {flow.log_gamma1[n]:+.5f}")
 

@@ -23,10 +23,10 @@ from fkbench import zoo
 np.set_printoptions(precision=5, suppress=True)
 
 entry = zoo.build("binary_hmm")
-model, spec, f = entry.model, entry.spec, entry.f
+model, f = entry.model, entry.f
 
 config = fk.RunConfig(n_particles=500, seed=2024, horizon=5)
-trace = fk.simulate(config, model, spec, [0])
+trace = fk.simulate(config, model, [0])
 print(f"replicates in the trace: R = {len(trace.counts[0])}")
 print("particle counts per step (rows = time):")
 for n, c in enumerate(trace.counts):
@@ -38,12 +38,12 @@ inc_m = np.concatenate(
     [fk.sampling_error(model, mu, emp[n], n, f.values[n])
      for n, mu in enumerate([model.eta0, *emp[:-1]])]
 )
-series = fk.doob_terms(trace, model, spec, f)
+series = fk.doob_terms(trace, model, f)
 inc_c = series.delta_c[0]
 print("\nsampling-error increments:", inc_m)
 print("increasing-process increments:", inc_c)
 print("realized increasing process:", np.cumsum(inc_c))
-limit = fk.limiting_variance(model, spec, fk.exact_flow(model).etas, f.values[:6])
+limit = fk.limiting_variance(model, fk.exact_flow(model).etas, f.values[:6])
 print("limiting increments:        ", limit)
 
 print("\nfluctuation field w_p:", series.w[0])
@@ -53,6 +53,6 @@ print(f"decomposition residuals: mean {series.residual_mean[0]:.2e}, "
       f"field {series.residual_field[0]:.2e}")
 
 # determinism: the same address always reproduces the same trace
-again = fk.simulate(config, model, spec, [0])
+again = fk.simulate(config, model, [0])
 same = all(np.array_equal(a, b) for a, b in zip(trace.counts, again.counts))
 print(f"\nsame seed, same replicate, same trace: {same}")

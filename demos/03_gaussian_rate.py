@@ -14,7 +14,7 @@ from fkbench import zoo
 
 entry = zoo.build("binary_hmm")
 report = fk.clt_rate_experiment(
-    entry.model, entry.spec, entry.f, n_reps=500, master_seed=42
+    entry.model, entry.f, n_reps=500, master_seed=42
 )
 print("population sizes:", report.n_grid)
 print("distances to the normal:", [round(d, 4) for d in report.distances])
@@ -25,7 +25,7 @@ print(f"slope window {report.slope_window}: passed = {report.passed}")
 # independent-draw twin: same harness, horizon zero, binomial fluctuation
 twin = zoo.build("iid_reduction")
 calibration = fk.clt_rate_experiment(
-    twin.model, twin.spec, twin.f, n_reps=4000, master_seed=42
+    twin.model, twin.f, n_reps=4000, master_seed=42
 )
 print("\ncalibration twin distances:", [round(d, 4) for d in calibration.distances])
 print(f"calibration twin slope: {calibration.slope:.3f}")

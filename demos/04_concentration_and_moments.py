@@ -12,13 +12,13 @@ import fkbench as fk
 from fkbench import zoo
 
 entry = zoo.build("ring_walk")
-model, spec, f = entry.model, entry.spec, entry.f
+model, f = entry.model, entry.f
 tables = fk.contraction_tables(model, fk.exact_flow(model).etas)
 n = model.horizon
 print(f"model: {entry.name}, b({n}) = {fk.concentration_b(tables, n):.3f}")
 
 N = 400
-report = fk.concentration_experiment(model, spec, f, N, n_reps=2000, master_seed=8)
+report = fk.concentration_experiment(model, f, N, n_reps=2000, master_seed=8)
 print("\neps      empirical MGF   bound          pass")
 for eps, emp, bnd, allow in zip(
     report.eps_grid, report.empirical, report.bounds, report.allowances
@@ -27,7 +27,7 @@ for eps, emp, bnd, allow in zip(
           f"{emp <= bnd * (1 + allow)}")
 print(f"overall: {report.passed}")
 
-moments = fk.lp_moment_experiment(model, spec, f, N, n_reps=2000, master_seed=8)
+moments = fk.lp_moment_experiment(model, f, N, n_reps=2000, master_seed=8)
 print("\np   scaled moment   bound        pass")
 for p, lhs, rhs, allow, ok in moments.rows():
     print(f"{p}   {lhs:12.5f}  {rhs:10.5f}   {ok}")

@@ -36,6 +36,6 @@ print(f"\nempirical cf of a shifted sample: bound {bound:.4f}")
 # normalized fluctuation, and the predictable part must not move the
 # distance by more than the inequality allows
 entry = zoo.build("binary_hmm")
-report = stein_experiment(entry.model, entry.spec, entry.f, 500, 4000, 61)
+report = stein_experiment(entry.model, entry.f, 500, 4000, 61)
 print(f"\nrealized pairs: lhs {report.lhs:.4f} <= rhs {report.rhs:.4f} "
       f"(+ allowance {report.allowance:.4f}) -> {report.passed}")

@@ -36,7 +36,7 @@ for code in top:
     print(f"  {path_decode(int(code), horizon)}  mass {deep_flow.etas[horizon][code]:.4f}")
 
 # a genealogical particle run: each particle carries its ancestral line
-trace = fk.simulate(fk.RunConfig(2000, 3, horizon), deep.model, deep.spec)
+trace = fk.simulate(fk.RunConfig(2000, 3, horizon), deep.model)
 counts = trace.counts[horizon][0]  # the run's row: a single run is R = 1
 seen = np.argsort(counts)[::-1][:4]
 print("\nmost sampled ancestral lines at the final time:")

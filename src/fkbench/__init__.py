@@ -46,7 +46,6 @@ from .lab import (
 )
 from .model import (
     FeynmanKacModel,
-    McKeanSpec,
     TestFunction,
     indicator_function,
     load_function,
@@ -57,7 +56,6 @@ from .model import (
     save_function,
     save_model,
     validate_model,
-    validate_spec,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

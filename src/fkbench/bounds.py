@@ -15,7 +15,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import ConfigError, HypothesisNotSatisfied
 from .flow import ContractionTables, concentration_b
-from .model import FeynmanKacModel, integer, validate_model
+from .model import FeynmanKacModel, integer, real, validate_model
 
 
 def burkholder_d(p: int) -> float:
@@ -122,6 +122,7 @@ def mixing_bounds(
     a3(n) are compared against the bounds.
     """
     m, n = integer(m, "m"), integer(n, "n")
+    r, rho = real(r, "r"), real(rho, "rho")
     if m < 1 or n < 0 or r < 1.0 or not 0.0 < rho <= 1.0:
         raise ConfigError(f"need m >= 1, n >= 0, r >= 1, rho in (0, 1]; got {(m, n, r, rho)}")
     if model is not None and m > model.horizon:

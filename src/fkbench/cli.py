@@ -49,16 +49,15 @@ def _zoo_entry(name: str, raw_params: str | None) -> zoo.ZooEntry:
 
 
 def _resolve_inputs(args):
-    """Model cut to --horizon, spec and function from --zoo or files.
+    """Model cut to --horizon and function from --zoo or files.
 
     Each command's library entry point validates them before it computes.
     """
     if args.zoo:
         entry = _zoo_entry(args.zoo, args.zoo_params)
-        model, spec, f = entry.model, entry.spec, entry.f
+        model, f = entry.model, entry.f
     elif args.model:
-        model, spec = load_model(args.model)
-        f = None
+        model, f = load_model(args.model), None
     else:
         raise ConfigError("give either --zoo NAME or --model FILE")
     if args.function:
@@ -66,7 +65,7 @@ def _resolve_inputs(args):
     if f is None:
         raise ConfigError("no test function: give --function FILE")
     horizon = args.horizon if args.horizon is not None else model.horizon
-    return (*truncate(model, spec, horizon), f)
+    return truncate(model, horizon), f
 
 
 def _config(args) -> dict:
@@ -101,9 +100,9 @@ def _emit_json(args, payload: dict) -> None:
 
 
 def cmd_oracle(args) -> int:
-    model, spec, f = _resolve_inputs(args)
+    model, f = _resolve_inputs(args)
     horizon = model.horizon
-    flow = analyze(model, spec, f)
+    flow = analyze(model, f)
     tables = contraction_tables(model, flow.etas)
     payload = {
         "horizon": horizon,
@@ -127,9 +126,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model, spec, f = _resolve_inputs(args)
+    model, f = _resolve_inputs(args)
     horizon = model.horizon
-    stats = simulate_replicates(model, spec, f, args.N, args.reps, args.seed)
+    stats = simulate_replicates(model, f, args.N, args.reps, args.seed)
     lines = [
         f"# tool = fkbench {__version__}",
         f"# seed = {args.seed}",
@@ -163,17 +162,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model, spec, f = _resolve_inputs(args)
+    model, f = _resolve_inputs(args)
     if args.which == "clt":
-        report = clt_rate_experiment(model, spec, f, args.reps, args.seed)
+        report = clt_rate_experiment(model, f, args.reps, args.seed)
     elif args.which == "concentration":
         report = concentration_experiment(
-            model, spec, f, args.N, args.reps, args.seed, statistic=args.statistic
+            model, f, args.N, args.reps, args.seed, statistic=args.statistic
         )
     elif args.which == "moments":
-        report = lp_moment_experiment(model, spec, f, args.N, args.reps, args.seed)
+        report = lp_moment_experiment(model, f, args.N, args.reps, args.seed)
     elif args.which == "stein":
-        report = stein_experiment(model, spec, f, args.N, args.reps, args.seed)
+        report = stein_experiment(model, f, args.N, args.reps, args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown verification {args.which!r}")
     _emit_json(args, asdict(report))
@@ -187,7 +186,7 @@ def cmd_zoo(args) -> int:
             sys.stdout.write(f"{name}: {entry.notes}\n")
         return 0
     entry = _zoo_entry(args.name, args.zoo_params)
-    save_model(args.out, entry.model, entry.spec)
+    save_model(args.out, entry.model)
     if args.function_out:
         save_function(args.function_out, entry.f)
     sys.stdout.write(f"wrote {args.out}\n")

@@ -7,7 +7,8 @@ streams of all its rows for a step in one pass and reseats one generator to
 each row in turn, so row r draws exactly what stream(seed, r, step) would.
 A run is its integer count vectors, a sufficient statistic on a finite
 space: step_counts draws the next counts directly (binomial, then
-multinomial) at a cost free of N, and draws no binomial of weight 0.  A
+multinomial) at a cost free of N, with the own-row weights eps_n*G_n that
+mixing_weights reads from the model, and draws no binomial of weight 0.  A
 RunTrace holds R runs as (R, d) count arrays, one row per replicate; the
 sampler advances the batch a step at a time, and the bookkeeping evaluates it
 once per step, each row summed in flow's one order (never @, which rounds a
@@ -27,8 +28,8 @@ import numpy as np
 
 from .errors import ConfigError, FlowConsistencyError
 from .flow import analyze, boltzmann_gibbs, conditional_variance, step_phi
-from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights
-from .model import integer, validate_function, validate_model, validate_spec
+from .model import FeynmanKacModel, TestFunction, integer, mixing_weights
+from .model import validate_function, validate_model
 from .rng import replicate_streams
 
 
@@ -66,7 +67,6 @@ class RunTrace:
 
 def step_counts(
     model: FeynmanKacModel,
-    spec: McKeanSpec,
     counts: np.ndarray,
     n: int,
     rngs: Iterable[np.random.Generator],
@@ -83,7 +83,7 @@ def step_counts(
     skipped draws leave every row's stream and counts unchanged.  The cost
     does not depend on the population size.
     """
-    weights = mixing_weights(model, spec, n)
+    weights = mixing_weights(model, n)
     moves = weights > 0
     weights, kernel = weights[moves], model.kernels[n][moves]
     sizes = counts.sum(axis=1)
@@ -102,20 +102,17 @@ def step_counts(
 
 
 def simulate(
-    config: RunConfig,
-    model: FeynmanKacModel,
-    spec: McKeanSpec,
-    replicates: Sequence[int] = (0,),
+    config: RunConfig, model: FeynmanKacModel, replicates: Sequence[int] = (0,)
 ) -> RunTrace:
     """Run the listed replicates to the configured horizon, one row each, in order.
 
     Row i's time-0 counts are multinomial from the initial law, drawn from
     the stream addressed (seed, replicates[i], 0), and its step n -> n+1
     draws from the stream addressed (seed, replicates[i], n+1): any
-    replicate r of a batch reruns alone as simulate(config, model, spec, [r]).
+    replicate r of a batch reruns alone as simulate(config, model, [r]).
     For each time, the rows' stream keys are computed in one pass and one
     generator is reseated to each row in turn (rng.replicate_streams).
-    The replicates, model and spec are validated before any stream is keyed.
+    The replicates and the model are validated before any stream is keyed.
     """
     replicates = [integer(r, "replicate") for r in replicates]
     if len(replicates) < 1 or min(replicates) < 0 or max(replicates) >= 1 << 64:
@@ -125,13 +122,12 @@ def simulate(
             f"config horizon {config.horizon} exceeds model horizon {model.horizon}"
         )
     validate_model(model)
-    validate_spec(spec, model)
     N, seed = config.n_particles, config.seed
     time0 = replicate_streams(seed, replicates, 0)
     counts = [np.array([rng.multinomial(N, model.eta0) for rng in time0])]
     for n in range(config.horizon):
         rngs = replicate_streams(seed, replicates, n + 1)
-        counts.append(step_counts(model, spec, counts[n], n, rngs))
+        counts.append(step_counts(model, counts[n], n, rngs))
     return RunTrace(n_particles=N, counts=counts)
 
 
@@ -169,19 +165,17 @@ class DoobSeries:
     residual_field: np.ndarray
 
 
-def doob_terms(
-    trace: RunTrace, model: FeynmanKacModel, spec: McKeanSpec, f: TestFunction
-) -> DoobSeries:
+def doob_terms(trace: RunTrace, model: FeynmanKacModel, f: TestFunction) -> DoobSeries:
     """Evaluate the decompositions and the increasing process on realized runs.
 
     The series run over times 0..model.horizon, which the runs must reach;
     later steps of a longer trace are not read, so a prefix is
-    doob_terms(trace, *truncate(model, spec, n), f).  The step into time 0
+    doob_terms(trace, truncate(model, n), f).  The step into time 0
     starts from eta0, each later step from the runs' empirical measures one
     step earlier.  All series are exact functions of the recorded empirical
-    measures and of analyze(model, spec, f); no sampling is involved.
+    measures and of analyze(model, f); no sampling is involved.
     """
-    flow = analyze(model, spec, f)
+    flow = analyze(model, f)
     n = model.horizon
     if len(trace.counts) <= n:
         raise FlowConsistencyError(
@@ -197,7 +191,7 @@ def doob_terms(
         means[:, q] = (emp * fpn[q]).sum(-1)
         field[:, q] = ((emp - etas[q]) * fpn[q]).sum(-1)
         m_inc[:, q] = sampling_error(model, start, emp, q, fpn[q])
-        delta_c[:, q] = conditional_variance(model, spec, start, q, f.values[q])
+        delta_c[:, q] = conditional_variance(model, start, q, f.values[q])
         if q > 0:
             g = model.potentials[q - 1]
             mass_ratio = (start * g).sum(-1) / float(etas[q - 1] @ g)
@@ -217,7 +211,6 @@ def doob_terms(
 
 def simulate_replicates(
     model: FeynmanKacModel,
-    spec: McKeanSpec,
     f: TestFunction,
     n_particles: int,
     n_reps: int,
@@ -225,14 +218,13 @@ def simulate_replicates(
 ) -> DoobSeries:
     """Run replicates 0..n_reps-1 to the model's horizon and evaluate them in one pass.
 
-    The model, spec, f and sizes are validated before simulate is called; a
-    shorter run is the replicates of truncate(model, spec, n).
+    The model, f and sizes are validated before simulate is called; a
+    shorter run is the replicates of truncate(model, n).
     """
     validate_model(model)
-    validate_spec(spec, model)
     validate_function(f, model)
     if integer(n_reps, "n_reps") < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
     config = RunConfig(n_particles, seed, model.horizon)
-    trace = simulate(config, model, spec, range(n_reps))
-    return doob_terms(trace, model, spec, f)
+    trace = simulate(config, model, range(n_reps))
+    return doob_terms(trace, model, f)

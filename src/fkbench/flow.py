@@ -6,10 +6,11 @@ test function at the model's horizon, also the transported family (one
 O(H d^2) backward sweep) and its limiting variance; contraction_tables the
 Dobrushin coefficients and mass ratios of every normalized transport;
 transport one of them on demand.  The horizon is the only terminal time: an
-earlier one is the horizon of truncate(model, spec, n).
+earlier one is the horizon of truncate(model, n).
 The step law has one form: step_phi, the updated law Phi_n(mu).  The McKean
-kernel K = w M_n + (1 - w) Phi_n(mu), with w = eps_n G_n, is used only
-through its action on functions, never formed as a d x d matrix; on it rests
+kernel K = w M_n + (1 - w) Phi_n(mu), with w = eps_n G_n read from the model
+by mixing_weights, is used only through its action on functions, never
+formed as a d x d matrix; on it rests
 conditional_variance, the one-step variance shared by limiting_variance and
 the engine's doob_terms.  The limit of the increasing process of f itself is
 limiting_variance of f's own values.
@@ -27,8 +28,8 @@ from scipy.spatial.distance import pdist
 
 from . import tolerances as tol
 from .errors import FlowConsistencyError, ZeroMass
-from .model import FeynmanKacModel, McKeanSpec, TestFunction, mixing_weights
-from .model import validate_function, validate_model, validate_spec
+from .model import FeynmanKacModel, TestFunction, mixing_weights
+from .model import validate_function, validate_model
 
 
 @dataclass(frozen=True)
@@ -149,13 +150,13 @@ def contraction_tables(
     return ContractionTables(betas=betas, ratios=ratios)
 
 
-def _kernel_means(model: FeynmanKacModel, spec: McKeanSpec, mu, n: int, v: np.ndarray):
+def _kernel_means(model: FeynmanKacModel, mu, n: int, v: np.ndarray):
     """K v and K v^2 for the step-n kernel K at mu, and the moment Phi(mu)(v^2).
 
     Row x of K is w_x M_n[x] + (1 - w_x) Phi(mu), and Phi(mu)(u) equals
     boltzmann_gibbs(mu)(M_n u), so neither K nor Phi(mu) is formed.
     """
-    w = mixing_weights(model, spec, n)
+    w = mixing_weights(model, n)
     bg = boltzmann_gibbs(model, mu, n)
     m1, m2 = model.kernels[n] @ v, model.kernels[n] @ (v * v)
     t1, t2 = (bg * m1).sum(-1), (bg * m2).sum(-1)  # the two moments of Phi(mu)
@@ -164,9 +165,7 @@ def _kernel_means(model: FeynmanKacModel, spec: McKeanSpec, mu, n: int, v: np.nd
     return kv, kv2, t2
 
 
-def conditional_variance(
-    model: FeynmanKacModel, spec: McKeanSpec, mu, n: int, v: np.ndarray
-):
+def conditional_variance(model: FeynmanKacModel, mu, n: int, v: np.ndarray):
     """Conditional variance of the time-n sampling error of v.
 
     mu is the measure the step into time n starts from, or an (R, d) array
@@ -178,15 +177,12 @@ def conditional_variance(
     if n == 0:
         mean = (mu * v).sum(-1)
         return (mu * (v * v)).sum(-1) - mean * mean
-    kv, kv2, _ = _kernel_means(model, spec, mu, n - 1, v)
+    kv, kv2, _ = _kernel_means(model, mu, n - 1, v)
     return np.sum(mu * (kv2 - kv * kv), axis=-1)
 
 
 def limiting_variance(
-    model: FeynmanKacModel,
-    spec: McKeanSpec,
-    etas: list[np.ndarray],
-    family: list[np.ndarray],
+    model: FeynmanKacModel, etas: list[np.ndarray], family: list[np.ndarray]
 ) -> np.ndarray:
     """Conditional-variance increments of a per-time family under the flow.
 
@@ -198,10 +194,10 @@ def limiting_variance(
     out = np.empty(len(family))
     for p, v in enumerate(family):
         mu = etas[max(p - 1, 0)]
-        out[p] = conditional_variance(model, spec, mu, p, v)
+        out[p] = conditional_variance(model, mu, p, v)
         if p == 0:
             continue
-        kv, _, phi_v2 = _kernel_means(model, spec, mu, p - 1, v)
+        kv, _, phi_v2 = _kernel_means(model, mu, p - 1, v)
         form2 = float(phi_v2 - mu @ (kv * kv))
         if abs(out[p] - form2) > tol.ALGEBRA:
             raise FlowConsistencyError(
@@ -220,15 +216,14 @@ def concentration_b(tables: ContractionTables, n: int) -> float:
     return float(2.0 * np.sum(tables.ratios[q, n] * tables.betas[q, n]))
 
 
-def analyze(model: FeynmanKacModel, spec: McKeanSpec, f: TestFunction) -> FlowAnalytics:
+def analyze(model: FeynmanKacModel, f: TestFunction) -> FlowAnalytics:
     """Exact flow, transported family and limiting variance for f at the horizon.
 
     The family is built backward from the centered terminal function,
-    fpn[p] = step_p @ fpn[p+1], which is O(H d^2).  The model, spec and f are
+    fpn[p] = step_p @ fpn[p+1], which is O(H d^2).  The model and f are
     validated first.
     """
     flow = exact_flow(model)
-    validate_spec(spec, model)
     validate_function(f, model)
     n = model.horizon
     centered = f.values[n] - float(flow.etas[n] @ f.values[n])
@@ -236,7 +231,7 @@ def analyze(model: FeynmanKacModel, spec: McKeanSpec, f: TestFunction) -> FlowAn
     for p in range(n - 1, -1, -1):
         fpn.append(_transport_step(model, flow.etas, p) @ fpn[-1])
     fpn.reverse()
-    delta = limiting_variance(model, spec, flow.etas, fpn)
+    delta = limiting_variance(model, flow.etas, fpn)
     return FlowAnalytics(
         etas=flow.etas,
         log_gamma1=flow.log_gamma1,

@@ -3,10 +3,11 @@
 Each experiment pits Monte Carlo estimates from the particle engine against
 an exact constant from the flow analytics, and every pass/fail decision
 carries an explicit sampling-error allowance.  Every experiment on a model
-runs at the model's horizon, the one terminal time n; truncate(model, spec,
-n) picks an earlier one.  Distances to the Gaussian are exact suprema over
-ECDF jump points; nothing is evaluated on a grid.  Every report is a plain
-frozen dataclass, serialized as it stands.
+runs at the model's horizon, the one terminal time n, and with the model's
+own McKean weights; truncate(model, n) picks an earlier terminal time.
+Distances to the Gaussian are exact suprema over ECDF jump points; nothing
+is evaluated on a grid.  Every report is a plain frozen dataclass,
+serialized as it stands.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .flow import analyze, concentration_b, contraction_tables, limiting_variance
-from .model import FeynmanKacModel, McKeanSpec, TestFunction, integer, make_function, make_model
+from .model import FeynmanKacModel, TestFunction, integer, make_function, make_model, real
 from .rng import derive_seed
 
 DKW_SCALE = 0.5  # ECDF noise allowance is DKW_SCALE / sqrt(n_samples)
@@ -76,7 +77,6 @@ class RateReport:
 
 def clt_rate_experiment(
     model: FeynmanKacModel,
-    spec: McKeanSpec,
     f: TestFunction,
     n_reps: int,
     master_seed: int,
@@ -95,7 +95,7 @@ def clt_rate_experiment(
         InsufficientReplicates: all measured distances sit at or below the
             ECDF noise scale, so no rate is identified.
     """
-    flow = analyze(model, spec, f)
+    flow = analyze(model, f)
     if integer(n_reps, "n_reps") < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
     n = model.horizon
@@ -108,7 +108,7 @@ def clt_rate_experiment(
     ecdf_allowance = DKW_SCALE / math.sqrt(n_reps)
     distances = []
     for k, N in enumerate(N_GRID):
-        stats = simulate_replicates(model, spec, f, N, n_reps, derive_seed(master_seed, k))
+        stats = simulate_replicates(model, f, N, n_reps, derive_seed(master_seed, k))
         distances.append(kolmogorov_distance(stats.w[:, -1] / sigma))
     if min(distances) <= ecdf_allowance:
         raise InsufficientReplicates(
@@ -172,8 +172,8 @@ def default_eps_grid(n_particles: int, scale: float) -> np.ndarray:
     """
     if integer(n_particles, "n_particles") < 1:
         raise ConfigError(f"n_particles must be >= 1, got {n_particles}")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ConfigError(f"scale must be positive and finite, got {scale}")
+    if real(scale, "scale") <= 0.0:
+        raise ConfigError(f"scale must be positive, got {scale}")
     cap = 20.0 / (math.sqrt(n_particles) * scale)
     lo = min(0.01, cap / 2)
     return np.geomspace(lo, cap, EPS_GRID_POINTS)
@@ -181,7 +181,6 @@ def default_eps_grid(n_particles: int, scale: float) -> np.ndarray:
 
 def concentration_experiment(
     model: FeynmanKacModel,
-    spec: McKeanSpec,
     f: TestFunction,
     n_particles: int,
     n_reps: int,
@@ -206,7 +205,7 @@ def concentration_experiment(
         OscillationTooLarge: the terminal function's oscillation exceeds 1.
         DegenerateFunction: the terminal function is constant.
     """
-    flow = analyze(model, spec, f)
+    flow = analyze(model, f)
     if statistic not in ("eta", "delta_c"):
         raise ConfigError(f"unknown statistic {statistic!r}")
     n = model.horizon
@@ -216,14 +215,14 @@ def concentration_experiment(
     root_n = math.sqrt(n_particles)
 
     tables = contraction_tables(model, flow.etas)
-    stats = simulate_replicates(model, spec, f, n_particles, n_reps, master_seed)
+    stats = simulate_replicates(model, f, n_particles, n_reps, master_seed)
     if statistic == "eta":
         values = np.abs(stats.w[:, -1])  # already sqrt(N)-scaled
         const = concentration_b(tables, n)
         def log_bound(eps):
             return math.log1p(eps * const / math.sqrt(2.0)) + (eps * const) ** 2 / 2.0
     else:
-        limit_inc = limiting_variance(model, spec, flow.etas, f.values[: n + 1])
+        limit_inc = limiting_variance(model, flow.etas, f.values[: n + 1])
         values = root_n * np.abs(stats.delta_c[:, -1] - limit_inc[n])
         const = a3_constant(tables, n)
         def log_bound(eps):
@@ -317,7 +316,6 @@ def _moment_table(
 
 def lp_moment_experiment(
     model: FeynmanKacModel,
-    spec: McKeanSpec,
     f: TestFunction,
     n_particles: int,
     n_reps: int,
@@ -331,11 +329,11 @@ def lp_moment_experiment(
     oscillation exceeds 1 (OscillationTooLarge) or is 0 (DegenerateFunction)
     fails before any replicate is drawn.
     """
-    flow = analyze(model, spec, f)
+    flow = analyze(model, f)
     n = model.horizon
     _terminal_oscillation(f, n)
     b_n = concentration_b(contraction_tables(model, flow.etas), n)
-    stats = simulate_replicates(model, spec, f, n_particles, n_reps, master_seed)
+    stats = simulate_replicates(model, f, n_particles, n_reps, master_seed)
     return _moment_table(np.abs(stats.w[:, -1]), b_n, n_particles, master_seed)
 
 
@@ -360,9 +358,7 @@ def iid_moment_check(
     osc = f.oscillation(0)
     if osc == 0.0 and f.values[0].shape == mu.shape:  # every moment is 0: no verdict
         raise DegenerateFunction("iid h is constant")
-    stats = simulate_replicates(
-        model, McKeanSpec.zero(0), f, n_particles, n_reps, master_seed
-    )
+    stats = simulate_replicates(model, f, n_particles, n_reps, master_seed)
     return _moment_table(np.abs(stats.w[:, -1]), osc, n_particles, master_seed)
 
 
@@ -392,6 +388,7 @@ def smoothing_bound(cf1, cf2, a: float, density_sup: float) -> float:
     tolerance 1e-8, integrand extended continuously at 0) and adds the
     flat-density tail term 24 / (a*pi) * density_sup.
     """
+    a, density_sup = real(a, "a"), real(density_sup, "density_sup")
     if a <= 0:
         raise ConfigError(f"a must be > 0, got {a}")
 
@@ -429,8 +426,11 @@ def stein_check(x_samples, y_samples) -> SteinReport:
     The distance of X+Y from the standard normal must not exceed the distance
     of X plus 4*E|XY| + 4*E|Y|, up to twice the ECDF noise scale.
     """
-    x = np.asarray(x_samples, dtype=float)
-    y = np.asarray(y_samples, dtype=float)
+    try:
+        x = np.asarray(x_samples, dtype=float)
+        y = np.asarray(y_samples, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("paired samples must be numeric") from None
     if x.shape != y.shape:
         raise ConfigError(f"paired samples have shapes {x.shape} and {y.shape}")
     R = len(x)
@@ -448,7 +448,6 @@ def stein_check(x_samples, y_samples) -> SteinReport:
 
 def stein_experiment(
     model: FeynmanKacModel,
-    spec: McKeanSpec,
     f: TestFunction,
     n_particles: int,
     n_reps: int,
@@ -464,9 +463,9 @@ def stein_experiment(
         DegenerateFunction: the terminal function has zero limiting variance.
     """
     n = model.horizon
-    flow = analyze(model, spec, f)  # validates f before f.oscillation reads it
+    flow = analyze(model, f)  # validates f before f.oscillation reads it
     if flow.sigma_sq <= 0.0 or f.oscillation(n) == 0.0:
         raise DegenerateFunction(f"limiting variance at time {n} is zero")
-    stats = simulate_replicates(model, spec, f, n_particles, n_reps, master_seed)
+    stats = simulate_replicates(model, f, n_particles, n_reps, master_seed)
     scale = 1.0 / math.sqrt(flow.sigma_sq)
     return stein_check(scale * stats.l[:, -1], scale * stats.b[:, -1])

@@ -2,12 +2,16 @@
 
 States at time n are the integers 0..d_n-1.  Measures are dense probability
 vectors, transition kernels dense row-stochastic matrices, so every limiting
-quantity of the theory can be evaluated exactly by matrix recursions.
+quantity of the theory can be evaluated exactly by matrix recursions.  A
+model also carries its particle interpretation, the McKean weights eps_n,
+which the flow and the engine read only through mixing_weights.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -24,11 +28,24 @@ from .errors import (
 
 
 def integer(value, name: str) -> int:
-    """value as an int, numpy integers included; anything else is a ConfigError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    """value as an int, numpy integers included; anything else is a ConfigError.
+
+    A bool is rejected too, though Python counts it as an integer.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def real(value, name: str) -> float:
+    """value as a finite float, numpy reals included; anything else is a ConfigError."""
+    real_number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real_number and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -41,40 +58,37 @@ class FeynmanKacModel:
             and has shape (d_n, d_{n+1}).
         potentials: H+1 strictly positive weight vectors, one per time.
         eta0: initial probability vector of length d_0.
+        epsilons: H McKean weights.  Step n moves a particle at x through
+            its own kernel row with probability eps_n*G_n(x), which must lie
+            in [0, 1], and otherwise draws it from the one-step updated law.
     """
 
     dims: tuple[int, ...]
     kernels: tuple[np.ndarray, ...]
     potentials: tuple[np.ndarray, ...]
     eta0: np.ndarray
+    epsilons: tuple[float, ...]
 
     @property
     def horizon(self) -> int:
         return len(self.dims) - 1
 
 
-def make_model(eta0, kernels, potentials) -> FeynmanKacModel:
-    """Build a model from array-likes, inferring dims from the shapes."""
+def make_model(eta0, kernels, potentials, epsilons=None) -> FeynmanKacModel:
+    """Build a model from array-likes, inferring dims from the shapes.
+
+    epsilons None means eps_n = 0 at every step: every particle resamples.
+    """
     eta0 = np.asarray(eta0, dtype=float)
     kernels = tuple(np.asarray(k, dtype=float) for k in kernels)
     potentials = tuple(np.asarray(g, dtype=float) for g in potentials)
     dims = (len(eta0),) + tuple(k.shape[1] for k in kernels)
-    return FeynmanKacModel(dims=dims, kernels=kernels, potentials=potentials, eta0=eta0)
-
-
-@dataclass(frozen=True)
-class McKeanSpec:
-    """Constant mixing weights eps_n, one per transition step.
-
-    Step n uses the kernel row eps_n*G_n(x)*M_{n+1}(x, .) plus the complementary
-    weight on the one-step updated law, so eps_n*G_n(x) must lie in [0, 1].
-    """
-
-    epsilons: tuple[float, ...]
-
-    @staticmethod
-    def zero(n_steps: int) -> "McKeanSpec":
-        return McKeanSpec(epsilons=(0.0,) * n_steps)
+    if epsilons is None:
+        epsilons = (0.0,) * len(kernels)
+    return FeynmanKacModel(
+        dims=dims, kernels=kernels, potentials=potentials, eta0=eta0,
+        epsilons=tuple(float(e) for e in epsilons),
+    )
 
 
 @dataclass(frozen=True)
@@ -104,7 +118,8 @@ def validate_model(model: FeynmanKacModel) -> np.ndarray:
         array of r_n = max(G_n)/min(G_n), one per time index.
 
     Raises:
-        NonStochasticKernel, NonPositivePotential, BadInitialLaw.
+        NonStochasticKernel, NonPositivePotential, BadInitialLaw,
+        EpsilonOutOfRange (not H weights, or some eps_n*G_n outside [0, 1]).
     """
     H = model.horizon
     if len(model.kernels) != H:
@@ -145,6 +160,11 @@ def validate_model(model: FeynmanKacModel) -> np.ndarray:
         if np.any(pot <= 0) or not np.all(np.isfinite(pot)):
             raise NonPositivePotential(f"potential {n} must be strictly positive")
         ratios[n] = pot.max() / pot.min()
+
+    if len(model.epsilons) != H:
+        raise EpsilonOutOfRange(f"expected {H} epsilons, got {len(model.epsilons)}")
+    for n in range(H):
+        mixing_weights(model, n)
     return ratios
 
 
@@ -162,44 +182,36 @@ def validate_function(f: TestFunction, model: FeynmanKacModel) -> None:
             raise ConfigError(f"function vector {q} must hold {d} finite values")
 
 
-def mixing_weights(model: FeynmanKacModel, spec: McKeanSpec, n: int) -> np.ndarray:
+def mixing_weights(model: FeynmanKacModel, n: int) -> np.ndarray:
     """Own-row weights eps_n * G_n(x) of step n, clipped to [0, 1].
 
-    Values up to 1 + ALGEBRA are rounding and are clipped to 1.
+    The one reader of the McKean weights.  Values up to 1 + ALGEBRA are
+    rounding and are clipped to 1.
 
     Raises:
-        EpsilonOutOfRange: eps_n < 0 or some eps_n * G_n(x) > 1 + ALGEBRA.
+        EpsilonOutOfRange: eps_n is not a number >= 0, or some
+            eps_n * G_n(x) > 1 + ALGEBRA.
     """
-    eps = spec.epsilons[n]
+    eps = model.epsilons[n]
     w = eps * model.potentials[n]
-    if eps < 0 or np.any(w > 1.0 + tol.ALGEBRA):
+    if not eps >= 0 or np.any(w > 1.0 + tol.ALGEBRA):
         raise EpsilonOutOfRange(
             f"eps[{n}]={eps} puts eps*G outside [0,1] (max={w.max()})"
         )
     return np.minimum(w, 1.0)
 
 
-def validate_spec(spec: McKeanSpec, model: FeynmanKacModel) -> None:
-    """Check eps_n * G_n(x) in [0, 1] for every step and state."""
-    if len(spec.epsilons) != model.horizon:
-        raise EpsilonOutOfRange(
-            f"expected {model.horizon} epsilons, got {len(spec.epsilons)}"
-        )
-    for n in range(model.horizon):
-        mixing_weights(model, spec, n)
-
-
-def truncate(model: FeynmanKacModel, spec: McKeanSpec, horizon: int):
-    """Restrict a model/spec pair to a shorter horizon."""
+def truncate(model: FeynmanKacModel, horizon: int) -> FeynmanKacModel:
+    """Restrict a model to a shorter horizon."""
     if not 0 <= integer(horizon, "horizon") <= model.horizon:
         raise ConfigError(f"horizon {horizon} outside [0, {model.horizon}]")
-    cut = FeynmanKacModel(
+    return FeynmanKacModel(
         dims=model.dims[: horizon + 1],
         kernels=model.kernels[:horizon],
         potentials=model.potentials[: horizon + 1],
         eta0=model.eta0,
+        epsilons=model.epsilons[:horizon],
     )
-    return cut, McKeanSpec(epsilons=spec.epsilons[:horizon])
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +219,22 @@ def truncate(model: FeynmanKacModel, spec: McKeanSpec, horizon: int):
 # epsilons}; function files: {values}.  Arrays are nested row-major lists.
 # ---------------------------------------------------------------------------
 
-def model_to_dict(model: FeynmanKacModel, spec: McKeanSpec) -> dict:
+def model_to_dict(model: FeynmanKacModel) -> dict:
     return {
         "horizon": model.horizon,
         "dims": list(model.dims),
         "kernels": [k.tolist() for k in model.kernels],
         "potentials": [g.tolist() for g in model.potentials],
         "eta0": model.eta0.tolist(),
-        "epsilons": list(spec.epsilons),
+        "epsilons": list(model.epsilons),
     }
 
 
-def model_from_dict(data: dict) -> tuple[FeynmanKacModel, McKeanSpec]:
-    try:
-        model = make_model(data["eta0"], data["kernels"], data["potentials"])
-        spec = McKeanSpec(epsilons=tuple(float(e) for e in data["epsilons"]))
+def model_from_dict(data: dict) -> FeynmanKacModel:
+    try:  # list(): a null epsilons is malformed, not eps = 0
+        model = make_model(
+            data["eta0"], data["kernels"], data["potentials"], list(data["epsilons"])
+        )
         declared = int(data["horizon"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed model object: {exc}") from exc
@@ -234,8 +247,7 @@ def model_from_dict(data: dict) -> tuple[FeynmanKacModel, McKeanSpec]:
             f"declared dims {data['dims']} != {list(model.dims)} implied by shapes"
         )
     validate_model(model)
-    validate_spec(spec, model)
-    return model, spec
+    return model
 
 
 def _read_json(path, what: str) -> dict:
@@ -262,12 +274,12 @@ def _write_json(path, data: dict) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> tuple[FeynmanKacModel, McKeanSpec]:
+def load_model(path) -> FeynmanKacModel:
     return model_from_dict(_read_json(path, "model"))
 
 
-def save_model(path, model: FeynmanKacModel, spec: McKeanSpec) -> None:
-    _write_json(path, model_to_dict(model, spec))
+def save_model(path, model: FeynmanKacModel) -> None:
+    _write_json(path, model_to_dict(model))
 
 
 def function_to_dict(f: TestFunction) -> dict:

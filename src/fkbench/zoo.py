@@ -1,8 +1,8 @@
 """Canonical parameterized models, one per structural case.
 
-Every entry bundles a model, a mixing spec and a default test function, plus
-a note on what it exercises.  Entries are reproducible constants: any
-randomness inside a builder comes from a fixed builder seed.
+Every entry bundles a model, its McKean weights included, and a default
+test function, plus a note on what it exercises.  Entries are reproducible
+constants: any randomness inside a builder comes from a fixed builder seed.
 """
 
 from __future__ import annotations
@@ -14,14 +14,12 @@ import numpy as np
 from .errors import ConfigError, HorizonTooLargeForPathSpace, UnknownEntry
 from .model import (
     FeynmanKacModel,
-    McKeanSpec,
     TestFunction,
     indicator_function,
     integer,
     make_function,
     make_model,
     validate_model,
-    validate_spec,
 )
 from .rng import stream
 
@@ -33,7 +31,6 @@ class ZooEntry:
     name: str
     params: dict
     model: FeynmanKacModel
-    spec: McKeanSpec
     f: TestFunction
     notes: str
 
@@ -73,10 +70,12 @@ def binary_hmm(
     """
     M, obs, potentials = _hmm_parts(horizon, stay0, stay1, accuracy, obs_seed)
     model = make_model(
-        eta0=[0.5, 0.5], kernels=[M] * horizon, potentials=potentials
+        eta0=[0.5, 0.5],
+        kernels=[M] * horizon,
+        potentials=potentials,
+        epsilons=[eps_scale / potentials[n].max() for n in range(horizon)],
     )
-    eps = tuple(eps_scale / potentials[n].max() for n in range(horizon))
-    entry = ZooEntry(
+    return ZooEntry(
         name="binary_hmm",
         params={
             "horizon": horizon,
@@ -88,11 +87,9 @@ def binary_hmm(
             "observations": list(obs),
         },
         model=model,
-        spec=McKeanSpec(epsilons=eps),
         f=indicator_function(model.dims, 1),
         notes="nonlinear filtering posterior; the default rate-experiment target",
     )
-    return entry
 
 
 def ring_walk(
@@ -124,6 +121,7 @@ def ring_walk(
         eta0=np.full(d, 1.0 / d),
         kernels=[M] * horizon,
         potentials=[g] * (horizon + 1),
+        epsilons=[eps_scale / ratio] * horizon,
     )
     # half-amplitude wave: oscillation exactly 1, usable in every experiment
     f = make_function([0.5 * np.cos(2.0 * np.pi * np.arange(d) / d)] * (horizon + 1))
@@ -137,7 +135,6 @@ def ring_walk(
             "eps_scale": eps_scale,
         },
         model=model,
-        spec=McKeanSpec(epsilons=(eps_scale / ratio,) * horizon),
         f=f,
         notes="uniform mixing case with an explicit (m, r, rho) certificate",
     )
@@ -187,7 +184,6 @@ def path_genealogy(
             "observations": list(obs),
         },
         model=model,
-        spec=McKeanSpec.zero(horizon),
         f=make_function(values),
         notes="genealogical path expansion; marginal must equal binary_hmm",
     )
@@ -220,12 +216,12 @@ def plain_markov(horizon: int = 5, eps: float = 1.0) -> ZooEntry:
         eta0=[0.5, 0.5],
         kernels=[M] * horizon,
         potentials=[np.ones(2)] * (horizon + 1),
+        epsilons=[eps] * horizon,
     )
     return ZooEntry(
         name="plain_markov",
         params={"horizon": horizon, "eps": eps},
         model=model,
-        spec=McKeanSpec(epsilons=(eps,) * horizon),
         f=indicator_function(model.dims, 0),
         notes="unit potentials; flow reduces to the plain chain law",
     )
@@ -243,7 +239,6 @@ def iid_reduction(p: float = 0.2) -> ZooEntry:
         name="iid_reduction",
         params={"p": p},
         model=model,
-        spec=McKeanSpec(epsilons=()),
         f=indicator_function(model.dims, 1),
         notes="independent draws only; classical rate calibration",
     )
@@ -273,5 +268,4 @@ def build(name: str, **params) -> ZooEntry:
         raise ConfigError(f"{name} needs horizon >= 0 and d >= 1, got {params}")
     entry = builder(**params)
     validate_model(entry.model)
-    validate_spec(entry.spec, entry.model)
     return entry

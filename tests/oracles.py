@@ -17,34 +17,34 @@ import itertools
 import numpy as np
 
 from fkbench.flow import step_phi
-from fkbench.model import FeynmanKacModel, McKeanSpec, mixing_weights
+from fkbench.model import FeynmanKacModel, mixing_weights
 
 
-def mckean_kernel(model: FeynmanKacModel, spec: McKeanSpec, mu, n: int) -> np.ndarray:
+def mckean_kernel(model: FeynmanKacModel, mu, n: int) -> np.ndarray:
     """Row-stochastic selection/mutation kernel for step n -> n+1 at measure mu.
 
     Row x mixes kernel row x (weight eps_n*G_n(x)) with the updated law of mu
     (complementary weight); mixing_weights checks eps_n*G_n lies in [0, 1].
     """
-    w = mixing_weights(model, spec, n)
+    w = mixing_weights(model, n)
     target = step_phi(model, mu, n)
     return w[:, None] * model.kernels[n] + (1.0 - w)[:, None] * target
 
 
-def compatibility_residual(model: FeynmanKacModel, spec: McKeanSpec, mu, n: int) -> float:
+def compatibility_residual(model: FeynmanKacModel, mu, n: int) -> float:
     """Max-norm gap between mu applied to its own kernel and the direct update.
 
     Zero in exact arithmetic for every valid (mu, eps); the contract is
     <= 1e-12 in floating point.
     """
     mu = np.asarray(mu, dtype=float)
-    kernel = mckean_kernel(model, spec, mu, n)
+    kernel = mckean_kernel(model, mu, n)
     target = step_phi(model, mu, n)
     # row-wise difference first: the zero-eps rows cancel exactly
     return float(np.max(np.abs(mu @ (kernel - target[None, :]))))
 
 
-def reference_step(model: FeynmanKacModel, spec: McKeanSpec, counts, n: int, rngs):
+def reference_step(model: FeynmanKacModel, counts, n: int, rngs):
     """The count step drawn in full: every row draws the own-row binomial at every state.
 
     The same draws, in the same order, as engine.step_counts, which skips
@@ -52,7 +52,7 @@ def reference_step(model: FeynmanKacModel, spec: McKeanSpec, counts, n: int, rng
     rng.binomial(c, weights) over all of them, zero weights and empty states
     included.
     """
-    weights = mixing_weights(model, spec, n)
+    weights = mixing_weights(model, n)
     sizes = counts.sum(axis=1)
     targets = step_phi(model, counts / sizes[:, None], n)
     nxt = np.empty((len(counts), model.dims[n + 1]), dtype=int)

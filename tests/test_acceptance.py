@@ -8,6 +8,7 @@ reproducibility.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from fkbench.lab import (
     smoothing_bound,
     stein_experiment,
 )
-from fkbench.model import McKeanSpec
 from fkbench.zoo import path_last_state
 
 from .oracles import compatibility_residual, mckean_kernel
@@ -55,20 +55,18 @@ def test_exact_algebra_suite():
     rng = np.random.default_rng(20240201)
     for name in ALL_ENTRIES:
         entry = zoo.build(name)
-        model, spec, f = entry.model, entry.spec, entry.f
+        model, f = entry.model, entry.f
         H = model.horizon
-        flow = analyze(model, spec, f)
+        flow = analyze(model, f)
 
         # compatibility over 100 random measure/epsilon pairs per model
         for _ in range(100 if H > 0 else 0):
             n = int(rng.integers(H))
             mu = rng.dirichlet(np.ones(model.dims[n]))
             eps_n = rng.uniform(0.0, 1.0 / model.potentials[n].max())
-            eps = list(spec.epsilons)
+            eps = list(model.epsilons)
             eps[n] = eps_n
-            residual = compatibility_residual(
-                model, McKeanSpec(epsilons=tuple(eps)), mu, n
-            )
+            residual = compatibility_residual(replace(model, epsilons=tuple(eps)), mu, n)
             worst_compat = max(worst_compat, residual)
 
         # semigroup transport consistency
@@ -86,7 +84,7 @@ def test_exact_algebra_suite():
         for p, v in enumerate(flow.fpn):
             if p == 0:
                 continue
-            K = mckean_kernel(model, spec, flow.etas[p - 1], p - 1)
+            K = mckean_kernel(model, flow.etas[p - 1], p - 1)
             kf = K @ v
             form1 = float(flow.etas[p - 1] @ (K @ (v * v) - kf * kf))
             form2 = float(
@@ -123,8 +121,8 @@ def test_per_run_decomposition_identities():
     t0 = time.time()
     entry = zoo.build("binary_hmm")
     config = RunConfig(n_particles=500, seed=77, horizon=5)
-    trace = simulate(config, entry.model, entry.spec, range(200))
-    series = doob_terms(trace, entry.model, entry.spec, entry.f)
+    trace = simulate(config, entry.model, range(200))
+    series = doob_terms(trace, entry.model, entry.f)
     worst = float(max(series.residual_mean.max(), series.residual_field.max()))
     elapsed = time.time() - t0
     ok = worst <= tol.PRODUCT and elapsed < 30.0
@@ -161,7 +159,7 @@ def test_path_space_consistency():
 def test_gaussian_rate_experiment():
     entry = zoo.build("binary_hmm")
     rep = clt_rate_experiment(
-        entry.model, entry.spec, entry.f, n_reps=2000, master_seed=1,
+        entry.model, entry.f, n_reps=2000, master_seed=1,
     )
     ratio_ok = rep.distances[-1] < rep.distances[0] / 4.0
     ok = rep.passed and ratio_ok
@@ -176,7 +174,7 @@ def test_gaussian_rate_experiment():
 def test_gaussian_rate_calibration_twin():
     entry = zoo.build("iid_reduction")
     rep = clt_rate_experiment(
-        entry.model, entry.spec, entry.f, n_reps=20000, master_seed=1,
+        entry.model, entry.f, n_reps=20000, master_seed=1,
     )
     report(
         "normalized-fluctuation rate (independent calibration twin)",
@@ -188,12 +186,12 @@ def test_gaussian_rate_calibration_twin():
 
 def test_increasing_process_convergence():
     entry = zoo.build("binary_hmm")
-    flow = analyze(entry.model, entry.spec, entry.f)
+    flow = analyze(entry.model, entry.f)
     values = entry.f.values[: entry.model.horizon + 1]
-    limit = limiting_variance(entry.model, entry.spec, flow.etas, values).sum()
+    limit = limiting_variance(entry.model, flow.etas, values).sum()
     medians = {}
     for N in (100, 10_000):
-        stats = simulate_replicates(entry.model, entry.spec, entry.f, N, 200, 909)
+        stats = simulate_replicates(entry.model, entry.f, N, 200, 909)
         medians[N] = float(np.median(np.abs(stats.delta_c.sum(axis=1) - limit)))
     shrink = medians[100] / medians[10_000]
     ok = shrink >= 5.0
@@ -211,7 +209,7 @@ def test_concentration_bound():
     details = []
     for N in (100, 1000):
         rep = concentration_experiment(
-            entry.model, entry.spec, entry.f, N, n_reps=3000, master_seed=31
+            entry.model, entry.f, N, n_reps=3000, master_seed=31
         )
         all_ok &= rep.passed
         worst_gap = max(
@@ -240,7 +238,7 @@ def test_increasing_process_exponential_continuity():
     entry = zoo.build("binary_hmm")
     N = 1000
     rep = concentration_experiment(
-        entry.model, entry.spec, entry.f, N, n_reps=2000,
+        entry.model, entry.f, N, n_reps=2000,
         master_seed=47, statistic="delta_c",
     )
     worst_gap = max(
@@ -257,7 +255,7 @@ def test_moment_bounds():
     ok_units = burkholder_d(2) == 1.0 and burkholder_d(4) == 3.0
     entry = zoo.build("binary_hmm")
     particle = lp_moment_experiment(
-        entry.model, entry.spec, entry.f, 1000, n_reps=2000, master_seed=53
+        entry.model, entry.f, 1000, n_reps=2000, master_seed=53
     )
     iid = iid_moment_check([0.5, 0.5], [-0.5, 0.5], 1000, 2000, master_seed=59)
     ok = ok_units and particle.passed and iid.passed
@@ -281,7 +279,7 @@ def test_smoothing_and_perturbation_inequalities():
         smoothing_ok &= bound >= true_dist
 
     entry = zoo.build("binary_hmm")
-    stein = stein_experiment(entry.model, entry.spec, entry.f, 500, 10_000, 61)
+    stein = stein_experiment(entry.model, entry.f, 500, 10_000, 61)
     ok = smoothing_ok and stein.passed
     report(
         "smoothing and perturbation inequalities",

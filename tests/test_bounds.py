@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from fkbench.flow import (
     exact_flow,
     step_phi,
 )
-from fkbench.model import McKeanSpec, make_model
+from fkbench.model import make_model
 from fkbench.zoo import build
 
 from .oracles import mckean_kernel
@@ -50,7 +51,7 @@ class TestMcKeanGamma:
         assert GAMMA_TILDE == 2.0
 
     def test_a3_matches_formula(self, two_state):
-        model, spec, f = two_state
+        model, f = two_state
         tables = contraction_tables(model, exact_flow(model).etas)
         expected = (
             4.0
@@ -66,8 +67,7 @@ class TestKernelRegularity:
     def test_one_step_difference_bound(self, two_state):
         # |K_mu(f) - K_eta(f)| <= |updated-mu mean of the centered f|,
         # evaluated exactly for random measures and unit-oscillation f
-        model, _, f = two_state
-        spec = McKeanSpec(epsilons=(0.3, 0.1))
+        model = replace(two_state[0], epsilons=(0.3, 0.1))
         flow = exact_flow(model)
         rng = np.random.default_rng(5)
         for n in range(2):
@@ -75,8 +75,8 @@ class TestKernelRegularity:
                 mu = rng.dirichlet(np.ones(2))
                 v = rng.normal(size=2)
                 v /= v.max() - v.min()  # oscillation exactly 1
-                k_mu = mckean_kernel(model, spec, mu, n) @ v
-                k_eta = mckean_kernel(model, spec, flow.etas[n], n) @ v
+                k_mu = mckean_kernel(model, mu, n) @ v
+                k_eta = mckean_kernel(model, flow.etas[n], n) @ v
                 h = v - float(flow.etas[n + 1] @ v)
                 rhs = abs(float(step_phi(model, mu, n) @ h))
                 assert np.max(np.abs(k_mu - k_eta)) <= rhs + tol.ALGEBRA
@@ -135,6 +135,6 @@ class TestMixingBounds:
             mixing_bounds(m=1, r=1.0, rho=0.1, n=1, model=model)
 
     def test_r_must_cover_potential_ratio(self, two_state):
-        model, _, _ = two_state  # potential ratio 4
+        model, _ = two_state  # potential ratio 4
         with pytest.raises(HypothesisNotSatisfied):
             mixing_bounds(m=1, r=2.0, rho=0.2, n=1, model=model)

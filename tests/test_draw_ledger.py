@@ -56,7 +56,7 @@ def counts_digest(zoo_name: str, params: dict) -> str:
     """sha256 of every count array of the batch, in time order, as little-endian int64."""
     entry = build(zoo_name, **params)
     config = RunConfig(N_PARTICLES, SEED, entry.model.horizon)
-    trace = simulate(config, entry.model, entry.spec, REPLICATES)
+    trace = simulate(config, entry.model, REPLICATES)
     digest = hashlib.sha256()
     for counts in trace.counts:
         digest.update(np.ascontiguousarray(counts, dtype="<i8").tobytes())

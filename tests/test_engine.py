@@ -30,13 +30,11 @@ from fkbench.flow import (
 )
 from fkbench.lab import stein_experiment
 from fkbench.model import (
-    McKeanSpec,
     make_function,
     make_model,
     mixing_weights,
     truncate,
     validate_model,
-    validate_spec,
 )
 from fkbench.rng import stream
 from fkbench.zoo import build
@@ -44,10 +42,10 @@ from fkbench.zoo import build
 from .oracles import mckean_kernel, reference_step
 
 
-def _redraw(model, spec, counts, n, seed, reps):
+def _redraw(model, counts, n, seed, reps):
     """reps independent draws of the step n -> n+1 from frozen counts."""
     rngs = (stream(seed, r, n + 1) for r in range(reps))
-    return step_counts(model, spec, np.tile(counts, (reps, 1)), n, rngs)
+    return step_counts(model, np.tile(counts, (reps, 1)), n, rngs)
 
 
 def _count_law(kernel, counts):
@@ -69,46 +67,45 @@ def _count_law(kernel, counts):
 class TestInit:
     def test_point_mass_initial_law(self):
         model = make_model([1.0, 0.0], [np.eye(2)], [np.ones(2)] * 2)
-        trace = simulate(RunConfig(50, 3, 1), model, McKeanSpec.zero(1))
+        trace = simulate(RunConfig(50, 3, 1), model)
         assert all(c.tolist() == [[50, 0]] for c in trace.counts)
 
     def test_initial_frequency(self):
         model = make_model([0.5, 0.5], [], [np.ones(2)])
-        trace = simulate(RunConfig(100_000, 9, 0), model, McKeanSpec.zero(0))
+        trace = simulate(RunConfig(100_000, 9, 0), model)
         freq = trace.empirical(0)[0, 0]
         se = 0.5 / np.sqrt(100_000)
         assert abs(freq - 0.5) <= 5 * se
 
     def test_same_seed_same_cloud(self):
         model = make_model([0.5, 0.5], [], [np.ones(2)])
-        a = simulate(RunConfig(1000, 11, 0), model, McKeanSpec.zero(0))
-        b = simulate(RunConfig(1000, 11, 0), model, McKeanSpec.zero(0))
+        a = simulate(RunConfig(1000, 11, 0), model)
+        b = simulate(RunConfig(1000, 11, 0), model)
         assert np.array_equal(a.counts[0], b.counts[0])
 
     def test_bad_population(self):
         model = make_model([1.0], [], [np.ones(1)])
         with pytest.raises(ValueError):
-            simulate(RunConfig(0, 1, 0), model, McKeanSpec.zero(0))
+            simulate(RunConfig(0, 1, 0), model)
 
 
 class TestStep:
     def test_singleton_spaces_stay_trivial(self):
         model = make_model([1.0], [np.ones((1, 1))] * 3, [np.ones(1)] * 4)
-        spec = McKeanSpec.zero(3)
         f = make_function([[0.5]] * 4)
-        trace = simulate(RunConfig(20, 5, 3), model, spec)
+        trace = simulate(RunConfig(20, 5, 3), model)
         assert all(c.tolist() == [[20]] for c in trace.counts)
-        series = doob_terms(trace, model, spec, f)
+        series = doob_terms(trace, model, f)
         assert_allclose(series.l, 0.0)
         assert_allclose(series.delta_c, 0.0)
 
     def test_conditional_mean_matches_exact_update(self, two_state):
         # freeze a cloud, redraw the next step many times: the average
         # empirical mean must match the exact one-step prediction
-        model, spec, f = two_state
-        frozen = simulate(RunConfig(200, 13, 0), model, spec).counts[0][0]
+        model, f = two_state
+        frozen = simulate(RunConfig(200, 13, 0), model).counts[0][0]
         predicted = float(step_phi(model, frozen / 200, 0) @ f.values[1])
-        draws = _redraw(model, spec, frozen, 0, 13, 10_000) @ f.values[1] / 200
+        draws = _redraw(model, frozen, 0, 13, 10_000) @ f.values[1] / 200
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - predicted) <= 5 * se
 
@@ -116,13 +113,13 @@ class TestStep:
         # the count step has the law of N independent particle moves, each
         # through its own row of the selection/mutation kernel
         ring = build("ring_walk", d=4, eps_scale=1.0)
-        cases = [(ring.model, ring.spec, [2, 0, 1, 1]), (*two_state[:2], [3, 2])]
+        cases = [(ring.model, [2, 0, 1, 1]), (two_state[0], [3, 2])]
         reps = 40_000
-        for model, spec, counts in cases:
+        for model, counts in cases:
             counts = np.array(counts)
-            kernel = mckean_kernel(model, spec, counts / counts.sum(), 0)
+            kernel = mckean_kernel(model, counts / counts.sum(), 0)
             law = _count_law(kernel, counts)
-            draws = _redraw(model, spec, counts, 0, 41, reps)
+            draws = _redraw(model, counts, 0, 41, reps)
             seen = Counter(map(tuple, draws.tolist()))
             assert set(seen) <= set(law)
             expected = reps * np.array(list(law.values()))
@@ -135,10 +132,10 @@ class TestStep:
         # is binomial in its own chain row rather than multinomial in the
         # updated law (variance 18.5 against 24.75 here)
         entry = build("plain_markov", eps=1.0)
-        model, spec = entry.model, entry.spec
-        assert_allclose(mixing_weights(model, spec, 0), 1.0)
+        model = entry.model
+        assert_allclose(mixing_weights(model, 0), 1.0)
         frozen = np.array([50, 50])
-        stay = _redraw(model, spec, frozen, 0, 43, 10_000)[:, 0]
+        stay = _redraw(model, frozen, 0, 43, 10_000)[:, 0]
         se = stay.std(ddof=1) / np.sqrt(len(stay))
         assert abs(stay.mean() - 55.0) <= 5 * se
         sq = (stay - stay.mean()) ** 2
@@ -151,23 +148,24 @@ class TestStep:
         # leave every row's counts as the full draw leaves them.  A zero
         # potential fails validate_model, so the model is stepped directly.
         kernel = [[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], [0.25] * 4, [0.7, 0.1, 0.1, 0.1]]
-        model = make_model([0.25] * 4, [kernel], [np.array([0.0, 1.0, 2.0, 1.5]), np.ones(4)])
-        spec = McKeanSpec(epsilons=(0.4,))
-        weights = mixing_weights(model, spec, 0)
+        potentials = [np.array([0.0, 1.0, 2.0, 1.5]), np.ones(4)]
+        model = make_model([0.25] * 4, [kernel], potentials, epsilons=[0.4])
+        weights = mixing_weights(model, 0)
         assert weights[0] == 0.0 and np.all(weights[1:] > 0.0)
         frozen, reps, seed = np.array([40, 0, 35, 25]), 200, 23
-        drawn = _redraw(model, spec, frozen, 0, seed, reps)
+        drawn = _redraw(model, frozen, 0, seed, reps)
         rngs = (stream(seed, r, 1) for r in range(reps))
-        full = reference_step(model, spec, np.tile(frozen, (reps, 1)), 0, rngs)
+        full = reference_step(model, np.tile(frozen, (reps, 1)), 0, rngs)
         assert np.array_equal(drawn, full)
         assert len(np.unique(drawn, axis=0)) > 1
 
     def test_weight_rounded_above_one_steps(self):
-        model = make_model([0.5, 0.5], [[[0.8, 0.2], [0.3, 0.7]]], [np.ones(2)] * 2)
-        spec = McKeanSpec(epsilons=(1.0 + 0.5e-12,))
-        validate_spec(spec, model)
-        assert np.all(mixing_weights(model, spec, 0) == 1.0)
-        trace = simulate(RunConfig(100, 3, 1), model, spec)
+        model = make_model(
+            [0.5, 0.5], [[[0.8, 0.2], [0.3, 0.7]]], [np.ones(2)] * 2, epsilons=[1.0 + 0.5e-12]
+        )
+        validate_model(model)
+        assert np.all(mixing_weights(model, 0) == 1.0)
+        trace = simulate(RunConfig(100, 3, 1), model)
         assert trace.counts[1].sum() == 100
 
     def test_rounded_probabilities_conserve_population(self):
@@ -176,11 +174,10 @@ class TestStep:
                 [0.3 + delta, 0.2, 0.5],
                 [[[0.4, 0.6 + delta, 0.0], [0.5 + delta, 0.0, 0.5], [0.1, 0.2, 0.7]]] * 2,
                 [np.array([1.0, 2.0, 1.0])] * 3,
+                epsilons=[0.5, 0.5],
             )
-            spec = McKeanSpec(epsilons=(0.5, 0.5))
             validate_model(model)
-            validate_spec(spec, model)
-            trace = simulate(RunConfig(1000, 2, 2), model, spec, range(50))
+            trace = simulate(RunConfig(1000, 2, 2), model, range(50))
             assert all(np.all(c.sum(axis=1) == 1000) for c in trace.counts)
 
     def test_cost_does_not_grow_with_population(self):
@@ -188,7 +185,7 @@ class TestStep:
         config = RunConfig(10**8, 5, entry.model.horizon)
         tracemalloc.start()
         try:
-            trace = simulate(config, entry.model, entry.spec)
+            trace = simulate(config, entry.model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -196,9 +193,9 @@ class TestStep:
         assert peak < 1_000_000
 
     def test_horizon_cap(self, two_state):
-        model, spec, _ = two_state
+        model, _ = two_state
         with pytest.raises(ValueError):
-            simulate(RunConfig(10, 1, 3), model, spec)
+            simulate(RunConfig(10, 1, 3), model)
 
 
 class TestBatch:
@@ -212,41 +209,41 @@ class TestBatch:
     )
     def test_rows_are_the_single_replicate_runs(self, name, params, request):
         if name == "two_state":
-            model, spec, _ = request.getfixturevalue("two_state")
+            model, _ = request.getfixturevalue("two_state")
         else:
             entry = build(name, **params)
-            model, spec = entry.model, entry.spec
+            model = entry.model
         config = RunConfig(60, 31, model.horizon)
-        batch = simulate(config, model, spec, [5, 2, 9])
-        backward = simulate(config, model, spec, [9, 2, 5])
+        batch = simulate(config, model, [5, 2, 9])
+        backward = simulate(config, model, [9, 2, 5])
         for i, r in enumerate([5, 2, 9]):
-            alone = simulate(config, model, spec, [r])
+            alone = simulate(config, model, [r])
             for q, c in enumerate(alone.counts):
                 assert np.array_equal(batch.counts[q][i], c[0])
                 assert np.array_equal(backward.counts[q][2 - i], c[0])
 
     @pytest.mark.parametrize("replicates", [[], [3, -1]])
     def test_bad_batch_rejected(self, replicates, two_state):
-        model, spec, _ = two_state
+        model, _ = two_state
         with pytest.raises(ConfigError):
-            simulate(RunConfig(10, 1, 2), model, spec, replicates)
+            simulate(RunConfig(10, 1, 2), model, replicates)
 
     def test_mixing_weights_once_per_step(self, two_state, monkeypatch):
         # the replicates are one batch: the step's weights are derived once
-        model, spec, f = two_state
+        model, f = two_state
         calls = Counter()
 
-        def counted(model, spec, n):
+        def counted(model, n):
             calls[n] += 1
-            return mixing_weights(model, spec, n)
+            return mixing_weights(model, n)
 
         monkeypatch.setattr(engine, "mixing_weights", counted)
-        simulate_replicates(model, spec, f, 10, 6, 1)
+        simulate_replicates(model, f, 10, 6, 1)
         assert calls == {0: 1, 1: 1}
 
     def test_step_phi_once_per_step(self, two_state, monkeypatch):
         # every row's resampling law comes from one call on the whole batch
-        model, spec, f = two_state
+        model, f = two_state
         calls = Counter()
 
         def counted(model, mu, n):
@@ -254,7 +251,7 @@ class TestBatch:
             return step_phi(model, mu, n)
 
         monkeypatch.setattr(engine, "step_phi", counted)
-        simulate_replicates(model, spec, f, 10, 6, 1)
+        simulate_replicates(model, f, 10, 6, 1)
         assert calls == {0: 1, 1: 1}
 
 
@@ -270,16 +267,17 @@ class TestRowExact:
         rng = np.random.default_rng(d)
         kernels = rng.random((2, d, d))
         kernels /= kernels.sum(axis=2, keepdims=True)
-        model = make_model(np.full(d, 1.0 / d), kernels, 0.5 + rng.random((3, d)))
-        spec = McKeanSpec(epsilons=(0.3, 0.3))
-        validate_spec(spec, model)
+        model = make_model(
+            np.full(d, 1.0 / d), kernels, 0.5 + rng.random((3, d)), epsilons=[0.3, 0.3]
+        )
+        validate_model(model)
         mus, emps = rng.dirichlet(np.ones(d), size=(2, 9))
         v = rng.standard_normal(d)
         calls = [
             lambda mu, emp: boltzmann_gibbs(model, mu, 1),
             lambda mu, emp: step_phi(model, mu, 1),
-            lambda mu, emp: conditional_variance(model, spec, mu, 0, v),
-            lambda mu, emp: conditional_variance(model, spec, mu, 2, v),
+            lambda mu, emp: conditional_variance(model, mu, 0, v),
+            lambda mu, emp: conditional_variance(model, mu, 2, v),
             lambda mu, emp: sampling_error(model, mu, emp, 0, v),
             lambda mu, emp: sampling_error(model, mu, emp, 2, v),
         ]
@@ -292,19 +290,19 @@ class TestRowExact:
 
 class TestMartingaleIncrement:
     def test_constant_function_gives_zero(self, two_state):
-        model, spec, _ = two_state
+        model, _ = two_state
         f = make_function([np.ones(2)] * 3)
-        trace = simulate(RunConfig(100, 21, 1), model, spec)
+        trace = simulate(RunConfig(100, 21, 1), model)
         prev, nxt = trace.empirical(0), trace.empirical(1)
         assert sampling_error(model, model.eta0, prev, 0, f.values[0]) == 0.0
         # the predicted law sums to one only up to rounding
         assert abs(sampling_error(model, prev, nxt, 1, f.values[1])) <= tol.ALGEBRA
 
     def test_single_particle_reduction(self, two_state):
-        model, spec, f = two_state
-        trace = simulate(RunConfig(1, 33, 1), model, spec)
+        model, f = two_state
+        trace = simulate(RunConfig(1, 33, 1), model)
         prev, nxt = (int(np.argmax(c)) for c in trace.counts)
-        K = mckean_kernel(model, spec, trace.empirical(0), 0)
+        K = mckean_kernel(model, trace.empirical(0), 0)
         expected = f.values[1][nxt] - (K @ f.values[1])[prev]
         assert_allclose(
             sampling_error(model, trace.empirical(0), trace.empirical(1), 1, f.values[1]),
@@ -316,17 +314,17 @@ class TestMartingaleIncrement:
         # against a frozen previous cloud, the realized increments must have
         # conditional mean zero and conditional variance equal to the exact
         # finite-space increment divided by the population size
-        model, spec, f = two_state
-        counts = simulate(RunConfig(100, 17, 0), model, spec).counts[0]
+        model, f = two_state
+        counts = simulate(RunConfig(100, 17, 0), model).counts[0]
         frozen = counts / 100
-        redrawn = _redraw(model, spec, counts, 0, 17, 10_000) / 100
+        redrawn = _redraw(model, counts, 0, 17, 10_000) / 100
         incs = np.array(
             [sampling_error(model, frozen, nxt, 1, f.values[1]) for nxt in redrawn]
         )
         se = incs.std(ddof=1) / np.sqrt(len(incs))
         assert abs(incs.mean()) <= 5 * se
 
-        exact_var = conditional_variance(model, spec, frozen, 1, f.values[1]) / 100
+        exact_var = conditional_variance(model, frozen, 1, f.values[1]) / 100
         sq = (incs - incs.mean()) ** 2
         se_var = sq.std(ddof=1) / np.sqrt(len(sq))
         assert abs(incs.var(ddof=1) - exact_var) <= 5 * se_var
@@ -334,27 +332,27 @@ class TestMartingaleIncrement:
 
 class TestIncreasingProcess:
     def test_constant_function_gives_zero(self, two_state):
-        model, spec, _ = two_state
+        model, _ = two_state
         f = make_function([np.ones(2)] * 3)
-        assert conditional_variance(model, spec, model.eta0, 0, f.values[0]) == 0.0
+        assert conditional_variance(model, model.eta0, 0, f.values[0]) == 0.0
 
     def test_initial_increment_is_initial_variance(self, two_state):
-        model, spec, f = two_state
+        model, f = two_state
         expected = 0.25  # variance of the indicator under (0.5, 0.5)
         assert_allclose(
-            conditional_variance(model, spec, model.eta0, 0, f.values[0]), expected
+            conditional_variance(model, model.eta0, 0, f.values[0]), expected
         )
 
     def test_full_weight_reduces_to_chain_variance(self):
         # eps*G = 1 makes the particle kernel the chain kernel itself
         entry = build("plain_markov", eps=1.0)
-        model, spec, f = entry.model, entry.spec, entry.f
-        mu = simulate(RunConfig(300, 7, 0), model, spec).empirical(0)[0]
+        model, f = entry.model, entry.f
+        mu = simulate(RunConfig(300, 7, 0), model).empirical(0)[0]
         M = model.kernels[0]
         v = f.values[1]
         expected = float(mu @ (M @ (v * v) - (M @ v) ** 2))
         assert_allclose(
-            conditional_variance(model, spec, mu, 1, f.values[1]),
+            conditional_variance(model, mu, 1, f.values[1]),
             expected,
             atol=tol.ALGEBRA,
         )
@@ -367,31 +365,31 @@ class TestIncreasingProcess:
             [0.3, 0.7],
             [[[0.8, 0.2], [0.3, 0.7]], [[0.6, 0.4], [0.1, 0.9]]],
             [np.array([0.5, 1.0]), np.array([1.0, 0.25]), np.ones(2)],
+            epsilons=[eps, eps],
         )
-        spec = McKeanSpec(epsilons=(eps, eps))
-        validate_spec(spec, model)
+        validate_model(model)
         v = np.array([-1.0, 2.5])
         mus = np.array([[0.5, 0.5], [0.9, 0.1], [0.0, 1.0]])
         for n in (1, 2):
-            batch = conditional_variance(model, spec, mus, n, v)
+            batch = conditional_variance(model, mus, n, v)
             for mu, got in zip(mus, batch):
-                K = mckean_kernel(model, spec, mu, n - 1)
+                K = mckean_kernel(model, mu, n - 1)
                 expected = mu @ (K @ (v * v) - (K @ v) ** 2)
                 assert_allclose(got, expected, rtol=0, atol=tol.ALGEBRA)
                 assert_allclose(
-                    conditional_variance(model, spec, mu, n, v),
+                    conditional_variance(model, mu, n, v),
                     expected,
                     rtol=0,
                     atol=tol.ALGEBRA,
                 )
 
     def test_converges_to_limit(self, two_state):
-        model, spec, f = two_state
+        model, f = two_state
         flow = exact_flow(model)
-        limit = limiting_variance(model, spec, flow.etas, f.values).sum()
+        limit = limiting_variance(model, flow.etas, f.values).sum()
         errs = []
         for N in (100, 10_000):
-            stats = simulate_replicates(model, spec, f, N, 50, 29)
+            stats = simulate_replicates(model, f, N, 50, 29)
             errs.append(np.median(np.abs(stats.delta_c.sum(axis=1) - limit)))
         assert errs[1] < errs[0]
 
@@ -399,60 +397,60 @@ class TestIncreasingProcess:
         # nonzero mixing weights: particles move through the two-part kernel,
         # and the realized increasing process still finds the exact limit
         entry = build("ring_walk")
-        model, spec, f = entry.model, entry.spec, entry.f
-        assert max(spec.epsilons) > 0.0
+        model, f = entry.model, entry.f
+        assert max(model.epsilons) > 0.0
         n = model.horizon
         flow = exact_flow(model)
-        limit = limiting_variance(model, spec, flow.etas, f.values[: n + 1]).sum()
-        stats = simulate_replicates(model, spec, f, 20_000, 8, 71)
+        limit = limiting_variance(model, flow.etas, f.values[: n + 1]).sum()
+        stats = simulate_replicates(model, f, 20_000, 8, 71)
         worst = np.abs(stats.delta_c.sum(axis=1) - limit).max()
         assert worst < 0.02 * limit
 
 
 class TestDoob:
     def test_identities_per_run(self, two_state):
-        model, spec, f = two_state
-        trace = simulate(RunConfig(250, 101, 2), model, spec, range(25))
-        series = doob_terms(trace, model, spec, f)
+        model, f = two_state
+        trace = simulate(RunConfig(250, 101, 2), model, range(25))
+        series = doob_terms(trace, model, f)
         assert np.all(series.residual_mean <= tol.PRODUCT)
         assert np.all(series.residual_field <= tol.PRODUCT)
         # realized increasing process never decreases
         assert np.all(series.delta_c >= -1e-15)
 
     def test_terminal_field_is_plain_error(self, two_state):
-        model, spec, f = two_state
-        flow = analyze(model, spec, f)
+        model, f = two_state
+        flow = analyze(model, f)
         config = RunConfig(250, 77, 2)
-        trace = simulate(config, model, spec)
-        series = doob_terms(trace, model, spec, f)
+        trace = simulate(config, model)
+        series = doob_terms(trace, model, f)
         expected = np.sqrt(250) * float(
             (trace.empirical(2)[0] - flow.etas[2]) @ f.values[2]
         )
         assert_allclose(series.w[0, 2], expected, atol=tol.PRODUCT)
 
     def test_earlier_terminal_reads_a_prefix_of_the_runs(self, two_state):
-        model, spec, f = two_state
-        short = truncate(model, spec, 1)
-        trace = simulate(RunConfig(50, 3, 2), model, spec, range(4))
+        model, f = two_state
+        short = truncate(model, 1)
+        trace = simulate(RunConfig(50, 3, 2), model, range(4))
         prefix = RunTrace(trace.n_particles, trace.counts[:2])
-        whole, cut = doob_terms(trace, *short, f), doob_terms(prefix, *short, f)
+        whole, cut = doob_terms(trace, short, f), doob_terms(prefix, short, f)
         for field in fields(DoobSeries):
             assert np.array_equal(getattr(whole, field.name), getattr(cut, field.name))
         assert whole.w.shape == (4, 2)
 
     def test_runs_must_reach_the_terminal(self, two_state):
-        model, spec, f = two_state
-        trace = simulate(RunConfig(50, 3, 1), model, spec)
+        model, f = two_state
+        trace = simulate(RunConfig(50, 3, 1), model)
         with pytest.raises(FlowConsistencyError):
-            doob_terms(trace, model, spec, f)
+            doob_terms(trace, model, f)
 
 
 class TestReplicates:
     def test_single_rep_matches_direct_run(self, two_state):
-        model, spec, f = two_state
-        stats = simulate_replicates(model, spec, f, 100, 1, 5)
-        trace = simulate(RunConfig(100, 5, 2), model, spec, [0])
-        series = doob_terms(trace, model, spec, f)
+        model, f = two_state
+        stats = simulate_replicates(model, f, 100, 1, 5)
+        trace = simulate(RunConfig(100, 5, 2), model, [0])
+        series = doob_terms(trace, model, f)
         assert stats.w[0, -1] == series.w[0, 2]
         assert stats.l[0, -1] == series.l[0, 2]
 
@@ -468,29 +466,29 @@ class TestReplicates:
         # the one pass over R = 37 stacked runs gives, row by row and bit for
         # bit, what the same functions give on each replicate run alone
         if name == "two_state":
-            model, spec, f = request.getfixturevalue("two_state")
+            model, f = request.getfixturevalue("two_state")
         else:
             entry = build(name, **params)
-            model, spec, f = entry.model, entry.spec, entry.f
+            model, f = entry.model, entry.f
         n = model.horizon
         config = RunConfig(40, 19, n)
-        stats = simulate_replicates(model, spec, f, 40, 37, 19)
+        stats = simulate_replicates(model, f, 40, 37, 19)
         assert stats.w.shape == stats.delta_c.shape == (37, n + 1)
         for r in range(37):
-            doob = doob_terms(simulate(config, model, spec, [r]), model, spec, f)
+            doob = doob_terms(simulate(config, model, [r]), model, f)
             for field in fields(DoobSeries):
                 got, expected = getattr(stats, field.name)[r], getattr(doob, field.name)[0]
                 assert np.array_equal(got, expected)
 
     def test_deterministic_output(self, two_state):
-        model, spec, f = two_state
-        a = simulate_replicates(model, spec, f, 100, 10, 5)
-        b = simulate_replicates(model, spec, f, 100, 10, 5)
+        model, f = two_state
+        a = simulate_replicates(model, f, 100, 10, 5)
+        b = simulate_replicates(model, f, 100, 10, 5)
         for field in fields(DoobSeries):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
     def test_one_analyze_and_one_simulate_per_batch(self, two_state, monkeypatch):
-        model, spec, f = two_state
+        model, f = two_state
         calls = Counter()
 
         def counted(name, fn):
@@ -501,23 +499,23 @@ class TestReplicates:
 
         monkeypatch.setattr(engine, "analyze", counted("analyze", analyze))
         monkeypatch.setattr(engine, "simulate", counted("simulate", simulate))
-        simulate_replicates(model, spec, f, 20, 5, 3)
+        simulate_replicates(model, f, 20, 5, 3)
         assert calls == {"analyze": 1, "simulate": 1}
 
     def test_centering_over_replicates(self, two_state):
-        model, spec, f = two_state
-        stats = simulate_replicates(model, spec, f, 50, 2000, 23)
+        model, f = two_state
+        stats = simulate_replicates(model, f, 50, 2000, 23)
         w = stats.w[:, -1]
         se = w.std(ddof=1) / np.sqrt(len(w))
         assert abs(w.mean()) <= 5 * se
 
     def test_degenerate_function_rejected(self, two_state):
-        model, spec, _ = two_state
+        model, _ = two_state
         f = make_function([np.ones(2)] * 3)
         with pytest.raises(DegenerateFunction):
-            stein_experiment(model, spec, f, 50, 2, 1)
+            stein_experiment(model, f, 50, 2, 1)
 
     def test_bad_rep_count(self, two_state):
-        model, spec, f = two_state
+        model, f = two_state
         with pytest.raises(ValueError):
-            simulate_replicates(model, spec, f, 50, 0, 1)
+            simulate_replicates(model, f, 50, 0, 1)

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from fkbench.flow import (
     step_phi,
     transport,
 )
-from fkbench.model import McKeanSpec, make_function, make_model, truncate
+from fkbench.model import make_function, make_model, truncate
 from fkbench.zoo import build
 
 from .oracles import compatibility_residual, mckean_kernel, variance_by_enumeration
@@ -27,19 +28,19 @@ from .oracles import compatibility_residual, mckean_kernel, variance_by_enumerat
 
 class TestBoltzmannGibbs:
     def test_constant_potential_is_identity(self, flat_two_state):
-        model, _, _ = flat_two_state
+        model, _ = flat_two_state
         assert_allclose(boltzmann_gibbs(model, [0.5, 0.5], 0), [0.5, 0.5])
 
     def test_hand_normalization(self, two_state):
-        model, _, _ = two_state
+        model, _ = two_state
         assert_allclose(boltzmann_gibbs(model, [0.5, 0.5], 0), [0.2, 0.8])
 
     def test_point_mass_fixed(self, two_state):
-        model, _, _ = two_state
+        model, _ = two_state
         assert_allclose(boltzmann_gibbs(model, [1.0, 0.0], 0), [1.0, 0.0])
 
     def test_zero_mass_guard(self, two_state):
-        model, _, _ = two_state
+        model, _ = two_state
         with pytest.raises(ZeroMass):
             boltzmann_gibbs(model, [0.0, 0.0], 0)
 
@@ -50,23 +51,23 @@ class TestStepPhi:
         assert_allclose(step_phi(model, [0.3, 0.7], 0), [0.3, 0.7])
 
     def test_hand_value(self, two_state):
-        model, _, _ = two_state
+        model, _ = two_state
         assert_allclose(step_phi(model, [0.5, 0.5], 0), [0.4, 0.6])
 
     def test_point_mass_gives_kernel_row(self, flat_two_state):
-        model, _, _ = flat_two_state
+        model, _ = flat_two_state
         assert_allclose(step_phi(model, [0.0, 1.0], 0), model.kernels[0][1])
 
 
 class TestExactFlow:
     def test_unit_potentials_reduce_to_chain(self, flat_two_state):
-        model, _, _ = flat_two_state
+        model, _ = flat_two_state
         flow = exact_flow(model)
         assert_allclose(flow.etas[1], model.eta0 @ model.kernels[0])
         assert_allclose(flow.log_gamma1, [0.0, 0.0], atol=tol.ALGEBRA)
 
     def test_two_state_hand_recursion(self, two_state):
-        model, _, _ = two_state
+        model, _ = two_state
         flow = exact_flow(model)
         assert_allclose(flow.etas[1], [0.4, 0.6])
         assert_allclose(flow.log_gamma1[1], np.log(1.25), atol=tol.ALGEBRA)
@@ -78,7 +79,7 @@ class TestExactFlow:
         assert flow.log_gamma1.tolist() == [0.0]
 
     def test_flow_conservation(self, two_state):
-        model, _, _ = two_state
+        model, _ = two_state
         flow = exact_flow(model)
         for eta in flow.etas:
             assert abs(eta.sum() - 1.0) <= tol.ALGEBRA
@@ -86,56 +87,56 @@ class TestExactFlow:
 
 class TestMcKeanKernel:
     def test_eps_zero_rows_equal_update(self, two_state):
-        model, _, _ = two_state
+        model, _ = two_state
         mu = np.array([0.5, 0.5])
-        K = mckean_kernel(model, McKeanSpec.zero(2), mu, 0)
+        K = mckean_kernel(model, mu, 0)
         target = step_phi(model, mu, 0)
         assert_allclose(K, np.tile(target, (2, 1)))
 
     def test_full_weight_recovers_kernel(self, flat_two_state):
-        model, _, _ = flat_two_state
-        K = mckean_kernel(model, McKeanSpec(epsilons=(1.0,)), [0.5, 0.5], 0)
+        model, _ = flat_two_state
+        K = mckean_kernel(replace(model, epsilons=(1.0,)), [0.5, 0.5], 0)
         assert_allclose(K, model.kernels[0])
 
     def test_hand_mixture(self, two_state):
-        model, _, _ = two_state
-        K = mckean_kernel(model, McKeanSpec(epsilons=(0.25, 0.0)), [0.5, 0.5], 0)
+        model, _ = two_state
+        K = mckean_kernel(replace(model, epsilons=(0.25, 0.0)), [0.5, 0.5], 0)
         # weights eps*G = (0.125, 0.5) against the updated law (0.4, 0.6)
         assert_allclose(K[0], [0.45, 0.55])
         assert_allclose(K[1], [0.35, 0.65])
         assert_allclose(K.sum(axis=1), [1.0, 1.0], atol=tol.ALGEBRA)
 
     def test_eps_out_of_range(self, two_state):
-        model, _, _ = two_state
+        model, _ = two_state
         with pytest.raises(EpsilonOutOfRange):
-            mckean_kernel(model, McKeanSpec(epsilons=(0.6, 0.0)), [0.5, 0.5], 0)
+            mckean_kernel(replace(model, epsilons=(0.6, 0.0)), [0.5, 0.5], 0)
 
 
 class TestCompatibility:
     def test_eps_zero_exact(self, two_state):
-        model, _, _ = two_state
-        assert compatibility_residual(model, McKeanSpec.zero(2), [0.7, 0.3], 0) == 0.0
+        model, _ = two_state
+        assert compatibility_residual(model, [0.7, 0.3], 0) == 0.0
 
     def test_point_mass(self, two_state):
-        model, _, _ = two_state
-        spec = McKeanSpec(epsilons=(0.4, 0.4))
-        assert compatibility_residual(model, spec, [1.0, 0.0], 0) <= tol.ALGEBRA
+        model, _ = two_state
+        model = replace(model, epsilons=(0.4, 0.4))
+        assert compatibility_residual(model, [1.0, 0.0], 0) <= tol.ALGEBRA
 
     def test_random_measures(self, two_state):
-        model, _, _ = two_state
+        model, _ = two_state
         rng = np.random.default_rng(2)
         for _ in range(100):
             mu = rng.dirichlet(np.ones(2))
             eps = rng.uniform(0.0, 0.5)  # eps * max(G) = 2 eps <= 1
-            spec = McKeanSpec(epsilons=(eps, eps))
+            mixed = replace(model, epsilons=(eps, eps))
             for n in range(2):
-                assert compatibility_residual(model, spec, mu, n) <= tol.ALGEBRA
+                assert compatibility_residual(mixed, mu, n) <= tol.ALGEBRA
 
 
 class TestSemigroups:
     def test_terminal_block_is_identity(self, two_state):
-        model, spec, f = two_state
-        flow = analyze(model, spec, f)
+        model, f = two_state
+        flow = analyze(model, f)
         tables = contraction_tables(model, flow.etas)
         assert_allclose(transport(model, flow.etas, 2, 2), np.eye(2))
         centered = f.values[2] - flow.etas[2] @ f.values[2]
@@ -144,7 +145,7 @@ class TestSemigroups:
         assert tables.ratios[2, 2] == 1.0
 
     def test_flat_chain_contraction(self, flat_two_state):
-        model, spec, f = flat_two_state
+        model, f = flat_two_state
         tables = contraction_tables(model, exact_flow(model).etas)
         assert_allclose(tables.betas[0, 1], 0.5, atol=tol.ALGEBRA)
         assert_allclose(tables.ratios[0, 1], 1.0, atol=tol.ALGEBRA)
@@ -155,8 +156,8 @@ class TestSemigroups:
         assert tables.betas[0, 0] == 0.0
 
     def test_consistency_and_centering(self, two_state):
-        model, spec, f = two_state
-        flow = analyze(model, spec, f)
+        model, f = two_state
+        flow = analyze(model, f)
         H = model.horizon
         for p in range(H + 1):
             for n in range(p, H + 1):
@@ -169,7 +170,7 @@ class TestSemigroups:
             assert abs(flow.etas[p] @ flow.fpn[p]) <= tol.PRODUCT
 
     def test_one_step_mass_identity(self, two_state):
-        model, spec, f = two_state
+        model, f = two_state
         flow = exact_flow(model)
         for q in range(1, model.horizon + 1):
             lhs = transport(model, flow.etas, q - 1, q).sum(axis=1)
@@ -177,7 +178,7 @@ class TestSemigroups:
             assert_allclose(lhs, rhs, atol=tol.ALGEBRA)
 
     def test_beta_submultiplicative(self, two_state):
-        model, spec, f = two_state
+        model, f = two_state
         tables = contraction_tables(model, exact_flow(model).etas)
         H = model.horizon
         for p in range(H + 1):
@@ -221,10 +222,10 @@ class TestStreamedOracle:
     @pytest.mark.parametrize("terminal", [None, 2])
     def test_backward_sweep_matches_transport(self, terminal):
         entry = build("path_genealogy", horizon=4)
-        model, spec, f = entry.model, entry.spec, entry.f
+        model, f = entry.model, entry.f
         if terminal is not None:
-            model, spec = truncate(model, spec, terminal)
-        flow = analyze(model, spec, f)
+            model = truncate(model, terminal)
+        flow = analyze(model, f)
         n = model.horizon
         centered = f.values[n] - flow.etas[n] @ f.values[n]
         for p in range(n + 1):
@@ -239,17 +240,17 @@ class TestStreamedOracle:
         [("path_genealogy", {"horizon": 4}), ("ring_walk", {"eps_scale": 1.0})],
     )
     def test_truncated_model_is_the_prefix(self, name, params):
-        # analyzing truncate(model, spec, n) gives, bit for bit, the sweep
+        # analyzing truncate(model, n) gives, bit for bit, the sweep
         # from terminal n over the longer model's own flow
         entry = build(name, **params)
-        model, spec, f = entry.model, entry.spec, entry.f
+        model, f = entry.model, entry.f
         full = exact_flow(model)
         for n in range(model.horizon + 1):
-            cut = analyze(*truncate(model, spec, n), f)
+            cut = analyze(truncate(model, n), f)
             fpn = [f.values[n] - float(full.etas[n] @ f.values[n])]
             for p in range(n - 1, -1, -1):
                 fpn.insert(0, _transport_step(model, full.etas, p) @ fpn[0])
-            delta = limiting_variance(model, spec, full.etas, fpn)
+            delta = limiting_variance(model, full.etas, fpn)
             assert len(cut.etas) - 1 == n
             for got, expected in [
                 *zip(cut.etas, full.etas),
@@ -266,7 +267,7 @@ class TestStreamedOracle:
         entry = build("ring_walk", d=64, horizon=1000)
         tracemalloc.start()
         try:
-            analyze(entry.model, entry.spec, entry.f)
+            analyze(entry.model, entry.f)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -287,22 +288,22 @@ class TestDobrushinBeta:
 
 class TestLimitingVariance:
     def test_constant_function_gives_zero(self, two_state):
-        model, spec, _ = two_state
+        model, _ = two_state
         f = make_function([np.ones(2)] * 3)
-        flow = analyze(model, spec, f)
+        flow = analyze(model, f)
         assert abs(flow.sigma_sq) <= tol.ALGEBRA
 
     def test_initial_term_is_initial_variance(self, two_state):
-        model, spec, f = two_state
-        flow = analyze(model, spec, f)
+        model, f = two_state
+        flow = analyze(model, f)
         v = flow.fpn[0]
         expected = model.eta0 @ (v * v) - (model.eta0 @ v) ** 2
         assert_allclose(flow.deltaC[0], expected, atol=tol.ALGEBRA)
 
     def test_frozen_two_state_value(self, two_state):
         # brute-force path-enumeration value, frozen
-        model, spec, f = two_state
-        flow = analyze(model, spec, f)
+        model, f = two_state
+        flow = analyze(model, f)
         assert_allclose(
             flow.deltaC,
             [0.001665972511453565, 0.015618492294877155, 0.23346938775510204],
@@ -311,33 +312,33 @@ class TestLimitingVariance:
         assert_allclose(flow.sigma_sq, 0.25075385256143273, atol=tol.PRODUCT)
 
     def test_against_enumeration_oracle(self, two_state):
-        model, spec, f = two_state
-        flow = analyze(model, spec, f)
+        model, f = two_state
+        flow = analyze(model, f)
         increments, total = variance_by_enumeration(model, f, 2)
         assert_allclose(flow.deltaC, increments, atol=tol.PRODUCT)
         assert_allclose(flow.sigma_sq, total, atol=tol.PRODUCT)
 
     def test_increments_nonnegative(self, two_state):
-        model, spec, f = two_state
-        flow = analyze(model, spec, f)
+        model, f = two_state
+        flow = analyze(model, f)
         assert np.all(flow.deltaC >= -1e-14)
 
     def test_raw_family_increasing_process(self, two_state):
         # hand recursion: variance of the indicator under eta_p for eps = 0
-        model, spec, f = two_state
+        model, f = two_state
         flow = exact_flow(model)
-        inc = limiting_variance(model, spec, flow.etas, f.values)
+        inc = limiting_variance(model, flow.etas, f.values)
         assert_allclose(
             inc, [0.25, 0.24, 0.23346938775510204], atol=tol.ALGEBRA
         )
         # one term per time: a prefix of the flow gives a prefix
-        prefix = limiting_variance(model, spec, flow.etas[:2], f.values[:2])
+        prefix = limiting_variance(model, flow.etas[:2], f.values[:2])
         assert np.array_equal(prefix, inc[:2])
 
 
 class TestConcentrationB:
     def test_flat_chain_value(self, flat_two_state):
-        model, spec, f = flat_two_state
+        model, f = flat_two_state
         tables = contraction_tables(model, exact_flow(model).etas)
         assert_allclose(concentration_b(tables, 1), 3.0, atol=tol.ALGEBRA)
 
@@ -347,7 +348,7 @@ class TestConcentrationB:
         assert concentration_b(tables, 0) == 0.0
 
     def test_nonnegative_and_monotone_terms(self, two_state):
-        model, spec, f = two_state
+        model, f = two_state
         tables = contraction_tables(model, exact_flow(model).etas)
         values = [concentration_b(tables, n) for n in range(3)]
         assert all(v >= 0.0 for v in values)

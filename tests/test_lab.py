@@ -1,7 +1,7 @@
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -37,7 +37,7 @@ from fkbench.lab import (
     stein_check,
     stein_experiment,
 )
-from fkbench.model import McKeanSpec, make_function, make_model, truncate
+from fkbench.model import make_function, make_model, truncate
 from fkbench.rng import replicate_keys, stream
 from fkbench.zoo import build
 
@@ -74,8 +74,8 @@ class TestCltRateExperiment:
     def test_smoke_run_and_determinism(self):
         entry = build("iid_reduction")
         kwargs = dict(n_reps=400, master_seed=3)
-        a = clt_rate_experiment(entry.model, entry.spec, entry.f, **kwargs)
-        b = clt_rate_experiment(entry.model, entry.spec, entry.f, **kwargs)
+        a = clt_rate_experiment(entry.model, entry.f, **kwargs)
+        b = clt_rate_experiment(entry.model, entry.f, **kwargs)
         assert a == b
         assert a.slope < 0.0
         json.dumps(asdict(a), allow_nan=False)
@@ -84,13 +84,13 @@ class TestCltRateExperiment:
         entry = build("iid_reduction")
         f = make_function([np.ones(2)])
         with pytest.raises(DegenerateFunction):
-            clt_rate_experiment(entry.model, entry.spec, f, 100, master_seed=1)
+            clt_rate_experiment(entry.model, f, 100, master_seed=1)
 
     def test_noise_guard(self, monkeypatch):
         entry = build("iid_reduction")
         monkeypatch.setattr(lab, "kolmogorov_distance", lambda s: 1e-9)
         with pytest.raises(InsufficientReplicates):
-            clt_rate_experiment(entry.model, entry.spec, entry.f, 50, master_seed=1)
+            clt_rate_experiment(entry.model, entry.f, 50, master_seed=1)
 
 
 class TestSmoothingBound:
@@ -157,7 +157,7 @@ class TestConcentrationExperiment:
         # every exp(eps * |V|) and every bound is at least 1, the eps = 0 value
         entry = build("iid_reduction", p=0.5)
         report = concentration_experiment(
-            entry.model, entry.spec, entry.f, 100, 1500, master_seed=5
+            entry.model, entry.f, 100, 1500, master_seed=5
         )
         assert min(report.empirical) >= 1.0
         assert min(report.bounds) >= 1.0
@@ -165,9 +165,9 @@ class TestConcentrationExperiment:
         json.dumps(asdict(report), allow_nan=False)
 
     def test_delta_c_variant(self, two_state):
-        model, spec, f = two_state
+        model, f = two_state
         report = concentration_experiment(
-            model, spec, f, 200, 800, master_seed=5, statistic="delta_c"
+            model, f, 200, 800, master_seed=5, statistic="delta_c"
         )
         assert report.passed
 
@@ -176,21 +176,21 @@ class TestConcentrationExperiment:
         osc = entry.f.oscillation(entry.model.horizon)
         for statistic, scale in (("eta", osc), ("delta_c", osc**2 / 2.0)):
             report = concentration_experiment(
-                entry.model, entry.spec, entry.f, 500, 20, 1, statistic=statistic
+                entry.model, entry.f, 500, 20, 1, statistic=statistic
             )
             assert report.eps_grid == tuple(default_eps_grid(500, scale))
 
     def test_oscillation_gate(self, two_state):
-        model, spec, _ = two_state
+        model, _ = two_state
         f = make_function([[0.0, 2.0]] * 3)
         with pytest.raises(OscillationTooLarge):
-            concentration_experiment(model, spec, f, 100, 100, master_seed=1)
+            concentration_experiment(model, f, 100, 100, master_seed=1)
 
     def test_unknown_statistic(self, two_state):
-        model, spec, f = two_state
+        model, f = two_state
         with pytest.raises(ValueError):
             concentration_experiment(
-                model, spec, f, 100, 100, master_seed=1, statistic="nope"
+                model, f, 100, 100, master_seed=1, statistic="nope"
             )
 
     def test_default_grid_respects_cap(self):
@@ -226,8 +226,8 @@ class TestMomentExperiments:
         # replicate r draws from (seed, r, 0), whatever the number of replicates
         mu, h = [0.3, 0.7], np.array([-0.5, 0.5])
         report = iid_moment_check(mu, h, 50, 1001, master_seed=9)
-        counts = simulate(RunConfig(50, 9, 0), make_model(mu, [], [np.ones(2)]),
-                          McKeanSpec.zero(0), range(1001)).counts[0]
+        model = make_model(mu, [], [np.ones(2)])
+        counts = simulate(RunConfig(50, 9, 0), model, range(1001)).counts[0]
         assert_allclose(counts[999], stream(9, 999, 0).multinomial(50, mu))
         w = np.sqrt(50) * np.abs(counts / 50 @ (h - 0.2))
         assert_allclose(report.lhs[0], w.mean(), rtol=1e-12)
@@ -239,8 +239,8 @@ class TestMomentExperiments:
             iid_moment_check(mu, [0.0, 1.0], 100, 100, 1)
 
     def test_particle_moments_pass(self, two_state):
-        model, spec, f = two_state
-        report = lp_moment_experiment(model, spec, f, 200, 800, master_seed=13)
+        model, f = two_state
+        report = lp_moment_experiment(model, f, 200, 800, master_seed=13)
         assert report.passed
         assert report.orders == lab.MOMENT_ORDERS
         # rhs(p) = d(p)^(1/p) * b(n), so p=4 against p=2 isolates d(4) = 3
@@ -251,44 +251,49 @@ class TestMomentExperiments:
 def _ill_posed_calls():
     """Experiments whose verdict cannot mean anything, keyed by the reason."""
     entry = build("binary_hmm")
-    model, spec = entry.model, entry.spec
-    args = (model, spec, entry.f)
+    model = entry.model
+    args = (model, entry.f)
     short_f = make_function(entry.f.values[:3])
     wide_f = make_function([[0.0, 1.0, 0.0]] * 6)
     nan_f = make_function([[np.nan, 1.0]] * 6)
     ones_f = make_function([[1.0, 1.0]] * 6)
-    short_spec = McKeanSpec.zero(3)
+    short_eps = replace(model, epsilons=(0.0,) * 3)  # 3 McKean weights at horizon 5
+    nan_eps = replace(model, epsilons=(np.nan,) + model.epsilons[1:])
     leaky = make_model(model.eta0, [[[0.9, 0.0], [0.3, 0.7]]] * 5, model.potentials)
     config = RunConfig(100, 1, 5)
     return {
-        "f short: analyze": lambda: analyze(model, spec, short_f),
-        "f short: clt": lambda: clt_rate_experiment(model, spec, short_f, 100, 1),
+        "f short: analyze": lambda: analyze(model, short_f),
+        "f short: clt": lambda: clt_rate_experiment(model, short_f, 100, 1),
         "f short: concentration": lambda: concentration_experiment(
-            model, spec, short_f, 100, 100, 1
+            model, short_f, 100, 100, 1
         ),
-        "f short: moments": lambda: lp_moment_experiment(model, spec, short_f, 100, 100, 1),
-        "f short: stein": lambda: stein_experiment(model, spec, short_f, 100, 100, 1),
-        "f 3 states: analyze": lambda: analyze(model, spec, wide_f),
-        "f 3 states: stein": lambda: stein_experiment(model, spec, wide_f, 100, 100, 1),
-        "f 3 states: replicates": lambda: simulate_replicates(model, spec, wide_f, 100, 10, 1),
-        "2.5 replicates": lambda: simulate_replicates(model, spec, entry.f, 100, 2.5, 1),
-        "-1 replicates": lambda: simulate_replicates(model, spec, entry.f, 100, -1, 1),
+        "f short: moments": lambda: lp_moment_experiment(model, short_f, 100, 100, 1),
+        "f short: stein": lambda: stein_experiment(model, short_f, 100, 100, 1),
+        "f 3 states: analyze": lambda: analyze(model, wide_f),
+        "f 3 states: stein": lambda: stein_experiment(model, wide_f, 100, 100, 1),
+        "f 3 states: replicates": lambda: simulate_replicates(model, wide_f, 100, 10, 1),
+        "2.5 replicates": lambda: simulate_replicates(model, entry.f, 100, 2.5, 1),
+        "-1 replicates": lambda: simulate_replicates(model, entry.f, 100, -1, 1),
         "spec short: replicates": lambda: simulate_replicates(
-            model, short_spec, entry.f, 100, 10, 1
+            short_eps, entry.f, 100, 10, 1
         ),
         "kernel row short: replicates": lambda: simulate_replicates(
-            leaky, spec, entry.f, 100, 10, 1
+            leaky, entry.f, 100, 10, 1
         ),
-        "f nan: clt": lambda: clt_rate_experiment(model, spec, nan_f, 100, 1),
+        "f nan: clt": lambda: clt_rate_experiment(model, nan_f, 100, 1),
         "n_reps '10': clt": lambda: clt_rate_experiment(*args, "10", 1),
-        "f nan: stein": lambda: stein_experiment(model, spec, nan_f, 100, 100, 1),
-        "spec short: analyze": lambda: analyze(model, short_spec, entry.f),
-        "spec short: simulate": lambda: simulate(config, model, short_spec),
-        "kernel row short: simulate": lambda: simulate(config, leaky, spec),
-        "N 2.7: simulate": lambda: simulate(RunConfig(2.7, 1, 5), model, spec),
-        "seed 1.5: simulate": lambda: simulate(RunConfig(100, 1.5, 5), model, spec),
-        "replicate 0.5: simulate": lambda: simulate(config, model, spec, [0.5]),
-        "replicate 2**64: simulate": lambda: simulate(config, model, spec, [0, 1 << 64]),
+        "f nan: stein": lambda: stein_experiment(model, nan_f, 100, 100, 1),
+        "spec short: analyze": lambda: analyze(short_eps, entry.f),
+        "spec short: simulate": lambda: simulate(config, short_eps),
+        "eps nan: analyze": lambda: analyze(nan_eps, entry.f),
+        "eps nan: replicates": lambda: simulate_replicates(nan_eps, entry.f, 100, 10, 1),
+        "eps nan: clt": lambda: clt_rate_experiment(nan_eps, entry.f, 100, 1),
+        "kernel row short: simulate": lambda: simulate(config, leaky),
+        "N 2.7: simulate": lambda: simulate(RunConfig(2.7, 1, 5), model),
+        "N True: simulate": lambda: simulate(RunConfig(True, 1, 5), model),
+        "seed 1.5: simulate": lambda: simulate(RunConfig(100, 1.5, 5), model),
+        "replicate 0.5: simulate": lambda: simulate(config, model, [0.5]),
+        "replicate 2**64: simulate": lambda: simulate(config, model, [0, 1 << 64]),
         "unknown statistic": lambda: concentration_experiment(
             *args, 100, 100, 1, statistic="nope"
         ),
@@ -298,9 +303,9 @@ def _ill_posed_calls():
         "no reps: moments": lambda: lp_moment_experiment(*args, 100, 0, 1),
         "no reps: stein": lambda: stein_experiment(*args, 100, 0, 1),
         "f constant: concentration": lambda: concentration_experiment(
-            model, spec, ones_f, 100, 100, 1
+            model, ones_f, 100, 100, 1
         ),
-        "f constant: moments": lambda: lp_moment_experiment(model, spec, ones_f, 100, 100, 1),
+        "f constant: moments": lambda: lp_moment_experiment(model, ones_f, 100, 100, 1),
         "iid no reps": lambda: iid_moment_check([0.5, 0.5], [0, 1], 100, 0, 1),
         "iid no particles": lambda: iid_moment_check([0.5, 0.5], [0, 1], 0, 100, 1),
         "iid h length": lambda: iid_moment_check([0.5, 0.5], [0, 1, 2], 100, 100, 1),
@@ -312,10 +317,13 @@ def _ill_posed_calls():
 
 
 ILL_POSED = _ill_posed_calls()
-# a bad model or spec keeps the error its validator names
+# a bad model keeps the error its validator names
 ILL_POSED_ERROR = {
     "spec short: analyze": EpsilonOutOfRange,
     "spec short: simulate": EpsilonOutOfRange,
+    "eps nan: analyze": EpsilonOutOfRange,
+    "eps nan: replicates": EpsilonOutOfRange,
+    "eps nan: clt": EpsilonOutOfRange,
     "kernel row short: simulate": NonStochasticKernel,
     "spec short: replicates": EpsilonOutOfRange,
     "kernel row short: replicates": NonStochasticKernel,
@@ -358,7 +366,7 @@ def test_experiments_draw_only_at_replicate_step_addresses(monkeypatch):
     with its own path.
     """
     entry = build("binary_hmm")  # the builder's own seed is opened here, unrecorded
-    args = (entry.model, entry.spec, entry.f)
+    args = (entry.model, entry.f)
     addresses, batches = [], []
 
     def recording_stream(seed, *path):
@@ -403,26 +411,36 @@ BAD_INPUT = {
     "smoothing cutoff": lambda: smoothing_bound(normal_cf(), normal_cf(), 0.0, 1.0),
     "burkholder order": lambda: burkholder_d(0),
     "burkholder order 2.5": lambda: burkholder_d(2.5),
-    "truncate horizon 1.5": lambda: truncate(
-        build("binary_hmm").model, McKeanSpec.zero(5), 1.5
-    ),
+    "truncate horizon 1.5": lambda: truncate(build("binary_hmm").model, 1.5),
     "mixing window": lambda: mixing_bounds(m=0, r=1.0, rho=0.5, n=1),
     "mixing window 1.5": lambda: mixing_bounds(m=1.5, r=1.0, rho=0.5, n=1),
     "mixing n 'x'": lambda: mixing_bounds(m=1, r=1.0, rho=0.5, n="x"),
     "mixing window past horizon": lambda: mixing_bounds(
         m=2, r=2.0, rho=0.5, n=1, model=build("ring_walk", d=16, horizon=1).model
     ),
+    "mixing r nan": lambda: mixing_bounds(m=1, r=np.nan, rho=0.5, n=1),
+    "mixing r 'x'": lambda: mixing_bounds(m=1, r="x", rho=0.5, n=1),
+    "mixing rho nan": lambda: mixing_bounds(m=1, r=1.0, rho=np.nan, n=1),
+    "mixing rho 'x'": lambda: mixing_bounds(m=1, r=1.0, rho="x", n=1),
+    "smoothing cutoff 'x'": lambda: smoothing_bound(normal_cf(), normal_cf(), "x", 1.0),
+    "smoothing cutoff nan": lambda: smoothing_bound(normal_cf(), normal_cf(), np.nan, 1.0),
+    "smoothing density 'x'": lambda: smoothing_bound(normal_cf(), normal_cf(), 1.0, "x"),
+    "smoothing density inf": lambda: smoothing_bound(normal_cf(), normal_cf(), 1.0, np.inf),
     "empty sample": lambda: kolmogorov_distance([]),
     "nan sample": lambda: kolmogorov_distance([0.0, np.nan]),
     "non-numeric sample": lambda: kolmogorov_distance(["a"]),
     "stein shapes": lambda: stein_check([0.0, 1.0], [0.0]),
     "stein nan": lambda: stein_check([0.0, np.nan], [0.0, 0.0]),
+    "stein non-numeric": lambda: stein_check(["a"], ["b"]),
     "eps grid scale 0": lambda: default_eps_grid(100, 0.0),
     "eps grid scale nan": lambda: default_eps_grid(100, np.nan),
     "eps grid scale negative": lambda: default_eps_grid(100, -1.0),
     "eps grid N 2.5": lambda: default_eps_grid(2.5, 1.0),
+    "eps grid scale 'x'": lambda: default_eps_grid(100, "x"),
     "zoo d 2.5": lambda: build("ring_walk", d=2.5),
     "zoo horizon 2.5": lambda: build("binary_hmm", horizon=2.5),
+    "zoo horizon True": lambda: build("binary_hmm", horizon=True),
+    "zoo eps_scale nan": lambda: build("binary_hmm", eps_scale=np.nan),
 }
 
 
@@ -434,10 +452,10 @@ def test_bad_input_raises_typed_error(case):
 
 class TestSteinExperiment:
     def test_is_stein_check_on_normalized_decomposition(self, two_state):
-        model, spec, f = two_state
-        report = stein_experiment(model, spec, f, 100, 300, 4)
-        flow = analyze(model, spec, f)
-        stats = simulate_replicates(model, spec, f, 100, 300, 4)
+        model, f = two_state
+        report = stein_experiment(model, f, 100, 300, 4)
+        flow = analyze(model, f)
+        stats = simulate_replicates(model, f, 100, 300, 4)
         scale = 1.0 / math.sqrt(flow.sigma_sq)
         assert report == stein_check(scale * stats.l[:, -1], scale * stats.b[:, -1])
         json.dumps(asdict(report), allow_nan=False)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from fkbench.errors import (
     NonPositivePotential,
     NonStochasticKernel,
 )
+from fkbench.cli import main
 from fkbench.model import (
-    McKeanSpec,
     function_from_dict,
     function_to_dict,
     indicator_function,
@@ -24,7 +26,6 @@ from fkbench.model import (
     save_model,
     truncate,
     validate_model,
-    validate_spec,
 )
 
 
@@ -34,7 +35,7 @@ def test_oscillation_ratios_constant_potential():
 
 
 def test_oscillation_ratios_quotient(two_state):
-    model, _, _ = two_state
+    model, _ = two_state
     assert_allclose(validate_model(model), [4.0, 4.0, 4.0])
 
 
@@ -70,21 +71,19 @@ def test_nan_initial_law_rejected():
 
 def test_kernel_shape_mismatch():
     model = make_model([0.5, 0.5], [np.eye(2)], [np.ones(2)] * 2)
-    broken = type(model)(
-        dims=(2, 3), kernels=model.kernels, potentials=model.potentials,
-        eta0=model.eta0,
-    )
+    broken = replace(model, dims=(2, 3))
     with pytest.raises(NonStochasticKernel):
         validate_model(broken)
 
 
 def test_spec_validation(two_state):
-    model, _, _ = two_state
-    validate_spec(McKeanSpec(epsilons=(0.5, 0.25)), model)  # eps*G max = 1.0
-    with pytest.raises(EpsilonOutOfRange):
-        validate_spec(McKeanSpec(epsilons=(0.6, 0.0)), model)
-    with pytest.raises(EpsilonOutOfRange):
-        validate_spec(McKeanSpec(epsilons=(0.1,)), model)
+    """validate_model checks the McKean weights: H of them, each eps*G in [0, 1]."""
+    model, _ = two_state
+    assert model.epsilons == (0.0, 0.0)
+    validate_model(replace(model, epsilons=(0.5, 0.25)))  # eps*G max = 1.0
+    for bad in [(0.6, 0.0), (0.1,), (-0.1, 0.0), (np.nan, 0.0), (0.0, np.inf)]:
+        with pytest.raises(EpsilonOutOfRange):
+            validate_model(replace(model, epsilons=bad))
 
 
 def test_oscillation():
@@ -95,34 +94,59 @@ def test_oscillation():
 
 
 def test_truncate(two_state):
-    model, spec, _ = two_state
-    cut, cut_spec = truncate(model, spec, 1)
+    model, _ = two_state
+    cut = truncate(replace(model, epsilons=(0.25, 0.5)), 1)
     assert cut.horizon == 1
     assert len(cut.kernels) == 1
-    assert len(cut_spec.epsilons) == 1
+    assert cut.epsilons == (0.25,)
     with pytest.raises(ConfigError):
-        truncate(model, spec, 3)
+        truncate(model, 3)
 
 
 def test_model_json_roundtrip(two_state, tmp_path):
-    model, spec, _ = two_state
-    data = model_to_dict(model, spec)
-    again, again_spec = model_from_dict(json.loads(json.dumps(data)))
+    model = replace(two_state[0], epsilons=(0.3, 0.1))
+    data = model_to_dict(model)
+    again = model_from_dict(json.loads(json.dumps(data)))
     assert again.dims == model.dims
-    assert again_spec.epsilons == spec.epsilons
+    assert again.epsilons == model.epsilons
     for a, b in zip(again.kernels, model.kernels):
         assert_allclose(a, b)
 
     path = tmp_path / "model.json"
-    save_model(path, model, spec)
-    loaded, loaded_spec = load_model(path)
+    save_model(path, model)
+    loaded = load_model(path)
     assert loaded.dims == model.dims
-    assert loaded_spec.epsilons == spec.epsilons
+    assert loaded.epsilons == model.epsilons
+
+
+# sha256 of `fkbench zoo export` output: the model file format, byte for byte
+EXPORT_DIGESTS = {
+    "binary_hmm mixed": (
+        ["--name", "binary_hmm", "--zoo-params", '{"eps_scale": 0.5, "stay0": 0.9, '
+         '"stay1": 0.9, "accuracy": 0.75, "obs_seed": 3}'],
+        "b514bd70ff6f05a91dbeee128c99f1c32134c016d3be20d22ff88cb9c1f4fb33",
+    ),
+    "ring_walk": (
+        ["--name", "ring_walk"],
+        "7db7765422bb0229a02ad27a67adb79ff00a02b5d2daf4f7bfa6a50a9223cad3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EXPORT_DIGESTS))
+def test_model_file_format_is_pinned(case, tmp_path, capsys):
+    argv, digest = EXPORT_DIGESTS[case]
+    path = tmp_path / "model.json"
+    assert main(["zoo", "export", *argv, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    epsilons = json.loads(path.read_text())["epsilons"]
+    assert max(epsilons) > 0.0
+    assert list(load_model(path).epsilons) == epsilons
 
 
 def test_model_json_errors(two_state, tmp_path):
-    model, spec, _ = two_state
-    data = model_to_dict(model, spec)
+    model, _ = two_state
+    data = model_to_dict(model)
     data["horizon"] = 5
     with pytest.raises(ConfigError):
         model_from_dict(data)

@@ -6,7 +6,7 @@ from fkbench import tolerances as tol
 from fkbench.bounds import mixing_bounds
 from fkbench.errors import HorizonTooLargeForPathSpace, UnknownEntry
 from fkbench.flow import analyze, contraction_tables, exact_flow
-from fkbench.model import model_from_dict, model_to_dict, validate_model, validate_spec
+from fkbench.model import model_from_dict, model_to_dict, validate_model
 from fkbench.zoo import (
     build,
     names,
@@ -30,8 +30,7 @@ def test_names_complete():
 def test_every_entry_valid_and_nondegenerate(name):
     entry = build(name)
     validate_model(entry.model)
-    validate_spec(entry.spec, entry.model)
-    flow = analyze(entry.model, entry.spec, entry.f)
+    flow = analyze(entry.model, entry.f)
     assert flow.sigma_sq > 0.0
 
 
@@ -54,7 +53,7 @@ def test_iid_reduction_is_horizon_zero():
     entry = build("iid_reduction", p=0.3)
     assert entry.model.horizon == 0
     assert_allclose(entry.model.eta0, [0.7, 0.3])
-    assert entry.spec.epsilons == ()
+    assert entry.model.epsilons == ()
 
 
 def test_path_codes_roundtrip():
@@ -105,6 +104,6 @@ def test_entries_reproducible_and_exportable():
     assert a.params == b.params
     for ka, kb in zip(a.model.potentials, b.model.potentials):
         assert_allclose(ka, kb)
-    model, spec = model_from_dict(model_to_dict(a.model, a.spec))
+    model = model_from_dict(model_to_dict(a.model))
     assert model.dims == a.model.dims
-    assert spec.epsilons == a.spec.epsilons
+    assert model.epsilons == a.model.epsilons
