@@ -51,7 +51,7 @@ def _zoo_entry(name: str, raw_params: str | None) -> zoo.ZooEntry:
 def _resolve_inputs(args):
     """Model cut to --horizon and function from --zoo or files.
 
-    Each command's library entry point validates them before it computes.
+    The model is valid by construction; each command's entry point checks f.
     """
     if args.zoo:
         entry = _zoo_entry(args.zoo, args.zoo_params)

@@ -8,9 +8,10 @@ each row in turn, so row r draws exactly what stream(seed, r, step) would.
 A run is its integer count vectors, a sufficient statistic on a finite
 space: step_counts draws the next counts directly (binomial, then
 multinomial) at a cost free of N, with the own-row weights eps_n*G_n that
-mixing_weights reads from the model, and draws no binomial of weight 0.  A
-RunTrace holds R runs as (R, d) count arrays, one row per replicate; the
-sampler advances the batch a step at a time, and the bookkeeping evaluates it
+mixing_weights reads from the model (valid by construction, so not checked
+here), and draws no binomial at a step whose weights are all 0.  A RunTrace
+holds R runs as (R, d) count arrays, one row per replicate; the sampler
+advances the batch a step at a time, and the bookkeeping evaluates it
 once per step, each row summed in flow's one order (never @, which rounds a
 row inside a batch differently than alone), so no row depends on the batch.
 doob_terms is the one bookkeeping pass: from the flow analytics of the
@@ -28,8 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, FlowConsistencyError
 from .flow import analyze, boltzmann_gibbs, conditional_variance, step_phi
-from .model import FeynmanKacModel, TestFunction, integer, mixing_weights
-from .model import validate_function, validate_model
+from .model import FeynmanKacModel, TestFunction, integer, mixing_weights, validate_function
 from .rng import replicate_streams
 
 
@@ -77,27 +77,26 @@ def step_counts(
     with probability eps_n*G_n(x) and otherwise draws from the updated law of
     row i's empirical measure.  A row's draws are, in order: the own-row
     numbers per state, the resampled particles, and the own-row moves of the
-    occupied rows.  Own-row numbers are drawn only at states of positive
-    weight, and not at all when every weight is 0: a binomial with p = 0 (or
-    n = 0, an empty state) is 0 and consumes nothing from the stream, so the
-    skipped draws leave every row's stream and counts unchanged.  The cost
-    does not depend on the population size.
+    occupied rows.  The own-row numbers are not drawn when every weight is 0
+    (eps_n = 0): a binomial with p = 0 (or n = 0, an empty state) is 0 and
+    consumes nothing from the stream, so the skipped draws leave every row's
+    stream and counts unchanged.  The cost does not depend on the population
+    size.
     """
     weights = mixing_weights(model, n)
-    moves = weights > 0
-    weights, kernel = weights[moves], model.kernels[n][moves]
     sizes = counts.sum(axis=1)
     targets = step_phi(model, counts / sizes[:, None], n)
     nxt = np.empty((len(counts), model.dims[n + 1]), dtype=int)
-    for row, c, N, target, rng in zip(nxt, counts, sizes, targets, rngs, strict=True):
-        if not weights.size:  # every particle resamples
+    if not weights.any():  # every particle resamples
+        for row, N, target, rng in zip(nxt, sizes, targets, rngs, strict=True):
             row[:] = rng.multinomial(N, target)
-            continue
-        own = rng.binomial(c[moves], weights)
+        return nxt
+    for row, c, N, target, rng in zip(nxt, counts, sizes, targets, rngs, strict=True):
+        own = rng.binomial(c, weights)
         row[:] = rng.multinomial(N - own.sum(), target)
         occ = own > 0
         if occ.any():  # skipping an empty multinomial leaves the stream unchanged
-            row += rng.multinomial(own[occ], kernel[occ]).sum(axis=0)
+            row += rng.multinomial(own[occ], model.kernels[n][occ]).sum(axis=0)
     return nxt
 
 
@@ -112,7 +111,7 @@ def simulate(
     replicate r of a batch reruns alone as simulate(config, model, [r]).
     For each time, the rows' stream keys are computed in one pass and one
     generator is reseated to each row in turn (rng.replicate_streams).
-    The replicates and the model are validated before any stream is keyed.
+    The replicates and the horizon are checked before any stream is keyed.
     """
     replicates = [integer(r, "replicate") for r in replicates]
     if len(replicates) < 1 or min(replicates) < 0 or max(replicates) >= 1 << 64:
@@ -121,7 +120,6 @@ def simulate(
         raise ConfigError(
             f"config horizon {config.horizon} exceeds model horizon {model.horizon}"
         )
-    validate_model(model)
     N, seed = config.n_particles, config.seed
     time0 = replicate_streams(seed, replicates, 0)
     counts = [np.array([rng.multinomial(N, model.eta0) for rng in time0])]
@@ -218,10 +216,9 @@ def simulate_replicates(
 ) -> DoobSeries:
     """Run replicates 0..n_reps-1 to the model's horizon and evaluate them in one pass.
 
-    The model, f and sizes are validated before simulate is called; a
-    shorter run is the replicates of truncate(model, n).
+    f and the sizes are checked before simulate is called; a shorter run
+    is the replicates of truncate(model, n).
     """
-    validate_model(model)
     validate_function(f, model)
     if integer(n_reps, "n_reps") < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")

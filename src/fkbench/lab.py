@@ -347,16 +347,16 @@ def iid_moment_check(
     """Moment bounds for plain independent sampling from mu.
 
     The N independent variables of replicate r are the time-0 particles of
-    the horizon-0 model with initial law mu (BadInitialLaw if mu is not a
-    probability vector) and h its time-0 function (ConfigError unless it
-    holds one finite value per state, DegenerateFunction if it is constant),
+    the horizon-0 model with initial law mu (ConfigError if not numeric,
+    BadInitialLaw if not a probability vector) and h its time-0 function
+    (ConfigError unless it holds one finite value per state,
+    DegenerateFunction if it is constant),
     drawn by simulate_replicates (ConfigError on bad sizes); the check is
     sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
     """
-    mu = np.asarray(mu, dtype=float)
-    model, f = make_model(mu, [], [np.ones_like(mu)]), make_function([h])
+    model, f = make_model(mu, [], [np.ones_like(mu, dtype=float)]), make_function([h])
     osc = f.oscillation(0)
-    if osc == 0.0 and f.values[0].shape == mu.shape:  # every moment is 0: no verdict
+    if osc == 0.0 and f.values[0].shape == model.eta0.shape:  # all moments 0: no verdict
         raise DegenerateFunction("iid h is constant")
     stats = simulate_replicates(model, f, n_particles, n_reps, master_seed)
     return _moment_table(np.abs(stats.w[:, -1]), osc, n_particles, master_seed)

@@ -4,7 +4,9 @@ States at time n are the integers 0..d_n-1.  Measures are dense probability
 vectors, transition kernels dense row-stochastic matrices, so every limiting
 quantity of the theory can be evaluated exactly by matrix recursions.  A
 model also carries its particle interpretation, the McKean weights eps_n,
-which the flow and the engine read only through mixing_weights.
+which the flow and the engine read only through mixing_weights.  A model is
+valid by construction (FeynmanKacModel runs validate_model), however it is
+built, so no reader of a model checks it again.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def real(value, name: str) -> float:
 
 @dataclass(frozen=True)
 class FeynmanKacModel:
-    """A time-inhomogeneous weighted Markov model on finite state spaces.
+    """A time-inhomogeneous weighted Markov model, checked by validate_model when made.
 
     Attributes:
         dims: state-space sizes (d_0, ..., d_H), H the horizon.
@@ -69,25 +71,32 @@ class FeynmanKacModel:
     eta0: np.ndarray
     epsilons: tuple[float, ...]
 
+    def __post_init__(self):
+        validate_model(self)
+
     @property
     def horizon(self) -> int:
         return len(self.dims) - 1
 
 
 def make_model(eta0, kernels, potentials, epsilons=None) -> FeynmanKacModel:
-    """Build a model from array-likes, inferring dims from the shapes.
+    """Build a valid model from array-likes, inferring dims from the shapes.
 
     epsilons None means eps_n = 0 at every step: every particle resamples.
+    Non-numeric or misshapen input is a ConfigError.
     """
-    eta0 = np.asarray(eta0, dtype=float)
-    kernels = tuple(np.asarray(k, dtype=float) for k in kernels)
-    potentials = tuple(np.asarray(g, dtype=float) for g in potentials)
-    dims = (len(eta0),) + tuple(k.shape[1] for k in kernels)
-    if epsilons is None:
-        epsilons = (0.0,) * len(kernels)
+    try:
+        eta0 = np.asarray(eta0, dtype=float)
+        kernels = tuple(np.asarray(k, dtype=float) for k in kernels)
+        potentials = tuple(np.asarray(g, dtype=float) for g in potentials)
+        dims = (len(eta0),) + tuple(k.shape[1] for k in kernels)
+        if epsilons is None:
+            epsilons = (0.0,) * len(kernels)
+        epsilons = tuple(float(e) for e in epsilons)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"malformed model input: {exc}") from exc
     return FeynmanKacModel(
-        dims=dims, kernels=kernels, potentials=potentials, eta0=eta0,
-        epsilons=tuple(float(e) for e in epsilons),
+        dims=dims, kernels=kernels, potentials=potentials, eta0=eta0, epsilons=epsilons
     )
 
 
@@ -103,7 +112,11 @@ class TestFunction:
 
 
 def make_function(values) -> TestFunction:
-    return TestFunction(values=tuple(np.asarray(v, dtype=float) for v in values))
+    """A test function from one array-like per time; non-numeric values are a ConfigError."""
+    try:
+        return TestFunction(values=tuple(np.asarray(v, dtype=float) for v in values))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed test function: {exc}") from exc
 
 
 def indicator_function(dims, state: int) -> TestFunction:
@@ -119,7 +132,7 @@ def validate_model(model: FeynmanKacModel) -> np.ndarray:
 
     Raises:
         NonStochasticKernel, NonPositivePotential, BadInitialLaw,
-        EpsilonOutOfRange (not H weights, or some eps_n*G_n outside [0, 1]).
+        EpsilonOutOfRange (not H weights, or some eps_n*G_n, NaN included, > 1 or < 0).
     """
     H = model.horizon
     if len(model.kernels) != H:
@@ -163,8 +176,12 @@ def validate_model(model: FeynmanKacModel) -> np.ndarray:
 
     if len(model.epsilons) != H:
         raise EpsilonOutOfRange(f"expected {H} epsilons, got {len(model.epsilons)}")
-    for n in range(H):
-        mixing_weights(model, n)
+    for n, eps in enumerate(model.epsilons):
+        w = eps * model.potentials[n]
+        if not eps >= 0 or np.any(w > 1.0 + tol.ALGEBRA):
+            raise EpsilonOutOfRange(
+                f"eps[{n}]={eps} puts eps*G outside [0,1] (max={w.max()})"
+            )
     return ratios
 
 
@@ -185,20 +202,10 @@ def validate_function(f: TestFunction, model: FeynmanKacModel) -> None:
 def mixing_weights(model: FeynmanKacModel, n: int) -> np.ndarray:
     """Own-row weights eps_n * G_n(x) of step n, clipped to [0, 1].
 
-    The one reader of the McKean weights.  Values up to 1 + ALGEBRA are
-    rounding and are clipped to 1.
-
-    Raises:
-        EpsilonOutOfRange: eps_n is not a number >= 0, or some
-            eps_n * G_n(x) > 1 + ALGEBRA.
+    The one reader of the McKean weights.  validate_model has put them in
+    [0, 1 + ALGEBRA]; the clip takes the rounding above 1 back to 1.
     """
-    eps = model.epsilons[n]
-    w = eps * model.potentials[n]
-    if not eps >= 0 or np.any(w > 1.0 + tol.ALGEBRA):
-        raise EpsilonOutOfRange(
-            f"eps[{n}]={eps} puts eps*G outside [0,1] (max={w.max()})"
-        )
-    return np.minimum(w, 1.0)
+    return np.minimum(model.epsilons[n] * model.potentials[n], 1.0)
 
 
 def truncate(model: FeynmanKacModel, horizon: int) -> FeynmanKacModel:
@@ -232,13 +239,12 @@ def model_to_dict(model: FeynmanKacModel) -> dict:
 
 def model_from_dict(data: dict) -> FeynmanKacModel:
     try:  # list(): a null epsilons is malformed, not eps = 0
-        model = make_model(
-            data["eta0"], data["kernels"], data["potentials"], list(data["epsilons"])
-        )
-        declared = int(data["horizon"])
-    except (KeyError, TypeError, ValueError) as exc:
+        parts = data["eta0"], data["kernels"], data["potentials"], list(data["epsilons"])
+        declared = data["horizon"]
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed model object: {exc}") from exc
-    if declared != model.horizon:
+    model = make_model(*parts)
+    if integer(declared, "declared horizon") != model.horizon:
         raise ConfigError(
             f"declared horizon {declared} != {model.horizon} implied by kernels"
         )
@@ -246,7 +252,6 @@ def model_from_dict(data: dict) -> FeynmanKacModel:
         raise ConfigError(
             f"declared dims {data['dims']} != {list(model.dims)} implied by shapes"
         )
-    validate_model(model)
     return model
 
 
@@ -287,9 +292,9 @@ def function_to_dict(f: TestFunction) -> dict:
 
 
 def function_from_dict(data: dict) -> TestFunction:
-    try:
+    try:  # make_function raises its own ConfigError
         f = make_function(data["values"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed function object: {exc}") from exc
     if not all(np.all(np.isfinite(v)) for v in f.values):
         raise ConfigError("test function contains non-finite entries")

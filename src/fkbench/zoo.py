@@ -19,11 +19,12 @@ from .model import (
     integer,
     make_function,
     make_model,
-    validate_model,
+    real,
 )
 from .rng import stream
 
 MAX_PATH_HORIZON = 8  # path dimension 2**(n+1) caps at 512
+INTEGER_PARAMS = ("horizon", "d", "obs_seed")  # every other builder parameter is real
 
 
 @dataclass(frozen=True)
@@ -258,14 +259,12 @@ def names() -> list[str]:
 
 
 def build(name: str, **params) -> ZooEntry:
-    """Build a zoo entry by name: UnknownEntry if unknown, ConfigError on bad sizes."""
+    """Build a zoo entry by name: UnknownEntry if unknown, ConfigError on a bad param."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise UnknownEntry(f"unknown zoo entry {name!r}; know {names()}") from None
-    sizes = {k: integer(params[k], k) for k in ("horizon", "d") if k in params}
-    if sizes.get("horizon", 0) < 0 or sizes.get("d", 1) < 1:
-        raise ConfigError(f"{name} needs horizon >= 0 and d >= 1, got {params}")
-    entry = builder(**params)
-    validate_model(entry.model)
-    return entry
+    typed = {k: (integer if k in INTEGER_PARAMS else real)(v, k) for k, v in params.items()}
+    if typed.get("horizon", 0) < 0 or typed.get("d", 1) < 1 or typed.get("ratio", 1) <= 0:
+        raise ConfigError(f"{name} needs horizon >= 0, d >= 1 and ratio > 0, got {params}")
+    return builder(**typed)

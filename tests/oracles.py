@@ -24,7 +24,7 @@ def mckean_kernel(model: FeynmanKacModel, mu, n: int) -> np.ndarray:
     """Row-stochastic selection/mutation kernel for step n -> n+1 at measure mu.
 
     Row x mixes kernel row x (weight eps_n*G_n(x)) with the updated law of mu
-    (complementary weight); mixing_weights checks eps_n*G_n lies in [0, 1].
+    (complementary weight); eps_n*G_n lies in [0, 1] in every valid model.
     """
     w = mixing_weights(model, n)
     target = step_phi(model, mu, n)

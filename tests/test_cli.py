@@ -285,6 +285,9 @@ def test_function_shorter_than_horizon(tmp_path, capsys):
         ["oracle", "--zoo", "binary_hmm", "--zoo-params", '{"horizon": -1}'],
         ["oracle", "--zoo", "path_genealogy", "--zoo-params", '{"horizon": -1}'],
         ["oracle", "--zoo", "plain_markov", "--zoo-params", '{"horizon": -1}'],
+        ["oracle", "--zoo", "ring_walk", "--zoo-params", '{"holding": [1]}'],
+        ["oracle", "--zoo", "ring_walk", "--zoo-params", '{"ratio": 0}'],
+        ["oracle", "--zoo", "binary_hmm", "--zoo-params", '{"obs_seed": 1.5}'],
         ["oracle", "--zoo", "binary_hmm", "--function", "three_states.json"],
         ["verify", "stein", "--zoo", "binary_hmm", "--function", "three_states.json"],
         ["oracle", "--zoo", "binary_hmm", "--out", "missing/report.json"],

@@ -34,7 +34,6 @@ from fkbench.model import (
     make_model,
     mixing_weights,
     truncate,
-    validate_model,
 )
 from fkbench.rng import stream
 from fkbench.zoo import build
@@ -143,27 +142,26 @@ class TestStep:
         assert abs(stay.var(ddof=1) - 18.5) <= 5 * se_var
 
     def test_partly_zero_own_row_weights_draw_as_the_full_binomial(self):
-        # one zero potential (own-row weight 0) beside positive weights, and
-        # an empty state of positive weight: skipping their binomials must
-        # leave every row's counts as the full draw leaves them.  A zero
-        # potential fails validate_model, so the model is stepped directly.
+        # own-row numbers that are 0 whatever is drawn: an empty state of
+        # positive weight beside occupied ones (eps 0.4), and every weight 0
+        # (eps 0, where no binomial is drawn).  Either way every row's counts
+        # must be those of the full draw of a binomial at every state.
         kernel = [[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], [0.25] * 4, [0.7, 0.1, 0.1, 0.1]]
-        potentials = [np.array([0.0, 1.0, 2.0, 1.5]), np.ones(4)]
-        model = make_model([0.25] * 4, [kernel], potentials, epsilons=[0.4])
-        weights = mixing_weights(model, 0)
-        assert weights[0] == 0.0 and np.all(weights[1:] > 0.0)
+        potentials = [np.array([0.5, 1.0, 2.0, 1.5]), np.ones(4)]
         frozen, reps, seed = np.array([40, 0, 35, 25]), 200, 23
-        drawn = _redraw(model, frozen, 0, seed, reps)
-        rngs = (stream(seed, r, 1) for r in range(reps))
-        full = reference_step(model, np.tile(frozen, (reps, 1)), 0, rngs)
-        assert np.array_equal(drawn, full)
-        assert len(np.unique(drawn, axis=0)) > 1
+        for eps in (0.4, 0.0):
+            model = make_model([0.25] * 4, [kernel], potentials, epsilons=[eps])
+            assert np.all((mixing_weights(model, 0) > 0.0) == (eps > 0.0))
+            drawn = _redraw(model, frozen, 0, seed, reps)
+            rngs = (stream(seed, r, 1) for r in range(reps))
+            full = reference_step(model, np.tile(frozen, (reps, 1)), 0, rngs)
+            assert np.array_equal(drawn, full)
+            assert len(np.unique(drawn, axis=0)) > 1
 
     def test_weight_rounded_above_one_steps(self):
         model = make_model(
             [0.5, 0.5], [[[0.8, 0.2], [0.3, 0.7]]], [np.ones(2)] * 2, epsilons=[1.0 + 0.5e-12]
         )
-        validate_model(model)
         assert np.all(mixing_weights(model, 0) == 1.0)
         trace = simulate(RunConfig(100, 3, 1), model)
         assert trace.counts[1].sum() == 100
@@ -176,7 +174,6 @@ class TestStep:
                 [np.array([1.0, 2.0, 1.0])] * 3,
                 epsilons=[0.5, 0.5],
             )
-            validate_model(model)
             trace = simulate(RunConfig(1000, 2, 2), model, range(50))
             assert all(np.all(c.sum(axis=1) == 1000) for c in trace.counts)
 
@@ -270,7 +267,6 @@ class TestRowExact:
         model = make_model(
             np.full(d, 1.0 / d), kernels, 0.5 + rng.random((3, d)), epsilons=[0.3, 0.3]
         )
-        validate_model(model)
         mus, emps = rng.dirichlet(np.ones(d), size=(2, 9))
         v = rng.standard_normal(d)
         calls = [
@@ -367,7 +363,6 @@ class TestIncreasingProcess:
             [np.array([0.5, 1.0]), np.array([1.0, 0.25]), np.ones(2)],
             epsilons=[eps, eps],
         )
-        validate_model(model)
         v = np.array([-1.0, 2.5])
         mus = np.array([[0.5, 0.5], [0.9, 0.1], [0.0, 1.0]])
         for n in (1, 2):

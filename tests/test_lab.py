@@ -257,9 +257,10 @@ def _ill_posed_calls():
     wide_f = make_function([[0.0, 1.0, 0.0]] * 6)
     nan_f = make_function([[np.nan, 1.0]] * 6)
     ones_f = make_function([[1.0, 1.0]] * 6)
-    short_eps = replace(model, epsilons=(0.0,) * 3)  # 3 McKean weights at horizon 5
-    nan_eps = replace(model, epsilons=(np.nan,) + model.epsilons[1:])
-    leaky = make_model(model.eta0, [[[0.9, 0.0], [0.3, 0.7]]] * 5, model.potentials)
+    # a bad model fails at construction, so each is built inside its call
+    short_eps = lambda: replace(model, epsilons=(0.0,) * 3)  # 3 weights at horizon 5
+    nan_eps = lambda: replace(model, epsilons=(np.nan,) + model.epsilons[1:])
+    leaky = lambda: make_model(model.eta0, [[[0.9, 0.0], [0.3, 0.7]]] * 5, model.potentials)
     config = RunConfig(100, 1, 5)
     return {
         "f short: analyze": lambda: analyze(model, short_f),
@@ -275,20 +276,20 @@ def _ill_posed_calls():
         "2.5 replicates": lambda: simulate_replicates(model, entry.f, 100, 2.5, 1),
         "-1 replicates": lambda: simulate_replicates(model, entry.f, 100, -1, 1),
         "spec short: replicates": lambda: simulate_replicates(
-            short_eps, entry.f, 100, 10, 1
+            short_eps(), entry.f, 100, 10, 1
         ),
         "kernel row short: replicates": lambda: simulate_replicates(
-            leaky, entry.f, 100, 10, 1
+            leaky(), entry.f, 100, 10, 1
         ),
         "f nan: clt": lambda: clt_rate_experiment(model, nan_f, 100, 1),
         "n_reps '10': clt": lambda: clt_rate_experiment(*args, "10", 1),
         "f nan: stein": lambda: stein_experiment(model, nan_f, 100, 100, 1),
-        "spec short: analyze": lambda: analyze(short_eps, entry.f),
-        "spec short: simulate": lambda: simulate(config, short_eps),
-        "eps nan: analyze": lambda: analyze(nan_eps, entry.f),
-        "eps nan: replicates": lambda: simulate_replicates(nan_eps, entry.f, 100, 10, 1),
-        "eps nan: clt": lambda: clt_rate_experiment(nan_eps, entry.f, 100, 1),
-        "kernel row short: simulate": lambda: simulate(config, leaky),
+        "spec short: analyze": lambda: analyze(short_eps(), entry.f),
+        "spec short: simulate": lambda: simulate(config, short_eps()),
+        "eps nan: analyze": lambda: analyze(nan_eps(), entry.f),
+        "eps nan: replicates": lambda: simulate_replicates(nan_eps(), entry.f, 100, 10, 1),
+        "eps nan: clt": lambda: clt_rate_experiment(nan_eps(), entry.f, 100, 1),
+        "kernel row short: simulate": lambda: simulate(config, leaky()),
         "N 2.7: simulate": lambda: simulate(RunConfig(2.7, 1, 5), model),
         "N True: simulate": lambda: simulate(RunConfig(True, 1, 5), model),
         "seed 1.5: simulate": lambda: simulate(RunConfig(100, 1.5, 5), model),
@@ -441,6 +442,22 @@ BAD_INPUT = {
     "zoo horizon 2.5": lambda: build("binary_hmm", horizon=2.5),
     "zoo horizon True": lambda: build("binary_hmm", horizon=True),
     "zoo eps_scale nan": lambda: build("binary_hmm", eps_scale=np.nan),
+    "zoo ratio 0": lambda: build("ring_walk", ratio=0),
+    "zoo ratio negative": lambda: build("ring_walk", ratio=-2.0),
+    "zoo holding [1]": lambda: build("ring_walk", holding=[1]),
+    "zoo obs_seed 1.5": lambda: build("binary_hmm", obs_seed=1.5),
+    "zoo stay0 'x'": lambda: build("path_genealogy", stay0="x"),
+    "model eta0 'x'": lambda: make_model(["x", 1.0], [np.eye(2)], [np.ones(2)] * 2),
+    "model kernel 'x'": lambda: make_model([1.0], [[["x"]]], [np.ones(1)] * 2),
+    "model kernel ragged": lambda: make_model(
+        [0.5, 0.5], [[[1.0, 0.0], [1.0]]], [np.ones(2)] * 2
+    ),
+    "model kernel 1-D": lambda: make_model([1.0], [[1.0]], [np.ones(1)] * 2),
+    "model potential 'x'": lambda: make_model([1.0], [[[1.0]]], [[1.0], ["x"]]),
+    "model eps 'x'": lambda: make_model([1.0], [[[1.0]]], [[1.0], [1.0]], ["x"]),
+    "model eps scalar": lambda: make_model([1.0], [[[1.0]]], [[1.0], [1.0]], 0.5),
+    "function 'a'": lambda: make_function([["a"]]),
+    "iid mu non-numeric": lambda: iid_moment_check(["a", "b"], [0, 1], 100, 100, 1),
 }
 
 

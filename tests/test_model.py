@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -41,9 +42,7 @@ def test_oscillation_ratios_quotient(two_state):
 
 def test_zero_potential_rejected():
     with pytest.raises(NonPositivePotential):
-        validate_model(
-            make_model([1.0], [np.ones((1, 1))], [np.array([0.0]), np.ones(1)])
-        )
+        make_model([1.0], [np.ones((1, 1))], [np.array([0.0]), np.ones(1)])
 
 
 @pytest.mark.parametrize(
@@ -56,34 +55,55 @@ def test_zero_potential_rejected():
 )
 def test_bad_kernel_rejected(kernel):
     with pytest.raises(NonStochasticKernel):
-        validate_model(make_model([0.5, 0.5], [kernel], [np.ones(2)] * 2))
+        make_model([0.5, 0.5], [kernel], [np.ones(2)] * 2)
 
 
 def test_bad_initial_law_rejected():
     with pytest.raises(BadInitialLaw):
-        validate_model(make_model([0.5, 0.6], [np.eye(2)], [np.ones(2)] * 2))
+        make_model([0.5, 0.6], [np.eye(2)], [np.ones(2)] * 2)
 
 
 def test_nan_initial_law_rejected():
     with pytest.raises(BadInitialLaw):
-        validate_model(make_model([np.nan, 1.0], [np.eye(2)], [np.ones(2)] * 2))
+        make_model([np.nan, 1.0], [np.eye(2)], [np.ones(2)] * 2)
 
 
 def test_kernel_shape_mismatch():
     model = make_model([0.5, 0.5], [np.eye(2)], [np.ones(2)] * 2)
-    broken = replace(model, dims=(2, 3))
     with pytest.raises(NonStochasticKernel):
-        validate_model(broken)
+        replace(model, dims=(2, 3))
 
 
 def test_spec_validation(two_state):
-    """validate_model checks the McKean weights: H of them, each eps*G in [0, 1]."""
+    """A model's McKean weights are checked at construction: H of them, each eps*G in [0, 1]."""
     model, _ = two_state
     assert model.epsilons == (0.0, 0.0)
-    validate_model(replace(model, epsilons=(0.5, 0.25)))  # eps*G max = 1.0
+    replace(model, epsilons=(0.5, 0.25))  # eps*G max = 1.0
     for bad in [(0.6, 0.0), (0.1,), (-0.1, 0.0), (np.nan, 0.0), (0.0, np.inf)]:
         with pytest.raises(EpsilonOutOfRange):
-            validate_model(replace(model, epsilons=bad))
+            replace(model, epsilons=bad)
+
+
+def test_verify_clt_validates_its_model_twice(monkeypatch, tmp_path):
+    """One CLI run validates its model once when the builder makes it, once when it is cut.
+
+    Every fkbench module that binds validate_model is spied on, so a
+    re-check anywhere in the run is counted.
+    """
+    calls = []
+
+    def counted(model):
+        calls.append(model.horizon)
+        return validate_model(model)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "validate_model", None)
+        if name.split(".")[0] == "fkbench" and bound is validate_model:
+            monkeypatch.setattr(module, "validate_model", counted)
+    out = tmp_path / "report.json"
+    main(["verify", "clt", "--zoo", "binary_hmm", "--reps", "200", "--out", str(out)])
+    assert json.loads(out.read_text())["n_reps"] == 200
+    assert calls == [5, 5]
 
 
 def test_oscillation():
