@@ -347,14 +347,18 @@ def iid_moment_check(
     """Moment bounds for plain independent sampling from mu.
 
     The N independent variables of replicate r are the time-0 particles of
-    the horizon-0 model with initial law mu (ConfigError if not numeric,
+    the horizon-0 model with initial law mu (ConfigError if not numeric or ragged,
     BadInitialLaw if not a probability vector) and h its time-0 function
     (ConfigError unless it holds one finite value per state,
     DegenerateFunction if it is constant),
     drawn by simulate_replicates (ConfigError on bad sizes); the check is
     sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
     """
-    model, f = make_model(mu, [], [np.ones_like(mu, dtype=float)]), make_function([h])
+    try:  # a ragged mu fails here, before make_model can type it
+        ones = np.ones_like(mu, dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"malformed iid law mu: {exc}") from exc
+    model, f = make_model(mu, [], [ones]), make_function([h])
     osc = f.oscillation(0)
     if osc == 0.0 and f.values[0].shape == model.eta0.shape:  # all moments 0: no verdict
         raise DegenerateFunction("iid h is constant")

@@ -241,6 +241,7 @@ def model_from_dict(data: dict) -> FeynmanKacModel:
     try:  # list(): a null epsilons is malformed, not eps = 0
         parts = data["eta0"], data["kernels"], data["potentials"], list(data["epsilons"])
         declared = data["horizon"]
+        dims = tuple(data["dims"]) if "dims" in data else None
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed model object: {exc}") from exc
     model = make_model(*parts)
@@ -248,7 +249,7 @@ def model_from_dict(data: dict) -> FeynmanKacModel:
         raise ConfigError(
             f"declared horizon {declared} != {model.horizon} implied by kernels"
         )
-    if "dims" in data and tuple(data["dims"]) != model.dims:
+    if dims is not None and dims != model.dims:
         raise ConfigError(
             f"declared dims {data['dims']} != {list(model.dims)} implied by shapes"
         )

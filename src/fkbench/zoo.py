@@ -3,10 +3,16 @@
 Every entry bundles a model, its McKean weights included, and a default
 test function, plus a note on what it exercises.  Entries are reproducible
 constants: any randomness inside a builder comes from a fixed builder seed.
+A builder states its parameters once, in its signature: the _entry
+decorator that registers it types each argument by its default, whether the
+builder is called directly or through build, and records the typed
+arguments as the entry's params.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +30,6 @@ from .model import (
 from .rng import stream
 
 MAX_PATH_HORIZON = 8  # path dimension 2**(n+1) caps at 512
-INTEGER_PARAMS = ("horizon", "d", "obs_seed")  # every other builder parameter is real
 
 
 @dataclass(frozen=True)
@@ -34,6 +39,45 @@ class ZooEntry:
     model: FeynmanKacModel
     f: TestFunction
     notes: str
+
+
+_BUILDERS = {}
+
+
+def _entry(notes: str):
+    """Register a builder that returns (model, f, derived) as the zoo entry of its name.
+
+    The registered builder binds its call to the builder's signature with the
+    defaults applied, and types each argument by its default: integer for an
+    int default, real for any other.  An unknown argument or a negative
+    horizon is a ConfigError.  The entry's params are the typed arguments
+    plus the derived dict.
+    """
+
+    def register(builder):
+        name, signature = builder.__name__, inspect.signature(builder)
+        types = {
+            k: integer if isinstance(p.default, int) else real
+            for k, p in signature.parameters.items()
+        }
+
+        @functools.wraps(builder)
+        def build_entry(*args, **kwargs) -> ZooEntry:
+            try:
+                bound = signature.bind(*args, **kwargs)
+            except TypeError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
+            bound.apply_defaults()
+            params = {k: types[k](v, k) for k, v in bound.arguments.items()}
+            if params.get("horizon", 0) < 0:
+                raise ConfigError(f"{name} needs horizon >= 0, got {params['horizon']}")
+            model, f, derived = builder(**params)
+            return ZooEntry(name, {**params, **derived}, model, f, notes)
+
+        _BUILDERS[name] = build_entry
+        return build_entry
+
+    return register
 
 
 def _hmm_parts(horizon, stay0, stay1, accuracy, obs_seed):
@@ -55,6 +99,7 @@ def _hmm_parts(horizon, stay0, stay1, accuracy, obs_seed):
     return M, tuple(obs), potentials
 
 
+@_entry("nonlinear filtering posterior; the default rate-experiment target")
 def binary_hmm(
     horizon: int = 5,
     stay0: float = 0.985,
@@ -62,7 +107,7 @@ def binary_hmm(
     accuracy: float = 0.985,
     eps_scale: float = 0.0,
     obs_seed: int = 1905,
-) -> ZooEntry:
+):
     """Two-state filtering model with likelihood potentials.
 
     The potentials are the emission likelihoods of one fixed synthetic
@@ -76,30 +121,17 @@ def binary_hmm(
         potentials=potentials,
         epsilons=[eps_scale / potentials[n].max() for n in range(horizon)],
     )
-    return ZooEntry(
-        name="binary_hmm",
-        params={
-            "horizon": horizon,
-            "stay0": stay0,
-            "stay1": stay1,
-            "accuracy": accuracy,
-            "eps_scale": eps_scale,
-            "obs_seed": obs_seed,
-            "observations": list(obs),
-        },
-        model=model,
-        f=indicator_function(model.dims, 1),
-        notes="nonlinear filtering posterior; the default rate-experiment target",
-    )
+    return model, indicator_function(model.dims, 1), {"observations": list(obs)}
 
 
+@_entry("uniform mixing case with an explicit (m, r, rho) certificate")
 def ring_walk(
     d: int = 4,
     holding: float = 0.5,
     ratio: float = 2.0,
     horizon: int = 5,
     eps_scale: float = 0.5,
-) -> ZooEntry:
+):
     """Random walk on a d-ring with a distinguished heavy site.
 
     The walk holds with probability `holding`, otherwise moves to a uniform
@@ -111,6 +143,8 @@ def ring_walk(
     holding 0.5 needs m = 8, where rho = 1/6435.  eps_n = eps_scale / ratio
     keeps the kernel weights in [0, 1].
     """
+    if d < 1 or ratio <= 0:
+        raise ConfigError(f"ring_walk needs d >= 1 and ratio > 0, got {d} and {ratio}")
     M = np.zeros((d, d))
     for x in range(d):
         M[x, x] = holding
@@ -126,28 +160,17 @@ def ring_walk(
     )
     # half-amplitude wave: oscillation exactly 1, usable in every experiment
     f = make_function([0.5 * np.cos(2.0 * np.pi * np.arange(d) / d)] * (horizon + 1))
-    return ZooEntry(
-        name="ring_walk",
-        params={
-            "d": d,
-            "holding": holding,
-            "ratio": ratio,
-            "horizon": horizon,
-            "eps_scale": eps_scale,
-        },
-        model=model,
-        f=f,
-        notes="uniform mixing case with an explicit (m, r, rho) certificate",
-    )
+    return model, f, {}
 
 
+@_entry("genealogical path expansion; marginal must equal binary_hmm")
 def path_genealogy(
     horizon: int = 5,
     stay0: float = 0.985,
     stay1: float = 0.985,
     accuracy: float = 0.985,
     obs_seed: int = 1905,
-) -> ZooEntry:
+):
     """Path-space expansion of the two-state filtering model.
 
     States at time n are whole trajectories (x_0, ..., x_n) encoded as base-2
@@ -174,20 +197,7 @@ def path_genealogy(
             K[codes, codes + codes.size] = M[last, 1]
             kernels.append(K)
     model = make_model(eta0=[0.5, 0.5], kernels=kernels, potentials=potentials)
-    return ZooEntry(
-        name="path_genealogy",
-        params={
-            "horizon": horizon,
-            "stay0": stay0,
-            "stay1": stay1,
-            "accuracy": accuracy,
-            "obs_seed": obs_seed,
-            "observations": list(obs),
-        },
-        model=model,
-        f=make_function(values),
-        notes="genealogical path expansion; marginal must equal binary_hmm",
-    )
+    return model, make_function(values), {"observations": list(obs)}
 
 
 def path_last_state(code, n: int):
@@ -205,7 +215,8 @@ def path_encode(coords) -> int:
     return sum(int(x) << q for q, x in enumerate(coords))
 
 
-def plain_markov(horizon: int = 5, eps: float = 1.0) -> ZooEntry:
+@_entry("unit potentials; flow reduces to the plain chain law")
+def plain_markov(horizon: int = 5, eps: float = 1.0):
     """Unweighted two-state chain: potentials are identically one.
 
     The flow is the bare chain law, and with eps = 1 the particle kernel is
@@ -219,16 +230,11 @@ def plain_markov(horizon: int = 5, eps: float = 1.0) -> ZooEntry:
         potentials=[np.ones(2)] * (horizon + 1),
         epsilons=[eps] * horizon,
     )
-    return ZooEntry(
-        name="plain_markov",
-        params={"horizon": horizon, "eps": eps},
-        model=model,
-        f=indicator_function(model.dims, 0),
-        notes="unit potentials; flow reduces to the plain chain law",
-    )
+    return model, indicator_function(model.dims, 0), {}
 
 
-def iid_reduction(p: float = 0.2) -> ZooEntry:
+@_entry("independent draws only; classical rate calibration")
+def iid_reduction(p: float = 0.2):
     """Horizon-0 model: the fluctuation is a standardized binomial error.
 
     Used to calibrate the rate harness against the classical independent-sum
@@ -236,22 +242,7 @@ def iid_reduction(p: float = 0.2) -> ZooEntry:
     binomial distribution.
     """
     model = make_model(eta0=[1.0 - p, p], kernels=[], potentials=[np.ones(2)])
-    return ZooEntry(
-        name="iid_reduction",
-        params={"p": p},
-        model=model,
-        f=indicator_function(model.dims, 1),
-        notes="independent draws only; classical rate calibration",
-    )
-
-
-_BUILDERS = {
-    "binary_hmm": binary_hmm,
-    "ring_walk": ring_walk,
-    "path_genealogy": path_genealogy,
-    "plain_markov": plain_markov,
-    "iid_reduction": iid_reduction,
-}
+    return model, indicator_function(model.dims, 1), {}
 
 
 def names() -> list[str]:
@@ -264,7 +255,4 @@ def build(name: str, **params) -> ZooEntry:
         builder = _BUILDERS[name]
     except KeyError:
         raise UnknownEntry(f"unknown zoo entry {name!r}; know {names()}") from None
-    typed = {k: (integer if k in INTEGER_PARAMS else real)(v, k) for k, v in params.items()}
-    if typed.get("horizon", 0) < 0 or typed.get("d", 1) < 1 or typed.get("ratio", 1) <= 0:
-        raise ConfigError(f"{name} needs horizon >= 0, d >= 1 and ratio > 0, got {params}")
-    return builder(**typed)
+    return builder(**params)

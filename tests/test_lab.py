@@ -18,7 +18,6 @@ from fkbench.errors import (
     ConfigError,
     DegenerateFunction,
     EpsilonOutOfRange,
-    FkbenchError,
     InsufficientReplicates,
     NonStochasticKernel,
     OscillationTooLarge,
@@ -37,9 +36,9 @@ from fkbench.lab import (
     stein_check,
     stein_experiment,
 )
-from fkbench.model import make_function, make_model, truncate
+from fkbench.model import make_function, make_model, model_from_dict, truncate
 from fkbench.rng import replicate_keys, stream
-from fkbench.zoo import build
+from fkbench.zoo import binary_hmm, build, iid_reduction, path_genealogy, ring_walk
 
 
 class TestKolmogorovDistance:
@@ -408,6 +407,7 @@ def test_experiments_draw_only_at_replicate_step_addresses(monkeypatch):
     assert bound == []
 
 
+# bad input from a caller: a ConfigError, never a bare Python error
 BAD_INPUT = {
     "smoothing cutoff": lambda: smoothing_bound(normal_cf(), normal_cf(), 0.0, 1.0),
     "burkholder order": lambda: burkholder_d(0),
@@ -447,6 +447,14 @@ BAD_INPUT = {
     "zoo holding [1]": lambda: build("ring_walk", holding=[1]),
     "zoo obs_seed 1.5": lambda: build("binary_hmm", obs_seed=1.5),
     "zoo stay0 'x'": lambda: build("path_genealogy", stay0="x"),
+    "zoo unknown param": lambda: build("ring_walk", foo=1),
+    "ring_walk ratio 0": lambda: ring_walk(ratio=0),
+    "ring_walk d 0": lambda: ring_walk(d=0),
+    "ring_walk holding [1]": lambda: ring_walk(holding=[1]),
+    "binary_hmm horizon True": lambda: binary_hmm(horizon=True),
+    "binary_hmm obs_seed 1.5": lambda: binary_hmm(obs_seed=1.5),
+    "path_genealogy stay0 'x'": lambda: path_genealogy(stay0="x"),
+    "iid_reduction p 'x'": lambda: iid_reduction(p="x"),
     "model eta0 'x'": lambda: make_model(["x", 1.0], [np.eye(2)], [np.ones(2)] * 2),
     "model kernel 'x'": lambda: make_model([1.0], [[["x"]]], [np.ones(1)] * 2),
     "model kernel ragged": lambda: make_model(
@@ -458,12 +466,17 @@ BAD_INPUT = {
     "model eps scalar": lambda: make_model([1.0], [[[1.0]]], [[1.0], [1.0]], 0.5),
     "function 'a'": lambda: make_function([["a"]]),
     "iid mu non-numeric": lambda: iid_moment_check(["a", "b"], [0, 1], 100, 100, 1),
+    "iid mu ragged": lambda: iid_moment_check([[0.5], [0.2, 0.3]], [0, 1], 100, 100, 1),
+    "model file dims 5": lambda: model_from_dict(
+        {"horizon": 0, "dims": 5, "eta0": [1.0], "kernels": [], "potentials": [[1.0]],
+         "epsilons": []}
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUT))
 def test_bad_input_raises_typed_error(case):
-    with pytest.raises(FkbenchError):
+    with pytest.raises(ConfigError):
         BAD_INPUT[case]()
 
 

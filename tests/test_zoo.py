@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from fkbench import tolerances as tol
+from fkbench import zoo
 from fkbench.bounds import mixing_bounds
 from fkbench.errors import HorizonTooLargeForPathSpace, UnknownEntry
 from fkbench.flow import analyze, contraction_tables, exact_flow
@@ -32,6 +35,27 @@ def test_every_entry_valid_and_nondegenerate(name):
     validate_model(entry.model)
     flow = analyze(entry.model, entry.f)
     assert flow.sigma_sq > 0.0
+
+
+# builder parameters the entry derives rather than takes
+DERIVED = {"binary_hmm": {"observations"}, "path_genealogy": {"observations"}}
+
+
+@pytest.mark.parametrize("name", names())
+def test_entry_params_are_the_typed_signature(name):
+    builder = getattr(zoo, name)
+    defaults = {k: p.default for k, p in inspect.signature(builder).parameters.items()}
+    # every default is an int or a float, so typing by default covers each parameter
+    assert all(type(v) in (int, float) for v in defaults.values())
+    entry = build(name)
+    assert entry.name == name
+    assert set(entry.params) == set(defaults) | DERIVED.get(name, set())
+    assert {k: (type(entry.params[k]), entry.params[k]) for k in defaults} == {
+        k: (type(v), v) for k, v in defaults.items()
+    }
+    direct = builder()
+    assert direct.params == entry.params
+    assert model_to_dict(direct.model) == model_to_dict(entry.model)
 
 
 def test_unknown_entry():
