@@ -4,7 +4,8 @@ Deterministic linear algebra on the finite model, each function returning one
 filled result: exact_flow the flow and log-normalizers; analyze, for one
 test function at the model's horizon, also the transported family (one
 O(H d^2) backward sweep) and its limiting variance; contraction_tables the
-Dobrushin coefficients and mass ratios of every normalized transport;
+Dobrushin coefficients and mass ratios of every transport, advanced in stacked
+bands, row-pair L1 distances summed in column order as pdist sums them;
 transport one of them on demand.  The horizon is the only terminal time: an
 earlier one is the horizon of truncate(model, n).
 The step law has one form: step_phi, the updated law Phi_n(mu).  The McKean
@@ -16,7 +17,8 @@ the engine's doob_terms.  The limit of the increasing process of f itself is
 limiting_variance of f's own values.
 Products of a measure, or of an (R, d) batch of them, sum each row in one
 order: (mu * v).sum(-1) or np.einsum("...d,de->...e", mu, M), never @, whose
-BLAS call rounds a row inside a batch differently than alone.
+BLAS call rounds a row inside a batch differently than alone; @ on a stack of
+matrices multiplies each one alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import tolerances as tol
 from .errors import FlowConsistencyError, ZeroMass
@@ -95,11 +96,22 @@ def exact_flow(model: FeynmanKacModel) -> ExactFlow:
     return ExactFlow(etas=etas, log_gamma1=log_g)
 
 
+def _pair_distances(P: np.ndarray) -> np.ndarray:
+    """L1 distance of every pair of rows of P, or of each matrix in a stack P.
+
+    Row k is pair k of np.triu_indices.  Each sum runs over the columns in
+    order, as pdist's cityblock loop does, so it is pdist's bit for bit.
+    """
+    first, second = np.triu_indices(P.shape[-2], 1)
+    dist = np.zeros((len(first), *P.shape[:-2]))
+    for col in np.ascontiguousarray(P.T):
+        dist += np.abs(col.take(first, axis=0) - col.take(second, axis=0))
+    return dist
+
+
 def dobrushin_beta(P: np.ndarray) -> float:
     """Largest total-variation distance between two rows of a Markov matrix."""
-    if P.shape[0] < 2:
-        return 0.0
-    return float(0.5 * pdist(P, "cityblock").max())
+    return float(0.5 * _pair_distances(P).max(initial=0.0))
 
 
 def _transport_step(model: FeynmanKacModel, etas: list[np.ndarray], q: int) -> np.ndarray:
@@ -130,21 +142,29 @@ def contraction_tables(
 ) -> ContractionTables:
     """Dobrushin coefficients and mass ratios of every transport p -> n.
 
-    For each p the products p -> n are accumulated forward in n and each one
-    is dropped once its two entries are read, so memory stays O(H^2 + H d^2).
+    The identity n -> n has beta 1 (0 on one state) and ratio 1, and band p
+    enters at p + 1 as step p itself.  Runs of consecutive bands of one size
+    dims[p] are stacked: one product with step n advances a run (one per
+    step at constant dimension), and one _pair_distances call measures it.
+    Memory is O(H^2 + H d^2), and the cost O(H^2 d^3).
     """
     H = model.horizon
-    steps = [_transport_step(model, etas, q) for q in range(H)]
     betas = np.full((H + 1, H + 1), np.nan)
     ratios = np.full((H + 1, H + 1), np.nan)
-    for p in range(H + 1):
-        acc = np.eye(model.dims[p])
-        for n in range(p, H + 1):
-            mass = acc.sum(axis=1)
-            ratios[p, n] = float(mass.max() / mass.min())
-            betas[p, n] = dobrushin_beta(acc / mass[:, None])
-            if n < H:
-                acc = acc @ steps[n]
+    runs = []  # [first band p, stack of the transports p -> n of bands p, p + 1, ...]
+    for n in range(H + 1):
+        for p, stack in runs:
+            mass, bands = stack.sum(axis=2), slice(p, p + len(stack))
+            ratios[bands, n] = mass.max(axis=1) / mass.min(axis=1)
+            betas[bands, n] = 0.5 * _pair_distances(stack / mass[..., None]).max(0, initial=0.0)
+        betas[n, n], ratios[n, n] = float(model.dims[n] > 1), 1.0
+        if n < H:
+            step = _transport_step(model, etas, n)
+            runs = [[p, stack @ step] for p, stack in runs]
+            if runs and runs[-1][1].shape[1] == model.dims[n]:
+                runs[-1][1] = np.concatenate([runs[-1][1], step[None]])
+            else:
+                runs.append([n, step[None]])
     return ContractionTables(betas=betas, ratios=ratios)
 
 

@@ -7,7 +7,7 @@ runs at the model's horizon, the one terminal time n, and with the model's
 own McKean weights; truncate(model, n) picks an earlier terminal time.
 Distances to the Gaussian are exact suprema over ECDF jump points; nothing
 is evaluated on a grid.  Every report is a plain frozen dataclass,
-serialized as it stands.
+serialized as it stands.  Only the two functions that use scipy import it.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr
 
 from .bounds import a3_constant, burkholder_d
 from .engine import simulate_replicates
@@ -56,6 +54,7 @@ def kolmogorov_distance(values) -> float:
         raise ConfigError("need at least one sample value")
     if not np.all(np.isfinite(v)):
         raise ConfigError("sample values must be finite")
+    from scipy.special import ndtr
     u, i = ndtr(v), np.arange(1, v.size + 1)
     return float(np.max(np.maximum(i / v.size - u, u - (i - 1) / v.size)))
 
@@ -401,6 +400,7 @@ def smoothing_bound(cf1, cf2, a: float, density_sup: float) -> float:
             x = 1e-12
         return abs(cf1(x) - cf2(x)) / x
 
+    from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:

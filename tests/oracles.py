@@ -9,14 +9,17 @@ compatibility_residual are built on the library's step_phi and
 mixing_weights on purpose: the compatibility tests then check step_phi
 itself, and a zero-eps residual stays exactly 0.0.  reference_step is the
 count step as a full draw, the reference for the engine's skipped
-zero-weight binomials.
+zero-weight binomials.  reference_tables is the contraction tables as they
+were first computed, one transport at a time and one scipy pdist call per
+(p, n): the reference that contraction_tables must equal bit for bit.
 """
 
 import itertools
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
-from fkbench.flow import step_phi
+from fkbench.flow import _transport_step, step_phi
 from fkbench.model import FeynmanKacModel, mixing_weights
 
 
@@ -125,3 +128,29 @@ def variance_by_enumeration(model, f, n):
         increments.append(inc)
         total += inc
     return np.array(increments), total
+
+
+def pdist_beta(P: np.ndarray) -> float:
+    """Dobrushin coefficient of P as half the largest scipy cityblock distance."""
+    return 0.0 if len(P) < 2 else float(0.5 * pdist(P, "cityblock").max())
+
+
+def reference_tables(model: FeynmanKacModel, etas) -> tuple[np.ndarray, np.ndarray]:
+    """Betas and mass ratios of every transport p -> n, one p at a time.
+
+    For each p the products p -> n are accumulated forward in n, each by its
+    own matrix product, and each is measured by pdist_beta.
+    """
+    H = model.horizon
+    steps = [_transport_step(model, etas, q) for q in range(H)]
+    betas = np.full((H + 1, H + 1), np.nan)
+    ratios = np.full((H + 1, H + 1), np.nan)
+    for p in range(H + 1):
+        acc = np.eye(model.dims[p])
+        for n in range(p, H + 1):
+            mass = acc.sum(axis=1)
+            ratios[p, n] = float(mass.max() / mass.min())
+            betas[p, n] = pdist_beta(acc / mass[:, None])
+            if n < H:
+                acc = acc @ steps[n]
+    return betas, ratios

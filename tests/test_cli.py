@@ -14,6 +14,8 @@ import fkbench
 from fkbench.cli import build_parser, main
 from fkbench.zoo import build
 
+from .test_output_ledger import LEDGER
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -179,6 +181,24 @@ def test_closed_pipe_exits_quietly():
     assert proc.wait(timeout=120) == 1
     assert b"Traceback" not in proc.stderr.read()
     proc.stderr.close()
+
+
+def test_commands_load_no_scipy():
+    # only verify clt and smoothing_bound need scipy; the oracle and simulate
+    # commands, and importing the package, load none of it
+    argvs = [LEDGER[name][0] for name in ("oracle ring", "path_simulate")]
+    code = (
+        "import contextlib, io, sys\n"
+        "import fkbench.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert [fkbench.cli.main(argv) for argv in {argvs!r}] == [0, 0]\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fkbench.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_simulate_single_particle_smoke(capsys):

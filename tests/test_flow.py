@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 from numpy.testing import assert_allclose
 
 from fkbench import tolerances as tol
@@ -23,7 +24,21 @@ from fkbench.flow import (
 from fkbench.model import make_function, make_model, truncate
 from fkbench.zoo import build
 
-from .oracles import compatibility_residual, mckean_kernel, variance_by_enumeration
+from .oracles import (
+    compatibility_residual,
+    mckean_kernel,
+    pdist_beta,
+    reference_tables,
+    variance_by_enumeration,
+)
+from .test_draw_ledger import LEDGER
+
+VERSIONS = f"numpy {np.__version__}, scipy {scipy.__version__}"
+# the draw ledger's panel, mixed binary_hmm and path_genealogy(horizon=6) included
+TABLE_PANEL = {
+    **{name: (zoo_name, params) for name, (zoo_name, params, _) in LEDGER.items()},
+    "ring_walk d 16 horizon 40": ("ring_walk", {"d": 16, "horizon": 40}),
+}
 
 
 class TestBoltzmannGibbs:
@@ -261,6 +276,19 @@ class TestStreamedOracle:
                 assert np.array_equal(got, expected)
             assert cut.sigma_sq == float(delta.sum())
 
+    def test_tables_memory_is_linear_in_horizon(self):
+        # the bands of every transport into time n, and their row pairs, are
+        # held at once: (H+1) d x d blocks and (H+1) d(d-1)/2 distances
+        entry = build("ring_walk", d=16, horizon=300)
+        etas = exact_flow(entry.model).etas
+        tracemalloc.start()
+        try:
+            contraction_tables(entry.model, etas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_analyze_memory_is_linear_in_horizon(self):
         # the stored (p, n) transport table would hold (H+1)(H+2)/2 dense
         # d x d matrices here, about 16 GB
@@ -274,6 +302,40 @@ class TestStreamedOracle:
         assert peak < 16 * 2**20
 
 
+def random_markov(rng, rows, cols):
+    return rng.dirichlet(np.full(cols, rng.choice([0.2, 1.0, 5.0])), size=rows)
+
+
+def assert_tables_match_pdist(model, label):
+    etas = exact_flow(model).etas
+    tables = contraction_tables(model, etas)
+    betas, ratios = reference_tables(model, etas)
+    for name, got, expected in [("betas", tables.betas, betas), ("ratios", tables.ratios, ratios)]:
+        assert np.array_equal(got, expected, equal_nan=True), (
+            f"{label}: {name} differ from one pdist call per (p, n) under {VERSIONS}"
+        )
+
+
+class TestTablesEqualPdist:
+    @pytest.mark.parametrize("name", list(TABLE_PANEL))
+    def test_zoo_tables(self, name):
+        zoo_name, params = TABLE_PANEL[name]
+        assert_tables_match_pdist(build(zoo_name, **params).model, name)
+
+    def test_random_models_of_mixed_dimensions(self):
+        # runs of bands of several sizes, and steps onto one state, whose
+        # products are matrix-vector calls
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            dims = rng.integers(1, 13, size=rng.integers(1, 7))
+            model = make_model(
+                rng.dirichlet(np.ones(dims[0])),
+                [random_markov(rng, a, b) for a, b in zip(dims[:-1], dims[1:])],
+                [rng.uniform(0.1, 3.0, d) for d in dims],
+            )
+            assert_tables_match_pdist(model, f"dims {dims.tolist()}")
+
+
 class TestDobrushinBeta:
     def test_identity_rows(self):
         assert dobrushin_beta(np.eye(3)) == 1.0
@@ -284,6 +346,14 @@ class TestDobrushinBeta:
     def test_half_l1(self):
         P = np.array([[0.8, 0.2], [0.3, 0.7]])
         assert_allclose(dobrushin_beta(P), 0.5)
+
+    def test_equals_half_the_largest_pdist(self):
+        # 0 to 60 rows: a matrix of fewer than two rows gives 0.0
+        rng = np.random.default_rng(2005)
+        shapes = [(0, 3), (1, 2), *rng.integers(1, 61, size=(1500, 2))]
+        for P in (random_markov(rng, *shape) for shape in shapes):
+            assert dobrushin_beta(P) == pdist_beta(P), f"{P.shape} under {VERSIONS}"
+        assert dobrushin_beta(np.empty((0, 3))) == dobrushin_beta(np.ones((1, 1))) == 0.0
 
 
 class TestLimitingVariance:
