@@ -9,7 +9,8 @@ pure floating-point error on every run; no averaging is involved.
 
 simulate runs any list of replicates as one batch: a trace holds the counts
 of R runs, one row per listed replicate.  doob_terms is the one bookkeeping
-pass over a trace: it returns the decompositions and the increasing-process
+pass over a trace, against the analytics analyze(model, f) that the caller
+makes once: it returns the decompositions and the increasing-process
 increments of every run, one row each, in one DoobSeries (the result that
 simulate_replicates returns for its batch).  The list here is [0], so each
 result below is row 0.
@@ -38,7 +39,7 @@ inc_m = np.concatenate(
     [fk.sampling_error(model, mu, emp[n], n, f.values[n])
      for n, mu in enumerate([model.eta0, *emp[:-1]])]
 )
-series = fk.doob_terms(trace, model, f)
+series = fk.doob_terms(trace, fk.analyze(model, f))
 inc_c = series.delta_c[0]
 print("\nsampling-error increments:", inc_m)
 print("increasing-process increments:", inc_c)

@@ -51,7 +51,7 @@ def _zoo_entry(name: str, raw_params: str | None) -> zoo.ZooEntry:
 def _resolve_inputs(args):
     """Model cut to --horizon and function from --zoo or files.
 
-    The model is valid by construction; each command's entry point checks f.
+    The model is valid by construction; each command's one analyze checks f.
     """
     if args.zoo:
         entry = _zoo_entry(args.zoo, args.zoo_params)
@@ -128,7 +128,7 @@ def cmd_oracle(args) -> int:
 def cmd_simulate(args) -> int:
     model, f = _resolve_inputs(args)
     horizon = model.horizon
-    stats = simulate_replicates(model, f, args.N, args.reps, args.seed)
+    stats = simulate_replicates(analyze(model, f), args.N, args.reps, args.seed)
     lines = [
         f"# tool = fkbench {__version__}",
         f"# seed = {args.seed}",

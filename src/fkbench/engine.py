@@ -14,10 +14,10 @@ holds R runs as (R, d) count arrays, one row per replicate; the sampler
 advances the batch a step at a time, and the bookkeeping evaluates it
 once per step, each row summed in flow's one order (never @, which rounds a
 row inside a batch differently than alone), so no row depends on the batch.
-doob_terms is the one bookkeeping pass: from the flow analytics of the
-model's horizon, the one terminal time, it returns the decompositions of the
-fluctuation field and the increasing process of every run in one DoobSeries,
-which simulate_replicates returns for its batch.
+doob_terms is the one bookkeeping pass: from the FlowAnalytics its caller
+made with analyze, at the model's horizon (the one terminal time), it returns
+the decompositions of the fluctuation field and the increasing process of
+every run in one DoobSeries, which simulate_replicates returns for its batch.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FlowConsistencyError
-from .flow import analyze, boltzmann_gibbs, conditional_variance, step_phi
-from .model import FeynmanKacModel, TestFunction, integer, mixing_weights, validate_function
+from .flow import FlowAnalytics, boltzmann_gibbs, conditional_variance, step_phi
+from .model import FeynmanKacModel, integer, mixing_weights
 from .rng import replicate_streams
 
 
@@ -163,18 +163,18 @@ class DoobSeries:
     residual_field: np.ndarray
 
 
-def doob_terms(trace: RunTrace, model: FeynmanKacModel, f: TestFunction) -> DoobSeries:
+def doob_terms(trace: RunTrace, flow: FlowAnalytics) -> DoobSeries:
     """Evaluate the decompositions and the increasing process on realized runs.
 
-    The series run over times 0..model.horizon, which the runs must reach;
+    flow = analyze(model, f) names the model the runs were drawn from.  The
+    series run over times 0..model.horizon, which the runs must reach;
     later steps of a longer trace are not read, so a prefix is
-    doob_terms(trace, truncate(model, n), f).  The step into time 0
+    doob_terms(trace, analyze(truncate(model, n), f)).  The step into time 0
     starts from eta0, each later step from the runs' empirical measures one
     step earlier.  All series are exact functions of the recorded empirical
-    measures and of analyze(model, f); no sampling is involved.
+    measures and of flow; no sampling is involved.
     """
-    flow = analyze(model, f)
-    n = model.horizon
+    model, f, n = flow.model, flow.f, flow.model.horizon
     if len(trace.counts) <= n:
         raise FlowConsistencyError(
             f"runs stop at time {len(trace.counts) - 1}, before the terminal {n}"
@@ -208,20 +208,14 @@ def doob_terms(trace: RunTrace, model: FeynmanKacModel, f: TestFunction) -> Doob
 
 
 def simulate_replicates(
-    model: FeynmanKacModel,
-    f: TestFunction,
-    n_particles: int,
-    n_reps: int,
-    seed: int,
+    flow: FlowAnalytics, n_particles: int, n_reps: int, seed: int
 ) -> DoobSeries:
-    """Run replicates 0..n_reps-1 to the model's horizon and evaluate them in one pass.
+    """Run replicates 0..n_reps-1 of flow.model to its horizon, evaluated in one pass.
 
-    f and the sizes are checked before simulate is called; a shorter run
-    is the replicates of truncate(model, n).
+    The sizes are checked before simulate is called; a shorter run is the
+    replicates of analyze(truncate(model, n), f).
     """
-    validate_function(f, model)
     if integer(n_reps, "n_reps") < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
-    config = RunConfig(n_particles, seed, model.horizon)
-    trace = simulate(config, model, range(n_reps))
-    return doob_terms(trace, model, f)
+    config = RunConfig(n_particles, seed, flow.model.horizon)
+    return doob_terms(simulate(config, flow.model, range(n_reps)), flow)

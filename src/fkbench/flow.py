@@ -44,14 +44,17 @@ class ExactFlow:
 class FlowAnalytics(ExactFlow):
     """Exact flow plus the limiting variance of one terminal test function.
 
-    fpn[p] is the normalized transport from p to the terminal time n applied
-    to f_n centered under eta_n; deltaC[p] is the conditional-variance
-    increment of fpn[p] and sigma_sq their sum.
+    Made only by analyze, so f is checked against model.  fpn[p] is the
+    normalized transport from p to the terminal time n applied to f_n
+    centered under eta_n; deltaC[p] is the conditional-variance increment
+    of fpn[p] and sigma_sq their sum.
     """
 
     fpn: list[np.ndarray]
     deltaC: np.ndarray
     sigma_sq: float
+    model: FeynmanKacModel
+    f: TestFunction
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,7 @@ def analyze(model: FeynmanKacModel, f: TestFunction) -> FlowAnalytics:
 
     The family is built backward from the centered terminal function,
     fpn[p] = step_p @ fpn[p+1], which is O(H d^2).  f is checked against
-    the model, which is valid by construction, before the family is built.
+    the model here, once; every consumer of the result reads it unchecked.
     """
     flow = exact_flow(model)
     validate_function(f, model)
@@ -256,4 +259,6 @@ def analyze(model: FeynmanKacModel, f: TestFunction) -> FlowAnalytics:
         fpn=fpn,
         deltaC=delta,
         sigma_sq=float(delta.sum()),
+        model=model,
+        f=f,
     )

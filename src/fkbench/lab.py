@@ -43,12 +43,15 @@ def kolmogorov_distance(values) -> float:
 
     The supremum over the real line is attained at a jump point, where the
     ECDF must be compared from both sides:
-    max_i max(i/R - Phi(x_i), Phi(x_i) - (i-1)/R).
+    max_i max(i/R - Phi(x_i), Phi(x_i) - (i-1)/R).  values must be a
+    nonempty, finite 1-D sample; anything else is a ConfigError.
     """
     try:
         v = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError("sample values must be numeric") from None
+    if v.ndim != 1:
+        raise ConfigError(f"sample values must be 1-D, got shape {v.shape}")
     v = np.sort(v)
     if v.size < 1:
         raise ConfigError("need at least one sample value")
@@ -89,7 +92,7 @@ def clt_rate_experiment(
     the slope inside SLOPE_WINDOW.
 
     Raises:
-        ConfigError: n_reps is not an integer >= 1.
+        ConfigError: n_reps is not an integer >= 1, or master_seed not an integer.
         DegenerateFunction: the terminal function has zero variance.
         InsufficientReplicates: all measured distances sit at or below the
             ECDF noise scale, so no rate is identified.
@@ -97,6 +100,7 @@ def clt_rate_experiment(
     flow = analyze(model, f)
     if integer(n_reps, "n_reps") < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
+    master_seed = integer(master_seed, "master_seed")
     n = model.horizon
     if f.oscillation(n) == 0.0:
         raise DegenerateFunction(f"test function is constant at time {n}")
@@ -107,7 +111,7 @@ def clt_rate_experiment(
     ecdf_allowance = DKW_SCALE / math.sqrt(n_reps)
     distances = []
     for k, N in enumerate(N_GRID):
-        stats = simulate_replicates(model, f, N, n_reps, derive_seed(master_seed, k))
+        stats = simulate_replicates(flow, N, n_reps, derive_seed(master_seed, k))
         distances.append(kolmogorov_distance(stats.w[:, -1] / sigma))
     if min(distances) <= ecdf_allowance:
         raise InsufficientReplicates(
@@ -214,7 +218,7 @@ def concentration_experiment(
     root_n = math.sqrt(n_particles)
 
     tables = contraction_tables(model, flow.etas)
-    stats = simulate_replicates(model, f, n_particles, n_reps, master_seed)
+    stats = simulate_replicates(flow, n_particles, n_reps, master_seed)
     if statistic == "eta":
         values = np.abs(stats.w[:, -1])  # already sqrt(N)-scaled
         const = concentration_b(tables, n)
@@ -332,7 +336,7 @@ def lp_moment_experiment(
     n = model.horizon
     _terminal_oscillation(f, n)
     b_n = concentration_b(contraction_tables(model, flow.etas), n)
-    stats = simulate_replicates(model, f, n_particles, n_reps, master_seed)
+    stats = simulate_replicates(flow, n_particles, n_reps, master_seed)
     return _moment_table(np.abs(stats.w[:, -1]), b_n, n_particles, master_seed)
 
 
@@ -346,22 +350,22 @@ def iid_moment_check(
     """Moment bounds for plain independent sampling from mu.
 
     The N independent variables of replicate r are the time-0 particles of
-    the horizon-0 model with initial law mu (ConfigError if not numeric or ragged,
-    BadInitialLaw if not a probability vector) and h its time-0 function
-    (ConfigError unless it holds one finite value per state,
-    DegenerateFunction if it is constant),
-    drawn by simulate_replicates (ConfigError on bad sizes); the check is
+    the horizon-0 model with initial law mu (ConfigError if not numeric or
+    ragged, BadInitialLaw if not a probability vector), drawn by
+    simulate_replicates (ConfigError on bad sizes).  h is its time-0
+    function, typed by analyze (ConfigError unless one finite value per
+    state) before a constant h is a DegenerateFunction.  The check is
     sqrt(N) * (E|mean error|^p)^(1/p) <= d(p)^(1/p) * osc(h).
     """
     try:  # a ragged mu fails here, before make_model can type it
         ones = np.ones_like(mu, dtype=float)
     except ValueError as exc:
         raise ConfigError(f"malformed iid law mu: {exc}") from exc
-    model, f = make_model(mu, [], [ones]), make_function([h])
-    osc = f.oscillation(0)
-    if osc == 0.0 and f.values[0].shape == model.eta0.shape:  # all moments 0: no verdict
+    flow = analyze(make_model(mu, [], [ones]), make_function([h]))
+    osc = flow.f.oscillation(0)
+    if osc == 0.0:  # all moments 0: no verdict
         raise DegenerateFunction("iid h is constant")
-    stats = simulate_replicates(model, f, n_particles, n_reps, master_seed)
+    stats = simulate_replicates(flow, n_particles, n_reps, master_seed)
     return _moment_table(np.abs(stats.w[:, -1]), osc, n_particles, master_seed)
 
 
@@ -394,6 +398,8 @@ def smoothing_bound(cf1, cf2, a: float, density_sup: float) -> float:
     a, density_sup = real(a, "a"), real(density_sup, "density_sup")
     if a <= 0:
         raise ConfigError(f"a must be > 0, got {a}")
+    if density_sup < 0:
+        raise ConfigError(f"density_sup must be >= 0, got {density_sup}")
 
     def integrand(x: float) -> float:
         if x < 1e-12:
@@ -428,7 +434,8 @@ def stein_check(x_samples, y_samples) -> SteinReport:
     """Check the perturbation inequality on paired samples.
 
     The distance of X+Y from the standard normal must not exceed the distance
-    of X plus 4*E|XY| + 4*E|Y|, up to twice the ECDF noise scale.
+    of X plus 4*E|XY| + 4*E|Y|, up to twice the ECDF noise scale.  The
+    samples are 1-D, of one length (ConfigError otherwise).
     """
     try:
         x = np.asarray(x_samples, dtype=float)
@@ -437,14 +444,13 @@ def stein_check(x_samples, y_samples) -> SteinReport:
         raise ConfigError("paired samples must be numeric") from None
     if x.shape != y.shape:
         raise ConfigError(f"paired samples have shapes {x.shape} and {y.shape}")
-    R = len(x)
-    lhs = kolmogorov_distance(x + y)
+    lhs = kolmogorov_distance(x + y)  # a sample that is not 1-D fails here
     rhs = (
         kolmogorov_distance(x)
         + 4.0 * float(np.abs(x * y).mean())
         + 4.0 * float(np.abs(y).mean())
     )
-    allowance = 2.0 * DKW_SCALE / math.sqrt(R)
+    allowance = 2.0 * DKW_SCALE / math.sqrt(len(x))
     return SteinReport(
         lhs=lhs, rhs=rhs, allowance=allowance, passed=lhs <= rhs + allowance
     )
@@ -470,6 +476,6 @@ def stein_experiment(
     flow = analyze(model, f)  # validates f before f.oscillation reads it
     if flow.sigma_sq <= 0.0 or f.oscillation(n) == 0.0:
         raise DegenerateFunction(f"limiting variance at time {n} is zero")
-    stats = simulate_replicates(model, f, n_particles, n_reps, master_seed)
+    stats = simulate_replicates(flow, n_particles, n_reps, master_seed)
     scale = 1.0 / math.sqrt(flow.sigma_sq)
     return stein_check(scale * stats.l[:, -1], scale * stats.b[:, -1])

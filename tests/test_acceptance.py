@@ -122,7 +122,7 @@ def test_per_run_decomposition_identities():
     entry = zoo.build("binary_hmm")
     config = RunConfig(n_particles=500, seed=77, horizon=5)
     trace = simulate(config, entry.model, range(200))
-    series = doob_terms(trace, entry.model, entry.f)
+    series = doob_terms(trace, analyze(entry.model, entry.f))
     worst = float(max(series.residual_mean.max(), series.residual_field.max()))
     elapsed = time.time() - t0
     ok = worst <= tol.PRODUCT and elapsed < 30.0
@@ -191,7 +191,7 @@ def test_increasing_process_convergence():
     limit = limiting_variance(entry.model, flow.etas, values).sum()
     medians = {}
     for N in (100, 10_000):
-        stats = simulate_replicates(entry.model, entry.f, N, 200, 909)
+        stats = simulate_replicates(flow, N, 200, 909)
         medians[N] = float(np.median(np.abs(stats.delta_c.sum(axis=1) - limit)))
     shrink = medians[100] / medians[10_000]
     ok = shrink >= 5.0

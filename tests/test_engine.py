@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import chi2, chisquare
 
 import fkbench.engine as engine
+import fkbench.flow
 from fkbench import tolerances as tol
 from fkbench.engine import (
     DoobSeries,
@@ -94,7 +96,7 @@ class TestStep:
         f = make_function([[0.5]] * 4)
         trace = simulate(RunConfig(20, 5, 3), model)
         assert all(c.tolist() == [[20]] for c in trace.counts)
-        series = doob_terms(trace, model, f)
+        series = doob_terms(trace, analyze(model, f))
         assert_allclose(series.l, 0.0)
         assert_allclose(series.delta_c, 0.0)
 
@@ -235,7 +237,7 @@ class TestBatch:
             return mixing_weights(model, n)
 
         monkeypatch.setattr(engine, "mixing_weights", counted)
-        simulate_replicates(model, f, 10, 6, 1)
+        simulate_replicates(analyze(model, f), 10, 6, 1)
         assert calls == {0: 1, 1: 1}
 
     def test_step_phi_once_per_step(self, two_state, monkeypatch):
@@ -248,7 +250,7 @@ class TestBatch:
             return step_phi(model, mu, n)
 
         monkeypatch.setattr(engine, "step_phi", counted)
-        simulate_replicates(model, f, 10, 6, 1)
+        simulate_replicates(analyze(model, f), 10, 6, 1)
         assert calls == {0: 1, 1: 1}
 
 
@@ -382,9 +384,9 @@ class TestIncreasingProcess:
         model, f = two_state
         flow = exact_flow(model)
         limit = limiting_variance(model, flow.etas, f.values).sum()
-        errs = []
+        errs, analytics = [], analyze(model, f)
         for N in (100, 10_000):
-            stats = simulate_replicates(model, f, N, 50, 29)
+            stats = simulate_replicates(analytics, N, 50, 29)
             errs.append(np.median(np.abs(stats.delta_c.sum(axis=1) - limit)))
         assert errs[1] < errs[0]
 
@@ -397,7 +399,7 @@ class TestIncreasingProcess:
         n = model.horizon
         flow = exact_flow(model)
         limit = limiting_variance(model, flow.etas, f.values[: n + 1]).sum()
-        stats = simulate_replicates(model, f, 20_000, 8, 71)
+        stats = simulate_replicates(analyze(model, f), 20_000, 8, 71)
         worst = np.abs(stats.delta_c.sum(axis=1) - limit).max()
         assert worst < 0.02 * limit
 
@@ -406,7 +408,7 @@ class TestDoob:
     def test_identities_per_run(self, two_state):
         model, f = two_state
         trace = simulate(RunConfig(250, 101, 2), model, range(25))
-        series = doob_terms(trace, model, f)
+        series = doob_terms(trace, analyze(model, f))
         assert np.all(series.residual_mean <= tol.PRODUCT)
         assert np.all(series.residual_field <= tol.PRODUCT)
         # realized increasing process never decreases
@@ -417,7 +419,7 @@ class TestDoob:
         flow = analyze(model, f)
         config = RunConfig(250, 77, 2)
         trace = simulate(config, model)
-        series = doob_terms(trace, model, f)
+        series = doob_terms(trace, flow)
         expected = np.sqrt(250) * float(
             (trace.empirical(2)[0] - flow.etas[2]) @ f.values[2]
         )
@@ -428,7 +430,8 @@ class TestDoob:
         short = truncate(model, 1)
         trace = simulate(RunConfig(50, 3, 2), model, range(4))
         prefix = RunTrace(trace.n_particles, trace.counts[:2])
-        whole, cut = doob_terms(trace, short, f), doob_terms(prefix, short, f)
+        flow = analyze(short, f)
+        whole, cut = doob_terms(trace, flow), doob_terms(prefix, flow)
         for field in fields(DoobSeries):
             assert np.array_equal(getattr(whole, field.name), getattr(cut, field.name))
         assert whole.w.shape == (4, 2)
@@ -437,15 +440,15 @@ class TestDoob:
         model, f = two_state
         trace = simulate(RunConfig(50, 3, 1), model)
         with pytest.raises(FlowConsistencyError):
-            doob_terms(trace, model, f)
+            doob_terms(trace, analyze(model, f))
 
 
 class TestReplicates:
     def test_single_rep_matches_direct_run(self, two_state):
         model, f = two_state
-        stats = simulate_replicates(model, f, 100, 1, 5)
+        stats = simulate_replicates(analyze(model, f), 100, 1, 5)
         trace = simulate(RunConfig(100, 5, 2), model, [0])
-        series = doob_terms(trace, model, f)
+        series = doob_terms(trace, analyze(model, f))
         assert stats.w[0, -1] == series.w[0, 2]
         assert stats.l[0, -1] == series.l[0, 2]
 
@@ -467,22 +470,25 @@ class TestReplicates:
             model, f = entry.model, entry.f
         n = model.horizon
         config = RunConfig(40, 19, n)
-        stats = simulate_replicates(model, f, 40, 37, 19)
+        flow = analyze(model, f)
+        stats = simulate_replicates(flow, 40, 37, 19)
         assert stats.w.shape == stats.delta_c.shape == (37, n + 1)
         for r in range(37):
-            doob = doob_terms(simulate(config, model, [r]), model, f)
+            doob = doob_terms(simulate(config, model, [r]), flow)
             for field in fields(DoobSeries):
                 got, expected = getattr(stats, field.name)[r], getattr(doob, field.name)[0]
                 assert np.array_equal(got, expected)
 
     def test_deterministic_output(self, two_state):
         model, f = two_state
-        a = simulate_replicates(model, f, 100, 10, 5)
-        b = simulate_replicates(model, f, 100, 10, 5)
+        flow = analyze(model, f)
+        a, b = simulate_replicates(flow, 100, 10, 5), simulate_replicates(flow, 100, 10, 5)
         for field in fields(DoobSeries):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
     def test_one_analyze_and_one_simulate_per_batch(self, two_state, monkeypatch):
+        # the caller's analyze is the batch's only one: analyze is spied on at
+        # every fkbench module that binds it, so one inside the batch counts too
         model, f = two_state
         calls = Counter()
 
@@ -492,14 +498,16 @@ class TestReplicates:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(engine, "analyze", counted("analyze", analyze))
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "fkbench" and getattr(module, "analyze", None) is analyze:
+                monkeypatch.setattr(module, "analyze", counted("analyze", analyze))
         monkeypatch.setattr(engine, "simulate", counted("simulate", simulate))
-        simulate_replicates(model, f, 20, 5, 3)
+        simulate_replicates(fkbench.flow.analyze(model, f), 20, 5, 3)
         assert calls == {"analyze": 1, "simulate": 1}
 
     def test_centering_over_replicates(self, two_state):
         model, f = two_state
-        stats = simulate_replicates(model, f, 50, 2000, 23)
+        stats = simulate_replicates(analyze(model, f), 50, 2000, 23)
         w = stats.w[:, -1]
         se = w.std(ddof=1) / np.sqrt(len(w))
         assert abs(w.mean()) <= 5 * se
@@ -513,4 +521,4 @@ class TestReplicates:
     def test_bad_rep_count(self, two_state):
         model, f = two_state
         with pytest.raises(ValueError):
-            simulate_replicates(model, f, 50, 0, 1)
+            simulate_replicates(analyze(model, f), 50, 0, 1)

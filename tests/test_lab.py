@@ -271,22 +271,30 @@ def _ill_posed_calls():
         "f short: stein": lambda: stein_experiment(model, short_f, 100, 100, 1),
         "f 3 states: analyze": lambda: analyze(model, wide_f),
         "f 3 states: stein": lambda: stein_experiment(model, wide_f, 100, 100, 1),
-        "f 3 states: replicates": lambda: simulate_replicates(model, wide_f, 100, 10, 1),
-        "2.5 replicates": lambda: simulate_replicates(model, entry.f, 100, 2.5, 1),
-        "-1 replicates": lambda: simulate_replicates(model, entry.f, 100, -1, 1),
+        "f 3 states: replicates": lambda: simulate_replicates(
+            analyze(model, wide_f), 100, 10, 1
+        ),
+        "2.5 replicates": lambda: simulate_replicates(analyze(*args), 100, 2.5, 1),
+        "-1 replicates": lambda: simulate_replicates(analyze(*args), 100, -1, 1),
         "spec short: replicates": lambda: simulate_replicates(
-            short_eps(), entry.f, 100, 10, 1
+            analyze(short_eps(), entry.f), 100, 10, 1
         ),
         "kernel row short: replicates": lambda: simulate_replicates(
-            leaky(), entry.f, 100, 10, 1
+            analyze(leaky(), entry.f), 100, 10, 1
         ),
         "f nan: clt": lambda: clt_rate_experiment(model, nan_f, 100, 1),
         "n_reps '10': clt": lambda: clt_rate_experiment(*args, "10", 1),
+        "seed 'x': clt": lambda: clt_rate_experiment(*args, 100, "x"),
+        "seed None: clt": lambda: clt_rate_experiment(*args, 100, None),
+        "seed 1.5: clt": lambda: clt_rate_experiment(*args, 100, 1.5),
+        "seed True: clt": lambda: clt_rate_experiment(*args, 100, True),
         "f nan: stein": lambda: stein_experiment(model, nan_f, 100, 100, 1),
         "spec short: analyze": lambda: analyze(short_eps(), entry.f),
         "spec short: simulate": lambda: simulate(config, short_eps()),
         "eps nan: analyze": lambda: analyze(nan_eps(), entry.f),
-        "eps nan: replicates": lambda: simulate_replicates(nan_eps(), entry.f, 100, 10, 1),
+        "eps nan: replicates": lambda: simulate_replicates(
+            analyze(nan_eps(), entry.f), 100, 10, 1
+        ),
         "eps nan: clt": lambda: clt_rate_experiment(nan_eps(), entry.f, 100, 1),
         "kernel row short: simulate": lambda: simulate(config, leaky()),
         "N 2.7: simulate": lambda: simulate(RunConfig(2.7, 1, 5), model),
@@ -427,9 +435,17 @@ BAD_INPUT = {
     "smoothing cutoff nan": lambda: smoothing_bound(normal_cf(), normal_cf(), np.nan, 1.0),
     "smoothing density 'x'": lambda: smoothing_bound(normal_cf(), normal_cf(), 1.0, "x"),
     "smoothing density inf": lambda: smoothing_bound(normal_cf(), normal_cf(), 1.0, np.inf),
+    "smoothing density negative": lambda: smoothing_bound(
+        normal_cf(), normal_cf(0, 1.1), 5.0, -3.0
+    ),
     "empty sample": lambda: kolmogorov_distance([]),
     "nan sample": lambda: kolmogorov_distance([0.0, np.nan]),
     "non-numeric sample": lambda: kolmogorov_distance(["a"]),
+    "column sample": lambda: kolmogorov_distance([[0.1], [0.2]]),
+    "scalar sample": lambda: kolmogorov_distance(0.5),
+    "2x2 sample": lambda: kolmogorov_distance([[0.1, 0.2], [0.3, 0.4]]),
+    "stein 2-D pairs": lambda: stein_check([[0.1], [0.2]], [[0.0], [0.1]]),
+    "stein scalar pairs": lambda: stein_check(0.5, 0.5),
     "stein shapes": lambda: stein_check([0.0, 1.0], [0.0]),
     "stein nan": lambda: stein_check([0.0, np.nan], [0.0, 0.0]),
     "stein non-numeric": lambda: stein_check(["a"], ["b"]),
@@ -485,7 +501,7 @@ class TestSteinExperiment:
         model, f = two_state
         report = stein_experiment(model, f, 100, 300, 4)
         flow = analyze(model, f)
-        stats = simulate_replicates(model, f, 100, 300, 4)
+        stats = simulate_replicates(flow, 100, 300, 4)
         scale = 1.0 / math.sqrt(flow.sigma_sq)
         assert report == stein_check(scale * stats.l[:, -1], scale * stats.b[:, -1])
         json.dumps(asdict(report), allow_nan=False)

@@ -15,6 +15,7 @@ from fkbench.errors import (
     NonStochasticKernel,
 )
 from fkbench.cli import main
+from fkbench.flow import analyze
 from fkbench.model import (
     function_from_dict,
     function_to_dict,
@@ -26,6 +27,7 @@ from fkbench.model import (
     model_to_dict,
     save_model,
     truncate,
+    validate_function,
     validate_model,
 )
 
@@ -104,6 +106,43 @@ def test_verify_clt_validates_its_model_twice(monkeypatch, tmp_path):
     main(["verify", "clt", "--zoo", "binary_hmm", "--reps", "200", "--out", str(out)])
     assert json.loads(out.read_text())["n_reps"] == 200
     assert calls == [5, 5]
+
+
+ANALYZING_COMMANDS = {
+    "verify clt": ["verify", "clt", "--reps", "200"],
+    "verify concentration": ["verify", "concentration", "--N", "100", "--reps", "100"],
+    "verify moments": ["verify", "moments", "--N", "100", "--reps", "100"],
+    "verify stein": ["verify", "stein", "--N", "100", "--reps", "100"],
+    "simulate": ["simulate", "--N", "100", "--reps", "10"],
+}
+
+
+@pytest.mark.parametrize("command", list(ANALYZING_COMMANDS))
+def test_command_analyzes_once(command, monkeypatch, tmp_path):
+    """One CLI run makes the analytics of (model, f) once, and only analyze checks f.
+
+    analyze and validate_function are spied on at every fkbench module that
+    binds them, so a second analysis or a re-check anywhere in the run is
+    counted, with the name of the function that made the call.
+    """
+    calls = []
+
+    def spy(real):
+        def counted(*args):
+            calls.append((real.__name__, sys._getframe(1).f_code.co_name))
+            return real(*args)
+        return counted
+
+    for real in (analyze, validate_function):
+        fake = spy(real)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "fkbench" and getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, fake)
+    out = tmp_path / "out"
+    main([*ANALYZING_COMMANDS[command], "--zoo", "binary_hmm", "--out", str(out)])
+    assert out.exists()
+    assert [name for name, _ in calls].count("analyze") == 1
+    assert [caller for name, caller in calls if name == "validate_function"] == ["analyze"]
 
 
 def test_oscillation():
