@@ -2,8 +2,9 @@
 
 Commands: oracle, simulate, verify {clt|concentration|moments|stein},
 zoo {list|export}.  Configs and reports are JSON, bulk replicate data is CSV
-with '#'-prefixed metadata lines (gnuplot-compatible).  Exit codes: 0 pass,
-1 verification failure or experiment error, 2 usage/config error.
+with '#'-prefixed metadata lines (gnuplot-compatible); both are written a row
+at a time.  Exit codes: 0 pass, 1 verification failure or experiment error,
+2 usage/config error.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -36,6 +36,7 @@ from .model import (
     save_function,
     save_model,
     truncate,
+    write_json,
 )
 from . import zoo
 
@@ -77,26 +78,13 @@ def _report_envelope(args, payload: dict) -> dict:
     return {"tool": "fkbench", "version": __version__, "config": _config(args), **payload}
 
 
-def _plain(x):
-    """x as plain JSON data: tuples and arrays as lists, non-finite floats as None."""
-    if isinstance(x, np.ndarray):  # row by row: no second copy of a whole table
-        x = list(x) if x.ndim > 1 else x.tolist()
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
-
-
 def _emit_json(args, payload: dict) -> None:
-    text = json.dumps(_plain(_report_envelope(args, payload)), indent=2) + "\n"
+    report = _report_envelope(args, payload)
     if args.out:
         with open_output(args.out) as fh:
-            fh.write(text)
+            write_json(fh, report)
     else:
-        sys.stdout.write(text)
+        write_json(sys.stdout, report)
 
 
 def cmd_oracle(args) -> int:
@@ -144,10 +132,9 @@ def cmd_simulate(args) -> int:
         header += [f"W_{p}" for p in range(horizon + 1)]
         header += [f"C_{p}" for p in range(horizon + 1)]
         table = np.hstack([table, stats.w, stats.delta_c.cumsum(axis=1)])
-    rows = [
-        [r, args.N, horizon, *(repr(float(x)) for x in values)]
-        for r, values in enumerate(table)
-    ]
+    rows = (
+        [r, args.N, horizon, *map(repr, values.tolist())] for r, values in enumerate(table)
+    )
     out = open_output(args.out) if args.out else sys.stdout
     try:
         for line in lines:

@@ -38,6 +38,21 @@ EPS_GRID_POINTS = 8
 MOMENT_ORDERS = (1, 2, 3, 4, 5, 6)  # the moment verdicts' orders p
 
 
+def _sample(values) -> np.ndarray:
+    """values as a nonempty, finite 1-D float array; anything else is a ConfigError."""
+    try:
+        v = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("sample values must be numeric") from None
+    if v.ndim != 1:
+        raise ConfigError(f"sample values must be 1-D, got shape {v.shape}")
+    if v.size < 1:
+        raise ConfigError("need at least one sample value")
+    if not np.all(np.isfinite(v)):
+        raise ConfigError("sample values must be finite")
+    return v
+
+
 def kolmogorov_distance(values) -> float:
     """Exact sup distance between the sample ECDF and the standard normal CDF.
 
@@ -46,17 +61,7 @@ def kolmogorov_distance(values) -> float:
     max_i max(i/R - Phi(x_i), Phi(x_i) - (i-1)/R).  values must be a
     nonempty, finite 1-D sample; anything else is a ConfigError.
     """
-    try:
-        v = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError("sample values must be numeric") from None
-    if v.ndim != 1:
-        raise ConfigError(f"sample values must be 1-D, got shape {v.shape}")
-    v = np.sort(v)
-    if v.size < 1:
-        raise ConfigError("need at least one sample value")
-    if not np.all(np.isfinite(v)):
-        raise ConfigError("sample values must be finite")
+    v = np.sort(_sample(values))
     from scipy.special import ndtr
     u, i = ndtr(v), np.arange(1, v.size + 1)
     return float(np.max(np.maximum(i / v.size - u, u - (i - 1) / v.size)))
@@ -370,7 +375,13 @@ def iid_moment_check(
 
 
 def normal_cf(mean: float = 0.0, sd: float = 1.0):
-    """Characteristic function of a normal distribution, as a callable."""
+    """Characteristic function of a normal distribution, as a callable.
+
+    mean and sd must be finite reals and sd > 0 (ConfigError otherwise).
+    """
+    mean, sd = real(mean, "mean"), real(sd, "sd")
+    if sd <= 0:
+        raise ConfigError(f"sd must be > 0, got {sd}")
 
     def cf(x: float) -> complex:
         return np.exp(1j * mean * x - 0.5 * (sd * x) ** 2)
@@ -379,8 +390,8 @@ def normal_cf(mean: float = 0.0, sd: float = 1.0):
 
 
 def empirical_cf(samples):
-    """Characteristic function of the empirical measure of a sample."""
-    s = np.asarray(samples, dtype=float)
+    """Characteristic function of the empirical measure of a nonempty, finite 1-D sample."""
+    s = _sample(samples)
 
     def cf(x: float) -> complex:
         return complex(np.exp(1j * x * s).mean())

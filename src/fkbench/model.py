@@ -274,10 +274,51 @@ def open_output(path):
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _write_json(path, data: dict) -> None:
-    with open_output(path) as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+def write_json(out, x) -> None:
+    """Write x and a newline to the text stream out, as json.dumps(x, indent=2).
+
+    Arrays and tuples go out as lists, non-finite floats as null.  Each list
+    of scalars is one write, so memory does not grow with the output.
+    """
+    _write_value(out, x, "\n")
+    out.write("\n")
+
+
+def _write_value(out, x, indent: str) -> None:
+    if isinstance(x, np.ndarray):  # row by row: no second copy of a whole table
+        x = list(x) if x.ndim > 1 else x.tolist()
+    if not isinstance(x, _CONTAINERS):
+        out.write(_json_scalar(x))
+        return
+    if not x:
+        out.write("{}" if isinstance(x, dict) else "[]")
+        return
+    inner = indent + "  "
+    if isinstance(x, dict):
+        out.write("{")
+        for i, (key, value) in enumerate(x.items()):
+            # json writes a non-string key as the JSON of its value, quoted
+            key = key if isinstance(key, str) else json.dumps(key)
+            out.write(("," if i else "") + inner + json.dumps(key) + ": ")
+            _write_value(out, value, inner)
+        out.write(indent + "}")
+    elif any(isinstance(v, _CONTAINERS) for v in x):
+        out.write("[")
+        for i, value in enumerate(x):
+            out.write(("," if i else "") + inner)
+            _write_value(out, value, inner)
+        out.write(indent + "]")
+    else:
+        out.write("[" + inner + ("," + inner).join(map(_json_scalar, x)) + indent + "]")
+
+
+def _json_scalar(x) -> str:
+    if isinstance(x, float):  # float.__repr__: a numpy float64 is written as json writes it
+        return float.__repr__(x) if math.isfinite(x) else "null"
+    return json.dumps(x)
 
 
 def load_model(path) -> FeynmanKacModel:
@@ -285,7 +326,8 @@ def load_model(path) -> FeynmanKacModel:
 
 
 def save_model(path, model: FeynmanKacModel) -> None:
-    _write_json(path, model_to_dict(model))
+    with open_output(path) as fh:
+        write_json(fh, model_to_dict(model))
 
 
 def function_to_dict(f: TestFunction) -> dict:
@@ -307,4 +349,5 @@ def load_function(path) -> TestFunction:
 
 
 def save_function(path, f: TestFunction) -> None:
-    _write_json(path, function_to_dict(f))
+    with open_output(path) as fh:
+        write_json(fh, function_to_dict(f))

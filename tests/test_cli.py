@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fkbench
+import fkbench.cli
 from fkbench.cli import build_parser, main
+from fkbench.model import write_json
 from fkbench.zoo import build
 
 from .test_output_ledger import LEDGER
@@ -168,19 +171,51 @@ def test_simulate_row_does_not_depend_on_reps(name, params, capsys):
     assert rows[2][:1] == rows[1]
 
 
-def test_closed_pipe_exits_quietly():
-    # `fkbench simulate ... | head -3`: the reader leaves long before the end
+def leave_early(argv, lines):
+    """Run fkbench argv, close its stdout after `lines` lines; return the first line."""
     env = {**os.environ, "PYTHONPATH": str(Path(fkbench.__file__).parents[1])}
-    argv = ["simulate", "--zoo", "binary_hmm", "--N", "500", "--reps", "2000"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "fkbench.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
-    assert proc.stdout.readline().startswith(b"# tool = fkbench")
+    first = proc.stdout.readline()
+    for _ in range(lines - 1):
+        proc.stdout.readline()
     proc.stdout.close()
     assert proc.wait(timeout=120) == 1
     assert b"Traceback" not in proc.stderr.read()
     proc.stderr.close()
+    return first
+
+
+def test_closed_pipe_exits_quietly():
+    # `fkbench simulate ... | head -3`: the reader leaves long before the end
+    argv = ["simulate", "--zoo", "binary_hmm", "--N", "500", "--reps", "2000"]
+    assert leave_early(argv, 1).startswith(b"# tool = fkbench")
+
+
+def test_closed_pipe_exits_quietly_while_the_oracle_writes():
+    # `fkbench oracle ... | head -5`: the 3.7 MB report is still being written
+    argv = ["oracle", "--zoo", "ring_walk", "--zoo-params", '{"d": 16, "horizon": 300}']
+    assert leave_early(argv, 5) == b"{\n"
+
+
+def test_oracle_report_is_written_in_constant_memory(monkeypatch):
+    # the d = 16, H = 300 ring's 3.7 MB report: 181,202 table entries
+    peaks = []
+
+    def traced(out, report):
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                write_json(sink, report)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+    monkeypatch.setattr(fkbench.cli, "write_json", traced)
+    assert main(["oracle", "--zoo", "ring_walk", "--zoo-params", '{"d": 16, "horizon": 300}']) == 0
+    assert len(peaks) == 1 and peaks[0] < 2**20
 
 
 def test_commands_load_no_scipy():

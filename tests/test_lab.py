@@ -28,6 +28,7 @@ from fkbench.lab import (
     clt_rate_experiment,
     concentration_experiment,
     default_eps_grid,
+    empirical_cf,
     iid_moment_check,
     kolmogorov_distance,
     lp_moment_experiment,
@@ -438,6 +439,16 @@ BAD_INPUT = {
     "smoothing density negative": lambda: smoothing_bound(
         normal_cf(), normal_cf(0, 1.1), 5.0, -3.0
     ),
+    "smoothing empirical cf 'a'": lambda: smoothing_bound(
+        empirical_cf(["a"]), normal_cf(), 1.0, 1.0
+    ),
+    "empirical cf empty": lambda: empirical_cf([]),
+    "empirical cf 2-D": lambda: empirical_cf([[0.1], [0.2]]),
+    "empirical cf scalar": lambda: empirical_cf(0.5),
+    "normal cf sd 'x'": lambda: normal_cf(0, "x"),
+    "normal cf sd -1": lambda: normal_cf(0, -1),
+    "normal cf sd 0": lambda: normal_cf(0, 0),
+    "normal cf mean nan": lambda: normal_cf(np.nan),
     "empty sample": lambda: kolmogorov_distance([]),
     "nan sample": lambda: kolmogorov_distance([0.0, np.nan]),
     "non-numeric sample": lambda: kolmogorov_distance(["a"]),

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -29,7 +31,9 @@ from fkbench.model import (
     truncate,
     validate_function,
     validate_model,
+    write_json,
 )
+from fkbench import zoo
 
 
 def test_oscillation_ratios_constant_potential():
@@ -228,3 +232,55 @@ def test_function_json_roundtrip():
         function_from_dict({"values": [[np.inf]]})
     with pytest.raises(ConfigError):
         function_from_dict({})
+
+
+def plain(x):
+    """x as plain JSON data: tuples and arrays as lists, non-finite floats as None.
+
+    The reference for write_json: reports were json.dumps(plain(x), indent=2).
+    """
+    if isinstance(x, np.ndarray):
+        x = list(x) if x.ndim > 1 else x.tolist()
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [plain(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
+JSON_PANEL = {
+    "non-finite floats": [np.nan, np.inf, -np.inf, 1.0],
+    "zeros and extremes": [-0.0, 0.0, 1e300, -1e300, 5e-324, 0.1],
+    "empty containers": {"dict": {}, "list": [], "tuple": (), "array": np.array([])},
+    "empty 2-d array": np.empty((0, 3)),
+    "0-d array": np.array(2.5),
+    "0-d nan array": [np.array(np.nan)],
+    "3-d array": np.where(np.arange(24) == 5, np.nan, np.arange(24.0)).reshape(2, 3, 4),
+    "int and bool arrays": [np.arange(4), np.array([True, False])],
+    "tuples": (1, (2.0, "x"), (), ((np.inf,),)),
+    "float64 scalars in a list": [np.float64(0.1), np.float64("nan"), np.float64(-0.0), 1.5],
+    "float64 scalar": np.float64(1 / 3),
+    "int keys": {1: "a", 2: [1, 2], 30: {}},
+    "other keys": {True: 1, False: 2, None: 3, 1.5: 4, "s": 5},
+    "true false none": [True, False, None, 0, -3, 2**70],
+    "string": 'a "quoted" \\ backslash, caf\u00e9 \u2211 \U0001d53c\n\ttab',
+    "mixed nesting": {"x": [[1.0, 2.0], [3]], "y": [{"a": 1}, [], {}], "z": [1, [2.0]]},
+}
+
+
+@pytest.mark.parametrize("case", list(JSON_PANEL))
+def test_write_json_is_json_dumps_of_plain_data(case):
+    out = io.StringIO()
+    write_json(out, JSON_PANEL[case])
+    assert out.getvalue() == json.dumps(plain(JSON_PANEL[case]), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", zoo.names())
+def test_write_json_is_json_dump_on_zoo_files(name):
+    entry = zoo.build(name)
+    for data in (model_to_dict(entry.model), function_to_dict(entry.f)):
+        out = io.StringIO()
+        write_json(out, data)
+        assert out.getvalue() == json.dumps(data, indent=2) + "\n"
