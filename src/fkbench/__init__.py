@@ -28,7 +28,6 @@ from .flow import (
     concentration_b,
     conditional_variance,
     contraction_tables,
-    dobrushin_beta,
     exact_flow,
     limiting_variance,
     step_phi,

@@ -169,10 +169,11 @@ def doob_terms(trace: RunTrace, flow: FlowAnalytics) -> DoobSeries:
     flow = analyze(model, f) names the model the runs were drawn from.  The
     series run over times 0..model.horizon, which the runs must reach;
     later steps of a longer trace are not read, so a prefix is
-    doob_terms(trace, analyze(truncate(model, n), f)).  The step into time 0
-    starts from eta0, each later step from the runs' empirical measures one
-    step earlier.  All series are exact functions of the recorded empirical
-    measures and of flow; no sampling is involved.
+    doob_terms(trace, analyze(truncate(model, n), f)).  Runs with another
+    number of states than the model at some time 0..n are a ConfigError.
+    The step into time 0 starts from eta0, each later step from the runs'
+    empirical measures one step earlier.  All series are exact functions of
+    the recorded empirical measures and of flow; no sampling is involved.
     """
     model, f, n = flow.model, flow.f, flow.model.horizon
     if len(trace.counts) <= n:
@@ -185,6 +186,11 @@ def doob_terms(trace: RunTrace, flow: FlowAnalytics) -> DoobSeries:
     means, field, a_inc, m_inc, b_inc, delta_c = (np.zeros(shape) for _ in range(6))
     start = etas[0]  # the step into time q starts from here
     for q in range(n + 1):
+        if trace.counts[q].shape[1] != model.dims[q]:
+            raise ConfigError(
+                f"runs have {trace.counts[q].shape[1]} states at time {q}, "
+                f"the model {model.dims[q]}"
+            )
         emp = trace.empirical(q)
         means[:, q] = (emp * fpn[q]).sum(-1)
         field[:, q] = ((emp - etas[q]) * fpn[q]).sum(-1)

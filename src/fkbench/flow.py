@@ -112,11 +112,6 @@ def _pair_distances(P: np.ndarray) -> np.ndarray:
     return dist
 
 
-def dobrushin_beta(P: np.ndarray) -> float:
-    """Largest total-variation distance between two rows of a Markov matrix."""
-    return float(0.5 * _pair_distances(P).max(initial=0.0))
-
-
 def _transport_step(model: FeynmanKacModel, etas: list[np.ndarray], q: int) -> np.ndarray:
     """One factor diag(G_q) M_q / eta_q(G_q) of the normalized transport.
 

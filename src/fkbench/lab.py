@@ -7,7 +7,9 @@ runs at the model's horizon, the one terminal time n, and with the model's
 own McKean weights; truncate(model, n) picks an earlier terminal time.
 Distances to the Gaussian are exact suprema over ECDF jump points; nothing
 is evaluated on a grid.  Every report is a plain frozen dataclass,
-serialized as it stands.  Only the two functions that use scipy import it.
+serialized as it stands.  The normal CDF is _ndtr, Cephes' ndtr arithmetic
+(scipy.special.ndtr's) in numpy with libm's exp, so only smoothing_bound
+loads scipy, inside the function.
 """
 
 from __future__ import annotations
@@ -53,17 +55,78 @@ def _sample(values) -> np.ndarray:
     return v
 
 
+# Cephes ndtr.c: erf(t) = t T(t^2) / U(t^2); erfc(z) = exp(-z^2) P(z) / Q(z)
+# below 8, exp(-z^2) R(z) / S(z) from 8.  U, Q and S are monic (Cephes'
+# p1evl); their leading 1.0 is written out, and 1.0 * z is exact.
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747141959406e1, 9.60896809063285876134e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # exp(-z^2) underflows past this
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _polevl(x: np.ndarray, coefs) -> np.ndarray:
+    """Cephes' polevl: Horner's rule from the leading coefficient."""
+    a = coefs[0]
+    for c in coefs[1:]:
+        a = a * x + c
+    return a
+
+
+def _erf(t: np.ndarray) -> np.ndarray:
+    """Cephes' erf for |t| <= 1."""
+    return t * _polevl(t * t, _T) / _polevl(t * t, _U)
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of a float array without NaN: Cephes' ndtr.
+
+    Each branch does Cephes' operations in Cephes' order, and exp(-z^2) is
+    libm's, through math.exp: numpy's SIMD exp differs from libm in the last
+    bit on some inputs.  So this equals scipy.special.ndtr bit for bit,
+    except where x sqrt(1/2) <= -8: there, below 6e-30, scipy's build rounds
+    otherwise, within 7.5e-15 relative.
+    """
+    t = x * _SQRT1_2
+    z = np.abs(t)
+    y = np.zeros_like(z)  # 0.5 erfc(z); stays 0 where exp(-z^2) underflows
+    mid = (z >= _SQRT1_2) & (z < 1.0)
+    y[mid] = 0.5 * (1.0 - _erf(z[mid]))
+    tail = (z >= 1.0) & (-(z * z) >= -_MAXLOG)
+    zt = z[tail]
+    e = np.fromiter(map(math.exp, -(zt * zt)), float, zt.size)
+    near = zt < 8.0
+    p = np.where(near, _polevl(zt, _P), _polevl(zt, _R))
+    q = np.where(near, _polevl(zt, _Q), _polevl(zt, _S))
+    y[tail] = 0.5 * (e * p / q)
+    out = np.where(t > 0.0, 1.0 - y, y)
+    center = z < _SQRT1_2
+    out[center] = 0.5 + 0.5 * _erf(t[center])
+    return out
+
+
 def kolmogorov_distance(values) -> float:
     """Exact sup distance between the sample ECDF and the standard normal CDF.
 
     The supremum over the real line is attained at a jump point, where the
     ECDF must be compared from both sides:
-    max_i max(i/R - Phi(x_i), Phi(x_i) - (i-1)/R).  values must be a
+    max_i max(i/R - Phi(x_i), Phi(x_i) - (i-1)/R).  Phi is _ndtr, Cephes'
+    arithmetic with libm's exp, so no scipy is loaded.  values must be a
     nonempty, finite 1-D sample; anything else is a ConfigError.
     """
     v = np.sort(_sample(values))
-    from scipy.special import ndtr
-    u, i = ndtr(v), np.arange(1, v.size + 1)
+    u, i = _ndtr(v), np.arange(1, v.size + 1)
     return float(np.max(np.maximum(i / v.size - u, u - (i - 1) / v.size)))
 
 

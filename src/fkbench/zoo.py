@@ -210,11 +210,6 @@ def path_decode(code: int, n: int) -> tuple[int, ...]:
     return tuple((code >> q) & 1 for q in range(n + 1))
 
 
-def path_encode(coords) -> int:
-    """Inverse of path_decode."""
-    return sum(int(x) << q for q, x in enumerate(coords))
-
-
 @_entry("unit potentials; flow reduces to the plain chain law")
 def plain_markov(horizon: int = 5, eps: float = 1.0):
     """Unweighted two-state chain: potentials are identically one.

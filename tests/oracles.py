@@ -12,6 +12,9 @@ count step as a full draw, the reference for the engine's skipped
 zero-weight binomials.  reference_tables is the contraction tables as they
 were first computed, one transport at a time and one scipy pdist call per
 (p, n): the reference that contraction_tables must equal bit for bit.
+dobrushin_beta and path_encode have no reader in the package: the tables
+measure their row pairs with flow._pair_distances, which dobrushin_beta
+calls, and the zoo decodes path codes but never encodes them.
 """
 
 import itertools
@@ -19,7 +22,7 @@ import itertools
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from fkbench.flow import _transport_step, step_phi
+from fkbench.flow import _pair_distances, _transport_step, step_phi
 from fkbench.model import FeynmanKacModel, mixing_weights
 
 
@@ -66,6 +69,11 @@ def reference_step(model: FeynmanKacModel, counts, n: int, rngs):
         if occ.any():
             row += rng.multinomial(own[occ], model.kernels[n][occ]).sum(axis=0)
     return nxt
+
+
+def path_encode(coords) -> int:
+    """Inverse of zoo.path_decode."""
+    return sum(int(x) << q for q, x in enumerate(coords))
 
 
 def path_weight(model, path):
@@ -128,6 +136,11 @@ def variance_by_enumeration(model, f, n):
         increments.append(inc)
         total += inc
     return np.array(increments), total
+
+
+def dobrushin_beta(P: np.ndarray) -> float:
+    """Largest total-variation distance between two rows of a Markov matrix."""
+    return float(0.5 * _pair_distances(P).max(initial=0.0))
 
 
 def pdist_beta(P: np.ndarray) -> float:

@@ -42,6 +42,7 @@ MISSING_TRACED = {
     "flow.semigroups",  # replaced by contraction_tables, which keeps no table of products
     "engine.increasing_increments",  # its time is inside engine.doob_terms
     "flow.mckean_kernel",  # the step law acts on functions; the d x d kernel is a test oracle
+    "flow.dobrushin_beta",  # the tables measure row pairs with _pair_distances; a test oracle
 }
 
 

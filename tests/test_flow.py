@@ -14,7 +14,6 @@ from fkbench.flow import (
     boltzmann_gibbs,
     concentration_b,
     contraction_tables,
-    dobrushin_beta,
     _transport_step,
     exact_flow,
     limiting_variance,
@@ -26,6 +25,7 @@ from fkbench.zoo import build
 
 from .oracles import (
     compatibility_residual,
+    dobrushin_beta,
     mckean_kernel,
     pdist_beta,
     reference_tables,

@@ -6,13 +6,14 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+import scipy
 from scipy.special import ndtr
 
 import fkbench.engine as engine
 import fkbench.lab as lab
 import fkbench.rng as rng
 from fkbench.bounds import burkholder_d, mixing_bounds
-from fkbench.engine import RunConfig, simulate, simulate_replicates
+from fkbench.engine import RunConfig, doob_terms, simulate, simulate_replicates
 from fkbench.errors import (
     BadInitialLaw,
     ConfigError,
@@ -40,6 +41,61 @@ from fkbench.lab import (
 from fkbench.model import make_function, make_model, model_from_dict, truncate
 from fkbench.rng import replicate_keys, stream
 from fkbench.zoo import binary_hmm, build, iid_reduction, path_genealogy, ring_walk
+
+
+VERSIONS = f"numpy {np.__version__}, scipy {scipy.__version__}"
+
+
+def scipy_kolmogorov_distance(values) -> float:
+    """kolmogorov_distance as it was written on scipy's ndtr: the reference."""
+    v = np.sort(np.asarray(values, dtype=float))
+    u, i = ndtr(v), np.arange(1, v.size + 1)
+    return float(np.max(np.maximum(i / v.size - u, u - (i - 1) / v.size)))
+
+
+class TestNdtr:
+    """lab._ndtr against scipy.special.ndtr, which runs the same Cephes code.
+
+    Where x sqrt(1/2) <= -8 (Cephes' erfc from 8 on, values below 6e-30)
+    scipy's build rounds differently, so the far lower tail is held to a
+    relative tolerance; everywhere else the two agree bit for bit.
+    """
+
+    def test_equals_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        # the branch edges z = |x| sqrt(1/2) = sqrt(1/2), 1, 8, 3 ulps each side
+        edges = [
+            s * e + k * np.spacing(e)
+            for e in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0))
+            for s in (1.0, -1.0)
+            for k in range(-3, 4)
+        ]
+        x = np.concatenate([
+            2.5 * rng.standard_normal(1_000_000),
+            np.linspace(-11.3, 11.3, 200_001),
+            [0.0, -0.0, 5e-324, -5e-324],
+            edges,
+        ])
+        ours, ref = lab._ndtr(x), ndtr(x)
+        tail = x * math.sqrt(0.5) <= -8.0
+        moved = ours[~tail].view(np.int64) != ref[~tail].view(np.int64)
+        assert not moved.any(), f"{moved.sum()} values differ under {VERSIONS}"
+        assert np.all(np.abs(ours[tail] - ref[tail]) <= 1e-13 * ref[tail])
+
+    def test_far_tails(self):
+        x = np.linspace(11.31, 38.0, 100_001)
+        assert np.all(lab._ndtr(x) == 1.0)
+        ours, ref = lab._ndtr(-x), ndtr(-x)
+        assert np.all(np.abs(ours - ref) <= 1e-13 * ref), VERSIONS
+
+    def test_kolmogorov_distance_equals_the_scipy_reference(self):
+        rng = np.random.default_rng(34)
+        for _ in range(250):
+            scale = math.exp(rng.uniform(math.log(0.5), math.log(20.0)))
+            sample = scale * rng.standard_normal(int(rng.integers(1, 2000)))
+            assert kolmogorov_distance(sample) == scipy_kolmogorov_distance(sample), (
+                f"scale {scale}, size {sample.size}, {VERSIONS}"
+            )
 
 
 class TestKolmogorovDistance:
@@ -262,6 +318,7 @@ def _ill_posed_calls():
     nan_eps = lambda: replace(model, epsilons=(np.nan,) + model.epsilons[1:])
     leaky = lambda: make_model(model.eta0, [[[0.9, 0.0], [0.3, 0.7]]] * 5, model.potentials)
     config = RunConfig(100, 1, 5)
+    ring_trace = simulate(RunConfig(50, 1, 5), build("ring_walk", d=4, horizon=5).model)
     return {
         "f short: analyze": lambda: analyze(model, short_f),
         "f short: clt": lambda: clt_rate_experiment(model, short_f, 100, 1),
@@ -283,6 +340,7 @@ def _ill_posed_calls():
         "kernel row short: replicates": lambda: simulate_replicates(
             analyze(leaky(), entry.f), 100, 10, 1
         ),
+        "foreign trace d=4: doob_terms": lambda: doob_terms(ring_trace, analyze(*args)),
         "f nan: clt": lambda: clt_rate_experiment(model, nan_f, 100, 1),
         "n_reps '10': clt": lambda: clt_rate_experiment(*args, "10", 1),
         "seed 'x': clt": lambda: clt_rate_experiment(*args, 100, "x"),

@@ -14,9 +14,10 @@ from fkbench.zoo import (
     build,
     names,
     path_decode,
-    path_encode,
     path_last_state,
 )
+
+from .oracles import path_encode
 
 
 def test_names_complete():
