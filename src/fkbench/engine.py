@@ -87,11 +87,12 @@ def step_counts(
     sizes = counts.sum(axis=1)
     targets = step_phi(model, counts / sizes[:, None], n)
     nxt = np.empty((len(counts), model.dims[n + 1]), dtype=int)
+    # plain int sizes: multinomial takes a Python int N faster than an np.int64
     if not weights.any():  # every particle resamples
-        for row, N, target, rng in zip(nxt, sizes, targets, rngs, strict=True):
+        for row, N, target, rng in zip(nxt, sizes.tolist(), targets, rngs, strict=True):
             row[:] = rng.multinomial(N, target)
         return nxt
-    for row, c, N, target, rng in zip(nxt, counts, sizes, targets, rngs, strict=True):
+    for row, c, N, target, rng in zip(nxt, counts, sizes.tolist(), targets, rngs, strict=True):
         own = rng.binomial(c, weights)
         row[:] = rng.multinomial(N - own.sum(), target)
         occ = own > 0

@@ -108,7 +108,9 @@ def _pair_distances(P: np.ndarray) -> np.ndarray:
     first, second = np.triu_indices(P.shape[-2], 1)
     dist = np.zeros((len(first), *P.shape[:-2]))
     for col in np.ascontiguousarray(P.T):
-        dist += np.abs(col.take(first, axis=0) - col.take(second, axis=0))
+        diff = col.take(first, axis=0)
+        diff -= col.take(second, axis=0)
+        dist += np.abs(diff, out=diff)
     return dist
 
 

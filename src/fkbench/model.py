@@ -209,9 +209,11 @@ def mixing_weights(model: FeynmanKacModel, n: int) -> np.ndarray:
 
 
 def truncate(model: FeynmanKacModel, horizon: int) -> FeynmanKacModel:
-    """Restrict a model to a shorter horizon."""
+    """Restrict a model to a shorter horizon; at its own horizon, the model itself."""
     if not 0 <= integer(horizon, "horizon") <= model.horizon:
         raise ConfigError(f"horizon {horizon} outside [0, {model.horizon}]")
+    if horizon == model.horizon:  # valid already: no copy to validate again
+        return model
     return FeynmanKacModel(
         dims=model.dims[: horizon + 1],
         kernels=model.kernels[:horizon],

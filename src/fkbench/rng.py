@@ -12,8 +12,8 @@ A stream is a Philox generator whose key numpy's SeedSequence hashes from
 the address.  For a batch of replicate-step streams, numpy hashes the seed
 once and replicate_keys mixes the replicate and step words into that pool
 for every row at once; replicate_streams reseats one generator to each key
-in turn, so row r's draws are those of stream(seed, r, step) at a fraction
-of the cost of opening it.
+in turn, from a state of plain Python ints, so row r's draws are those of
+stream(seed, r, step) at a fraction of the cost of opening it.
 """
 
 from __future__ import annotations
@@ -110,11 +110,15 @@ def replicate_streams(
     The generator is reseated to row r's key with the state it had when it
     was opened (counter 0, no buffered words), so its draws are those of a
     fresh stream(master_seed, r, step); each yield is valid until the next
-    row is taken.
+    row is taken.  The state is built once and holds plain ints (the key,
+    counter and buffer as lists), which numpy's state setter reads without
+    making a numpy scalar per word.
     """
     rng = np.random.Generator(np.random.Philox(0))
     state = rng.bit_generator.state
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     for key in replicate_keys(master_seed, replicates, step):
-        state["state"]["key"] = key
+        state["state"]["key"] = key.tolist()
         rng.bit_generator.state = state
         yield rng

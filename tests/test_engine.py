@@ -253,6 +253,19 @@ class TestBatch:
         simulate_replicates(analyze(model, f), 10, 6, 1)
         assert calls == {0: 1, 1: 1}
 
+    @pytest.mark.parametrize("reps", [1, 3])
+    @pytest.mark.parametrize(
+        "name, params, mixed", [("path_genealogy", {"horizon": 3}, False), ("ring_walk", {}, True)]
+    )
+    def test_step_counts_returns_int64_rows(self, name, params, mixed, reps):
+        # path_genealogy steps at eps = 0 from 4 states onto 8; ring_walk at eps > 0
+        model, n = build(name, **params).model, 1
+        assert mixing_weights(model, n).any() == mixed
+        counts = simulate(RunConfig(20, 7, n), model, range(reps)).counts[n]
+        nxt = step_counts(model, counts, n, (stream(7, r, n + 1) for r in range(reps)))
+        assert nxt.dtype == np.int64 and nxt.shape == (reps, model.dims[n + 1])
+        assert np.array_equal(nxt.sum(axis=1), np.full(reps, 20))
+
 
 class TestRowExact:
     """Row i of a batch call equals the call on row i alone, bit for bit.

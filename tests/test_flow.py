@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import pdist
 
 from fkbench import tolerances as tol
 from fkbench.errors import EpsilonOutOfRange, ZeroMass
@@ -14,6 +15,7 @@ from fkbench.flow import (
     boltzmann_gibbs,
     concentration_b,
     contraction_tables,
+    _pair_distances,
     _transport_step,
     exact_flow,
     limiting_variance,
@@ -334,6 +336,27 @@ class TestTablesEqualPdist:
                 [rng.uniform(0.1, 3.0, d) for d in dims],
             )
             assert_tables_match_pdist(model, f"dims {dims.tolist()}")
+
+
+def pair_distances_by_fresh_arrays(P):
+    """_pair_distances with each column's difference and its absolute value in new arrays."""
+    first, second = np.triu_indices(P.shape[-2], 1)
+    dist = np.zeros((len(first), *P.shape[:-2]))
+    for col in np.ascontiguousarray(P.T):
+        dist += np.abs(col.take(first, axis=0) - col.take(second, axis=0))
+    return dist
+
+
+class TestPairDistances:
+    @pytest.mark.parametrize("shape", [(300, 16, 16), (60, 64, 64), (16, 16), (40, 7)])
+    def test_in_place_columns_change_no_bit(self, shape):
+        rng = np.random.default_rng(34)
+        P = random_markov(rng, int(np.prod(shape[:-1])), shape[-1]).reshape(shape)
+        got = _pair_distances(P)
+        assert np.array_equal(got, pair_distances_by_fresh_arrays(P)), f"{shape} under {VERSIONS}"
+        stack = P.reshape(-1, *shape[-2:])
+        by_pdist = np.stack([pdist(m, "cityblock") for m in stack], axis=-1)
+        assert np.array_equal(got.reshape(by_pdist.shape), by_pdist), f"{shape} under {VERSIONS}"
 
 
 class TestDobrushinBeta:

@@ -90,8 +90,11 @@ def test_spec_validation(two_state):
             replace(model, epsilons=bad)
 
 
-def test_verify_clt_validates_its_model_twice(monkeypatch, tmp_path):
-    """One CLI run validates its model once when the builder makes it, once when it is cut.
+def test_verify_clt_validates_its_model_once(monkeypatch, tmp_path):
+    """One CLI run validates its model once, when the builder makes it.
+
+    Cutting it to its own horizon returns the model itself, with no copy to
+    validate again.
 
     Every fkbench module that binds validate_model is spied on, so a
     re-check anywhere in the run is counted.
@@ -109,7 +112,7 @@ def test_verify_clt_validates_its_model_twice(monkeypatch, tmp_path):
     out = tmp_path / "report.json"
     main(["verify", "clt", "--zoo", "binary_hmm", "--reps", "200", "--out", str(out)])
     assert json.loads(out.read_text())["n_reps"] == 200
-    assert calls == [5, 5]
+    assert calls == [5]
 
 
 ANALYZING_COMMANDS = {
@@ -164,6 +167,27 @@ def test_truncate(two_state):
     assert cut.epsilons == (0.25,)
     with pytest.raises(ConfigError):
         truncate(model, 3)
+
+
+def test_truncate_to_own_horizon_is_the_model(two_state):
+    model, _ = two_state
+    assert truncate(model, model.horizon) is model
+    with pytest.raises(ConfigError):
+        truncate(model, 2.5)
+
+
+def test_truncate_to_shorter_horizon_validates_a_new_model(two_state, monkeypatch):
+    model, _ = two_state
+    calls = []
+
+    def counted(m):
+        calls.append(m.horizon)
+        return validate_model(m)
+
+    monkeypatch.setattr(sys.modules["fkbench.model"], "validate_model", counted)
+    cut = truncate(model, 1)
+    assert cut is not model and cut.horizon == 1
+    assert calls == [1]
 
 
 def test_model_json_roundtrip(two_state, tmp_path):

@@ -65,3 +65,23 @@ def test_reseat_clears_buffered_state():
         rng.integers(0, 2**32, 16, dtype=np.uint32), fresh.integers(0, 2**32, 16, dtype=np.uint32)
     )
     assert np.array_equal(rng.random(16), fresh.random(16))
+
+
+def assert_state_of_a_fresh_stream(rng, seed, r, step):
+    """rng's bit-generator state is stream(seed, r, step)'s, field by field, as ints."""
+    got, fresh = rng.bit_generator.state, stream(seed, r, step).bit_generator.state
+    for name in ("key", "counter"):
+        assert [int(w) for w in got["state"][name]] == [int(w) for w in fresh["state"][name]]
+    assert [int(w) for w in got["buffer"]] == [int(w) for w in fresh["buffer"]]
+    for name in ("buffer_pos", "has_uint32", "uinteger"):
+        assert int(got[name]) == int(fresh[name]), name
+
+
+def test_each_row_is_reseated_to_a_fresh_streams_state():
+    replicates = [3, 0, 2**33, 7]
+    for r, rng in zip(replicates, replicate_streams(9, replicates, 4), strict=True):
+        assert_state_of_a_fresh_stream(rng, 9, r, 4)
+        rng.integers(0, 2**32, dtype=np.uint32)  # the next row starts from a buffered half word
+        rng.random(2)  # and a partly used Philox block
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
