@@ -14,8 +14,9 @@ holds R runs as (R, d) count arrays, one row per replicate; the sampler
 advances the batch a step at a time, and the bookkeeping evaluates it
 once per step, each row summed in flow's one order (never @, which rounds a
 row inside a batch differently than alone), so no row depends on the batch.
-doob_terms is the one bookkeeping pass: from the FlowAnalytics its caller
-made with analyze, at the model's horizon (the one terminal time), it returns
+A trace records the model it ran on, whose horizon is the run's one
+terminal time.  doob_terms is the one bookkeeping pass: from the
+FlowAnalytics its caller made with analyze of that same model, it returns
 the decompositions of the fluctuation field and the increasing process of
 every run in one DoobSeries, which simulate_replicates returns for its batch.
 """
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FlowConsistencyError
+from .errors import ConfigError
 from .flow import FlowAnalytics, boltzmann_gibbs, conditional_variance, step_phi
-from .model import FeynmanKacModel, integer, mixing_weights
+from .model import FeynmanKacModel, integer, mixing_weights, truncate
 from .rng import replicate_streams
 
 
@@ -40,7 +41,7 @@ class RunConfig:
     Attributes:
         n_particles: population size N >= 1.
         seed: master seed; replicate streams are derived from it.
-        horizon: final time index (must not exceed the model horizon).
+        horizon: final time index; the run's model is truncate(model, horizon).
     """
 
     n_particles: int
@@ -56,8 +57,9 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Counts of R runs, counts[q] of shape (R, d_q); everything else derives."""
+    """R runs of model as counts, counts[q] of shape (R, d_q); the rest derives."""
 
+    model: FeynmanKacModel
     n_particles: int
     counts: list[np.ndarray]
 
@@ -94,7 +96,7 @@ def step_counts(
         return nxt
     for row, c, N, target, rng in zip(nxt, counts, sizes.tolist(), targets, rngs, strict=True):
         own = rng.binomial(c, weights)
-        row[:] = rng.multinomial(N - own.sum(), target)
+        row[:] = rng.multinomial(N - int(own.sum()), target)
         occ = own > 0
         if occ.any():  # skipping an empty multinomial leaves the stream unchanged
             row += rng.multinomial(own[occ], model.kernels[n][occ]).sum(axis=0)
@@ -104,7 +106,7 @@ def step_counts(
 def simulate(
     config: RunConfig, model: FeynmanKacModel, replicates: Sequence[int] = (0,)
 ) -> RunTrace:
-    """Run the listed replicates to the configured horizon, one row each, in order.
+    """Run each listed replicate of truncate(model, config.horizon), one row each.
 
     Row i's time-0 counts are multinomial from the initial law, drawn from
     the stream addressed (seed, replicates[i], 0), and its step n -> n+1
@@ -112,22 +114,20 @@ def simulate(
     replicate r of a batch reruns alone as simulate(config, model, [r]).
     For each time, the rows' stream keys are computed in one pass and one
     generator is reseated to each row in turn (rng.replicate_streams).
-    The replicates and the horizon are checked before any stream is keyed.
+    The replicates and the horizon are checked before any stream is keyed,
+    and the trace records the truncated model it ran on.
     """
     replicates = [integer(r, "replicate") for r in replicates]
     if len(replicates) < 1 or min(replicates) < 0 or max(replicates) >= 1 << 64:
         raise ConfigError("replicates must list at least one index, each in [0, 2**64)")
-    if config.horizon > model.horizon:
-        raise ConfigError(
-            f"config horizon {config.horizon} exceeds model horizon {model.horizon}"
-        )
+    model = truncate(model, config.horizon)
     N, seed = config.n_particles, config.seed
     time0 = replicate_streams(seed, replicates, 0)
     counts = [np.array([rng.multinomial(N, model.eta0) for rng in time0])]
-    for n in range(config.horizon):
+    for n in range(model.horizon):
         rngs = replicate_streams(seed, replicates, n + 1)
         counts.append(step_counts(model, counts[n], n, rngs))
-    return RunTrace(n_particles=N, counts=counts)
+    return RunTrace(model=model, n_particles=N, counts=counts)
 
 
 def sampling_error(model: FeynmanKacModel, mu, emp: np.ndarray, n: int, v: np.ndarray):
@@ -167,31 +167,22 @@ class DoobSeries:
 def doob_terms(trace: RunTrace, flow: FlowAnalytics) -> DoobSeries:
     """Evaluate the decompositions and the increasing process on realized runs.
 
-    flow = analyze(model, f) names the model the runs were drawn from.  The
-    series run over times 0..model.horizon, which the runs must reach;
-    later steps of a longer trace are not read, so a prefix is
-    doob_terms(trace, analyze(truncate(model, n), f)).  Runs with another
-    number of states than the model at some time 0..n are a ConfigError.
+    flow = analyze(trace.model, f): runs of any other model object are a
+    ConfigError, even one of the same dimensions.  The series run over
+    times 0..model.horizon.
     The step into time 0 starts from eta0, each later step from the runs'
     empirical measures one step earlier.  All series are exact functions of
     the recorded empirical measures and of flow; no sampling is involved.
     """
+    if trace.model is not flow.model:
+        raise ConfigError("the runs were drawn from another model than the flow's")
     model, f, n = flow.model, flow.f, flow.model.horizon
-    if len(trace.counts) <= n:
-        raise FlowConsistencyError(
-            f"runs stop at time {len(trace.counts) - 1}, before the terminal {n}"
-        )
     root_n = np.sqrt(trace.n_particles)
     fpn, etas = flow.fpn, flow.etas
     shape = (len(trace.counts[0]), n + 1)
     means, field, a_inc, m_inc, b_inc, delta_c = (np.zeros(shape) for _ in range(6))
     start = etas[0]  # the step into time q starts from here
     for q in range(n + 1):
-        if trace.counts[q].shape[1] != model.dims[q]:
-            raise ConfigError(
-                f"runs have {trace.counts[q].shape[1]} states at time {q}, "
-                f"the model {model.dims[q]}"
-            )
         emp = trace.empirical(q)
         means[:, q] = (emp * fpn[q]).sum(-1)
         field[:, q] = ((emp - etas[q]) * fpn[q]).sum(-1)
@@ -219,8 +210,8 @@ def simulate_replicates(
 ) -> DoobSeries:
     """Run replicates 0..n_reps-1 of flow.model to its horizon, evaluated in one pass.
 
-    The sizes are checked before simulate is called; a shorter run is the
-    replicates of analyze(truncate(model, n), f).
+    The sizes are checked before simulate is called; the runs are of
+    flow.model itself, so doob_terms pairs them with flow.
     """
     if integer(n_reps, "n_reps") < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")

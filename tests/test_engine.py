@@ -14,14 +14,13 @@ from fkbench import tolerances as tol
 from fkbench.engine import (
     DoobSeries,
     RunConfig,
-    RunTrace,
     doob_terms,
     sampling_error,
     simulate,
     simulate_replicates,
     step_counts,
 )
-from fkbench.errors import ConfigError, DegenerateFunction, FlowConsistencyError
+from fkbench.errors import ConfigError, DegenerateFunction
 from fkbench.flow import (
     analyze,
     boltzmann_gibbs,
@@ -35,7 +34,6 @@ from fkbench.model import (
     make_function,
     make_model,
     mixing_weights,
-    truncate,
 )
 from fkbench.rng import stream
 from fkbench.zoo import build
@@ -253,6 +251,33 @@ class TestBatch:
         simulate_replicates(analyze(model, f), 10, 6, 1)
         assert calls == {0: 1, 1: 1}
 
+    def test_multinomial_gets_a_python_int_size(self):
+        # at eps > 0 the resampled size is N minus the own-row movers: passed
+        # as a Python int, never a numpy scalar; the movers' sizes are arrays
+        model = build("ring_walk").model
+        assert all(mixing_weights(model, n).any() for n in range(model.horizon))
+        trace = simulate(RunConfig(30, 4, model.horizon), model, range(3))
+        sizes = []
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def multinomial(self, n, pvals):
+                sizes.append(n)
+                return self.rng.multinomial(n, pvals)
+
+        for n in range(model.horizon):
+            rngs = (Recorder(stream(4, r, n + 1)) for r in range(3))
+            nxt = step_counts(model, trace.counts[n], n, rngs)
+            assert np.array_equal(nxt, trace.counts[n + 1])  # the same draws
+        scalars = [N for N in sizes if not isinstance(N, np.ndarray)]
+        assert len(scalars) == 3 * model.horizon
+        assert all(type(N) is int for N in scalars)
+
     @pytest.mark.parametrize("reps", [1, 3])
     @pytest.mark.parametrize(
         "name, params, mixed", [("path_genealogy", {"horizon": 3}, False), ("ring_walk", {}, True)]
@@ -439,20 +464,23 @@ class TestDoob:
         assert_allclose(series.w[0, 2], expected, atol=tol.PRODUCT)
 
     def test_earlier_terminal_reads_a_prefix_of_the_runs(self, two_state):
+        # a shorter run is a run of the truncated model: the first count
+        # arrays of the longer run at the same seed and replicates
         model, f = two_state
-        short = truncate(model, 1)
-        trace = simulate(RunConfig(50, 3, 2), model, range(4))
-        prefix = RunTrace(trace.n_particles, trace.counts[:2])
-        flow = analyze(short, f)
-        whole, cut = doob_terms(trace, flow), doob_terms(prefix, flow)
-        for field in fields(DoobSeries):
-            assert np.array_equal(getattr(whole, field.name), getattr(cut, field.name))
-        assert whole.w.shape == (4, 2)
+        whole = simulate(RunConfig(50, 3, 2), model, range(4))
+        assert whole.model is model
+        short = simulate(RunConfig(50, 3, 1), model, range(4))
+        assert short.model.horizon == 1
+        assert len(short.counts) == 2
+        for cut, full in zip(short.counts, whole.counts):
+            assert np.array_equal(cut, full)
+        assert doob_terms(short, analyze(short.model, f)).w.shape == (4, 2)
 
     def test_runs_must_reach_the_terminal(self, two_state):
+        # a horizon-1 run is of truncate(model, 1), not of model
         model, f = two_state
         trace = simulate(RunConfig(50, 3, 1), model)
-        with pytest.raises(FlowConsistencyError):
+        with pytest.raises(ConfigError):
             doob_terms(trace, analyze(model, f))
 
 

@@ -319,6 +319,7 @@ def _ill_posed_calls():
     leaky = lambda: make_model(model.eta0, [[[0.9, 0.0], [0.3, 0.7]]] * 5, model.potentials)
     config = RunConfig(100, 1, 5)
     ring_trace = simulate(RunConfig(50, 1, 5), build("ring_walk", d=4, horizon=5).model)
+    other_trace = simulate(config, build("binary_hmm", stay0=0.5).model)
     return {
         "f short: analyze": lambda: analyze(model, short_f),
         "f short: clt": lambda: clt_rate_experiment(model, short_f, 100, 1),
@@ -341,6 +342,9 @@ def _ill_posed_calls():
             analyze(leaky(), entry.f), 100, 10, 1
         ),
         "foreign trace d=4: doob_terms": lambda: doob_terms(ring_trace, analyze(*args)),
+        "foreign trace, same dims: doob_terms": lambda: doob_terms(
+            other_trace, analyze(*args)
+        ),
         "f nan: clt": lambda: clt_rate_experiment(model, nan_f, 100, 1),
         "n_reps '10': clt": lambda: clt_rate_experiment(*args, "10", 1),
         "seed 'x': clt": lambda: clt_rate_experiment(*args, 100, "x"),
@@ -358,6 +362,7 @@ def _ill_posed_calls():
         "kernel row short: simulate": lambda: simulate(config, leaky()),
         "N 2.7: simulate": lambda: simulate(RunConfig(2.7, 1, 5), model),
         "N True: simulate": lambda: simulate(RunConfig(True, 1, 5), model),
+        "horizon -1: simulate": lambda: simulate(RunConfig(10, 1, -1), model),
         "seed 1.5: simulate": lambda: simulate(RunConfig(100, 1.5, 5), model),
         "replicate 0.5: simulate": lambda: simulate(config, model, [0.5]),
         "replicate 2**64: simulate": lambda: simulate(config, model, [0, 1 << 64]),
